@@ -9,7 +9,6 @@ from .bussgang import (
     AqnmParameters,
     QuantizedStatistics,
     aqnm_covariance,
-    bussgang_matrices,
     effective_noise_covariance,
     received_covariance,
 )

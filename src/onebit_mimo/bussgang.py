@@ -13,6 +13,7 @@ scaling, but the statistics here are only consistent with data under it.
 """
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,82 +40,63 @@ def _diag_or_raise(received_cov):
     return diagonal
 
 
-def bussgang_matrices(channel, noise_power, received_cov=None):
-    """Bussgang gain (diagonal N x N) and effective channel (N x K).
-
-    gain = sqrt(2/pi) * diag(received_cov)^(-1/2), effective = gain @ channel.
-    """
-    if received_cov is None:
-        received_cov = received_covariance(channel, noise_power)
-    diagonal = _diag_or_raise(received_cov)
-    scale = np.sqrt(2.0 / np.pi) / np.sqrt(diagonal)
-    return np.diag(scale), scale[:, None] * channel
-
-
-def effective_noise_covariance(channel, noise_power, received_cov=None):
+def effective_noise_covariance(received_cov, noise_power) -> np.ndarray:
     """Covariance of the effective noise in the linearized quantized model.
 
     (2/pi) * [arcsin(C) - C + noise_power * diag(received_cov)^(-1)] with
     C the diagonally normalized received covariance and arcsin applied
     separately to the real and imaginary part of each entry.
     """
-    if received_cov is None:
-        received_cov = received_covariance(channel, noise_power)
     diagonal = _diag_or_raise(received_cov)
     inv_sqrt = 1.0 / np.sqrt(diagonal)
     normalized = received_cov * np.outer(inv_sqrt, inv_sqrt)
     # The normalized diagonal is identically 1; pin it so rounding one ulp
     # below 1 cannot be amplified by the infinite arcsine slope there.
     np.fill_diagonal(normalized, 1.0)
-    return (2.0 / np.pi) * (
-        elementwise_arcsin(normalized) - normalized + noise_power * np.diag(1.0 / diagonal)
-    )
+    noise = elementwise_arcsin(normalized) - normalized
+    np.fill_diagonal(noise, noise.diagonal() + noise_power * (1.0 / diagonal))
+    return (2.0 / np.pi) * noise
 
 
-class AqnmParameters:
+class AqnmParameters(NamedTuple):
     """Gain and distortion covariance of the additive quantization-noise model."""
 
-    __slots__ = ("alpha", "kappa", "sigma_q")
-
-    def __init__(self, alpha, kappa, sigma_q):
-        self.alpha = alpha
-        self.kappa = kappa
-        self.sigma_q = sigma_q
+    alpha: float
+    kappa: float
+    #: Diagonal of the (diagonal) distortion covariance, length N.
+    sigma_q: np.ndarray
 
 
-def aqnm_covariance(channel, noise_power, received_cov=None) -> AqnmParameters:
-    """AQNM parameters: alpha, kappa = 1 - alpha, and the diagonal distortion
-    covariance alpha * kappa * diag(received_cov)."""
-    if received_cov is None:
-        received_cov = received_covariance(channel, noise_power)
+def aqnm_covariance(received_cov) -> AqnmParameters:
+    """AQNM parameters: alpha, kappa = 1 - alpha, and the diagonal of the
+    distortion covariance, alpha * kappa * diag(received_cov)."""
     alpha = ALPHA_ONE_BIT
     kappa = 1.0 - alpha
-    sigma_q = alpha * kappa * np.diag(received_cov.diagonal().real)
-    return AqnmParameters(alpha, kappa, sigma_q)
+    return AqnmParameters(alpha, kappa, alpha * kappa * _diag_or_raise(received_cov))
 
 
 class QuantizedStatistics:
     """Per-channel-draw statistics shared by the quantization-aware receivers.
 
-    The received covariance, Bussgang gain, and effective channel are
-    computed eagerly; the effective noise covariance is computed on first
-    access and cached, since only the quantization-aware MMSE combiner
-    needs it. Pass ``received_cov`` to substitute an approximate covariance
-    (e.g. its large-user-count limit) into all downstream quantities.
+    The received covariance, Bussgang gain (the length-N diagonal
+    sqrt(2/pi) * diag(received_cov)^(-1/2)) and effective channel
+    A = diag(gain) @ channel are computed eagerly; the effective noise
+    covariance is computed on first access and cached, since only the
+    quantization-aware MMSE combiner needs it. Pass ``received_cov`` to
+    substitute an approximate covariance (e.g. its large-user-count limit)
+    into all downstream quantities.
     """
 
     def __init__(self, channel, noise_power, received_cov=None):
-        self.channel = np.asarray(channel)
+        channel = np.asarray(channel)
         self.noise_power = float(noise_power)
         if received_cov is None:
-            received_cov = received_covariance(self.channel, self.noise_power)
+            received_cov = received_covariance(channel, self.noise_power)
         self.received_cov = np.asarray(received_cov)
-        self.gain, self.effective_channel = bussgang_matrices(
-            self.channel, self.noise_power, received_cov=self.received_cov
-        )
+        diagonal = _diag_or_raise(self.received_cov)
+        self.gain = np.sqrt(2.0 / np.pi) / np.sqrt(diagonal)
+        self.effective_channel = self.gain[:, None] * channel
 
     @cached_property
     def noise_cov(self) -> np.ndarray:
-        return effective_noise_covariance(
-            self.channel, self.noise_power, received_cov=self.received_cov
-        )
+        return effective_noise_covariance(self.received_cov, self.noise_power)

@@ -7,10 +7,12 @@ counts; everything else runs a BER-versus-SNR sweep.
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 from .channel import SystemConfig, noise_power_from_snr_db
 from .errors import OneBitMimoError, UsageError
+from .modulation import supported_modulations
 from .montecarlo import TrialPlan, ber_sweep, error_floor_sweep
 from .receivers import ReceiverKind
 from .results import emit_results
@@ -50,7 +52,6 @@ PRESETS = {
 }
 
 _DEFAULTS = {
-    "receivers": "all",
     "seed": 1,
     "max_trials": 100_000,
     "min_bit_errors": 200,
@@ -81,6 +82,15 @@ class RunSpec:
     out_path: str
 
 
+#: Allowed values of the settings that take one of a fixed set, for flags and
+#: config-file keys alike.
+_CHOICES = {
+    "preset": tuple(sorted(PRESETS)),
+    "mod": supported_modulations(),
+    "format": ("csv", "json"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -92,12 +102,12 @@ def _build_parser() -> _Parser:
         description="Monte Carlo BER simulation of linear receivers for "
         "uplink massive MIMO with one-bit ADCs.",
     )
-    parser.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    parser.add_argument("--preset", choices=_CHOICES["preset"], default=None)
     parser.add_argument("--config", metavar="FILE", default=None,
                         help="flat key=value file mirroring the flags")
     parser.add_argument("--k", type=int, default=None, help="number of users")
     parser.add_argument("--n", type=int, default=None, help="number of antennas")
-    parser.add_argument("--mod", choices=("qpsk", "8psk", "16qam"), default=None)
+    parser.add_argument("--mod", choices=_CHOICES["mod"], default=None)
     parser.add_argument("--snr-start", type=float, default=None, metavar="DB")
     parser.add_argument("--snr-stop", type=float, default=None, metavar="DB")
     parser.add_argument("--snr-step", type=float, default=None, metavar="DB")
@@ -110,7 +120,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--unquantized", action="store_true", default=None,
                         help="bypass the one-bit quantizer (baseline mode)")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", choices=_CHOICES["format"], default=None)
     parser.add_argument("--out", default=None, metavar="PATH")
     return parser
 
@@ -155,11 +165,17 @@ def _read_config_file(path) -> dict:
         if key not in _FILE_PARSERS:
             raise UsageError(f"--config: {path}:{lineno}: unknown key {key!r}")
         try:
-            values[key.replace("-", "_")] = _FILE_PARSERS[key](text)
+            parsed = _FILE_PARSERS[key](text)
         except (ValueError, KeyError) as exc:
             raise UsageError(
                 f"--config: {path}:{lineno}: bad value for {key}: {text!r}"
             ) from exc
+        if key in _CHOICES and parsed not in _CHOICES[key]:
+            raise UsageError(
+                f"--config: {path}:{lineno}: bad value for {key}: {text!r} "
+                f"(choose from {', '.join(_CHOICES[key])})"
+            )
+        values[key.replace("-", "_")] = parsed
     return values
 
 
@@ -196,13 +212,13 @@ def _snr_grid(start, stop, step) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(count))
 
 
-def _merged(name, cli_values, file_values, preset, fallback=None):
+def _merged(name, cli_values, file_values, preset):
     for source in (cli_values, file_values):
         if source.get(name) is not None:
             return source[name]
     if preset is not None and name in preset:
         return preset[name]
-    return _DEFAULTS.get(name, fallback)
+    return _DEFAULTS.get(name)
 
 
 def parse_run_spec(argv=None) -> RunSpec:
@@ -212,12 +228,10 @@ def parse_run_spec(argv=None) -> RunSpec:
     file_values = _read_config_file(args.config) if args.config else {}
 
     preset_name = cli_values.get("preset") or file_values.get("preset")
-    preset = PRESETS.get(preset_name) if preset_name else None
-    if preset_name and preset is None:
-        raise UsageError(f"--preset: unknown preset {preset_name!r}")
+    preset = PRESETS[preset_name] if preset_name else None
 
-    def value(name, fallback=None):
-        return _merged(name, cli_values, file_values, preset, fallback)
+    def value(name):
+        return _merged(name, cli_values, file_values, preset)
 
     floor_mode = preset_name == "fig2"
     if floor_mode:
@@ -334,7 +348,7 @@ def main(argv=None) -> int:
     try:
         records = run_spec(spec)
         emit_results(records, spec.out_format, spec.out_path, seed=spec.seed)
-    except (OneBitMimoError, OSError, ValueError) as exc:
+    except (OneBitMimoError, OSError, ValueError, BrokenExecutor) as exc:
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(records)} records to {spec.out_path}", file=sys.stderr)

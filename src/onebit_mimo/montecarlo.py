@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bussgang import QuantizedStatistics, bussgang_matrices
+from .bussgang import QuantizedStatistics
 from .channel import (
     SystemConfig,
     draw_channel,
@@ -311,28 +311,27 @@ def residual_cross_covariance(
     (symbols, effective noise).
 
     Both vanish as the sample count grows when the Bussgang gain is used;
-    pass a wrong ``gain`` (e.g. zeros) as a negative control. Symbols are
-    drawn complex Gaussian with identity covariance: the decomposition's
-    second-order identities are exact for Gaussian quantizer input, which
-    is what this diagnostic checks. The quantizer output is scaled to unit
-    per-component power to match the gain convention (see
-    :mod:`onebit_mimo.bussgang`).
+    pass a wrong length-N ``gain`` diagonal (e.g. zeros) as a negative
+    control. Symbols are drawn complex Gaussian with identity covariance:
+    the decomposition's second-order identities are exact for Gaussian
+    quantizer input, which is what this diagnostic checks. The quantizer
+    output is scaled to unit per-component power to match the gain
+    convention (see :mod:`onebit_mimo.bussgang`).
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
     channel = np.asarray(channel)
     n, k = channel.shape
-    bussgang_gain, effective_channel = bussgang_matrices(channel, noise_power)
-    if gain is None:
-        gain = bussgang_gain
+    stats = QuantizedStatistics(channel, noise_power)
+    gain = stats.gain if gain is None else np.asarray(gain)
     symbols = _gaussian_symbols(k, samples, rng)
     noise = (
         rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
     ) * np.sqrt(noise_power / 2.0)
     received = channel @ symbols + noise
     observed = one_bit_quantize(received) / np.sqrt(2.0)
-    residual = observed - gain @ received
-    effective_noise = observed - effective_channel @ symbols
+    residual = observed - gain[:, None] * received
+    effective_noise = observed - stats.effective_channel @ symbols
     receive_stat = np.abs(received @ residual.conj().T).max() / samples
     symbol_stat = np.abs(symbols @ effective_noise.conj().T).max() / samples
     return receive_stat, symbol_stat

@@ -76,7 +76,6 @@ def build_combiner(
     quantization-aware kinds within a trial.
     """
     channel = np.asarray(channel)
-    n, k = channel.shape
     if kind in COVARIANCE_KINDS and stats is None:
         stats = QuantizedStatistics(channel, noise_power)
 
@@ -86,16 +85,19 @@ def build_combiner(
         gram = channel.conj().T @ channel
         matrix = _solve_or_rank_error(gram, channel.conj().T)
     elif kind is ReceiverKind.MMSE:
-        gram = channel.conj().T @ channel
-        matrix = hermitian_solve(gram + noise_power * np.eye(k), channel.conj().T)
+        m = channel.conj().T @ channel
+        np.fill_diagonal(m, m.diagonal() + noise_power)
+        matrix = hermitian_solve(m, channel.conj().T)
     elif kind is ReceiverKind.AQNM_MMSE:
-        aqnm = aqnm_covariance(channel, noise_power, received_cov=stats.received_cov)
-        m = stats.received_cov + aqnm.sigma_q / aqnm.kappa**2
+        aqnm = aqnm_covariance(stats.received_cov)
+        m = stats.received_cov.copy()
+        np.fill_diagonal(m, m.diagonal() + aqnm.sigma_q / aqnm.kappa**2)
         matrix = hermitian_solve(m, channel).conj().T
     elif kind is ReceiverKind.WFQ:
-        aqnm = aqnm_covariance(channel, noise_power, received_cov=stats.received_cov)
-        m = aqnm.kappa * stats.received_cov + aqnm.alpha * np.diag(
-            stats.received_cov.diagonal().real
+        aqnm = aqnm_covariance(stats.received_cov)
+        m = aqnm.kappa * stats.received_cov
+        np.fill_diagonal(
+            m, m.diagonal() + aqnm.alpha * stats.received_cov.diagonal().real
         )
         matrix = hermitian_solve(m, channel).conj().T
     elif kind is ReceiverKind.BMRC:

@@ -188,7 +188,7 @@ def test_criterion_6_statistical_oracles():
     uncorrelated = receive_stat <= bound and symbol_stat <= bound
 
     control_stat, _ = residual_cross_covariance(
-        h, n0, samples, np.random.default_rng(77), gain=np.zeros((4, 4))
+        h, n0, samples, np.random.default_rng(77), gain=np.zeros(4)
     )
     control_fails = control_stat > bound
 
@@ -262,7 +262,7 @@ def test_criterion_7_exact_invariants():
     for _ in range(5):
         hh = rayleigh_channel(rng, 8, 3)
         n0 = 10 ** rng.uniform(-3, 1)
-        cov = effective_noise_covariance(hh, n0)
+        cov = effective_noise_covariance(received_covariance(hh, n0), n0)
         expected = (2 / np.pi) * (
             np.pi / 2 - 1 + n0 / received_covariance(hh, n0).diagonal().real
         )

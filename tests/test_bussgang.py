@@ -8,7 +8,6 @@ from onebit_mimo.bussgang import (
     ALPHA_ONE_BIT,
     QuantizedStatistics,
     aqnm_covariance,
-    bussgang_matrices,
     effective_noise_covariance,
     received_covariance,
 )
@@ -41,11 +40,13 @@ class TestReceivedCovariance:
 class TestBussgangMatrices:
     def test_gain_for_scaled_identity_covariance(self):
         # received covariance 2*I gives gain (1/sqrt(pi))*I.
-        gain, _ = bussgang_matrices(np.zeros((2, 1)), 1.0, received_cov=2 * np.eye(2))
-        np.testing.assert_allclose(gain, np.eye(2) / np.sqrt(np.pi), atol=1e-15)
+        stats = QuantizedStatistics(np.zeros((2, 1)), 1.0, received_cov=2 * np.eye(2))
+        np.testing.assert_allclose(
+            np.diag(stats.gain), np.eye(2) / np.sqrt(np.pi), atol=1e-15
+        )
 
     def test_scalar_effective_channel(self):
-        _, effective = bussgang_matrices(np.array([[1.0 + 0j]]), 1.0)
+        effective = QuantizedStatistics(np.array([[1.0 + 0j]]), 1.0).effective_channel
         np.testing.assert_allclose(effective, [[1 / np.sqrt(np.pi)]], atol=1e-15)
 
     def test_definition_identity(self):
@@ -53,32 +54,39 @@ class TestBussgangMatrices:
         h = rayleigh_channel(rng, 6, 3)
         n0 = 0.3
         cov = received_covariance(h, n0)
-        gain, effective = bussgang_matrices(h, n0)
+        stats = QuantizedStatistics(h, n0)
         scale = np.sqrt(2 / np.pi) / np.sqrt(cov.diagonal().real)
-        np.testing.assert_allclose(effective, np.diag(scale) @ h, atol=1e-14)
-        np.testing.assert_allclose(effective, gain @ h, atol=1e-14)
+        np.testing.assert_allclose(
+            stats.effective_channel, np.diag(scale) @ h, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            stats.effective_channel, np.diag(stats.gain) @ h, atol=1e-14
+        )
 
     def test_degenerate_covariance(self):
         with pytest.raises(DegenerateCovarianceError):
-            bussgang_matrices(np.zeros((2, 1)), 1.0, received_cov=np.diag([1.0, 0.0]))
+            QuantizedStatistics(
+                np.zeros((2, 1)), 1.0, received_cov=np.diag([1.0, 0.0])
+            )
 
 
 class TestEffectiveNoiseCovariance:
     def test_scalar_closed_form(self):
-        cov = effective_noise_covariance(np.array([[1.0 + 0j]]), 1.0)
+        received = received_covariance(np.array([[1.0 + 0j]]), 1.0)
+        cov = effective_noise_covariance(received, 1.0)
         assert abs(cov[0, 0] - (1 - 1 / np.pi)) <= 1e-12
 
     def test_vanishing_noise_diagonal_limit(self):
         rng = np.random.default_rng(2)
         h = rayleigh_channel(rng, 5, 2)
-        cov = effective_noise_covariance(h, 1e-12)
+        cov = effective_noise_covariance(received_covariance(h, 1e-12), 1e-12)
         np.testing.assert_allclose(cov.diagonal().real, 1 - 2 / np.pi, atol=1e-9)
 
     def test_orthogonal_rows_give_diagonal_covariance(self):
         # Each antenna sees one user: the normalized covariance has zero
         # off-diagonals so arcsin contributes nothing off the diagonal.
         h = np.diag([1.0 + 0j, 2.0 - 0j])
-        cov = effective_noise_covariance(h, 0.5)
+        cov = effective_noise_covariance(received_covariance(h, 0.5), 0.5)
         off = cov - np.diag(cov.diagonal())
         assert np.abs(off).max() == 0
 
@@ -87,7 +95,7 @@ class TestEffectiveNoiseCovariance:
         h = rayleigh_channel(rng, 8, 3)
         n0 = 0.37
         received = received_covariance(h, n0)
-        cov = effective_noise_covariance(h, n0)
+        cov = effective_noise_covariance(received, n0)
         expected = (2 / np.pi) * (np.pi / 2 - 1 + n0 / received.diagonal().real)
         assert np.abs(cov.diagonal().real - expected).max() <= 1e-10
 
@@ -95,7 +103,8 @@ class TestEffectiveNoiseCovariance:
         rng = np.random.default_rng(4)
         for trial in range(5):
             h = rayleigh_channel(rng, 8, 4)
-            cov = effective_noise_covariance(h, 10 ** rng.uniform(-3, 1))
+            n0 = 10 ** rng.uniform(-3, 1)
+            cov = effective_noise_covariance(received_covariance(h, n0), n0)
             assert np.abs(cov - cov.conj().T).max() <= 1e-12
             assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
@@ -104,31 +113,38 @@ class TestEffectiveNoiseCovariance:
         rng = np.random.default_rng(5)
         h = rayleigh_channel(rng, 6, 2)
         n0, c = 0.2, 7.3
-        a = effective_noise_covariance(h, n0)
-        b = effective_noise_covariance(c * h, c**2 * n0)
+        a = effective_noise_covariance(received_covariance(h, n0), n0)
+        scaled_n0 = c**2 * n0
+        b = effective_noise_covariance(received_covariance(c * h, scaled_n0), scaled_n0)
         assert np.abs(a - b).max() <= 1e-12
 
 
 class TestAqnm:
     def test_scalar_example(self):
-        params = aqnm_covariance(np.array([[1.0 + 0j]]), 1.0)
+        params = aqnm_covariance(received_covariance(np.array([[1.0 + 0j]]), 1.0))
         assert params.alpha == 0.3634
         assert params.kappa == pytest.approx(0.6366)
-        assert params.sigma_q[0, 0] == pytest.approx(0.3634 * 0.6366 * 2.0, abs=1e-12)
+        assert params.sigma_q[0] == pytest.approx(0.3634 * 0.6366 * 2.0, abs=1e-12)
 
     def test_noise_only(self):
-        params = aqnm_covariance(np.zeros((3, 1)), 1.0)
+        params = aqnm_covariance(received_covariance(np.zeros((3, 1)), 1.0))
         np.testing.assert_allclose(
-            params.sigma_q, ALPHA_ONE_BIT * (1 - ALPHA_ONE_BIT) * np.eye(3), atol=1e-15
+            np.diag(params.sigma_q),
+            ALPHA_ONE_BIT * (1 - ALPHA_ONE_BIT) * np.eye(3),
+            atol=1e-15,
         )
 
     def test_sigma_q_diagonal_real_nonnegative(self):
         rng = np.random.default_rng(6)
         h = rayleigh_channel(rng, 6, 3)
-        params = aqnm_covariance(h, 0.1)
-        assert np.abs(params.sigma_q - np.diag(params.sigma_q.diagonal())).max() == 0
+        params = aqnm_covariance(received_covariance(h, 0.1))
+        assert params.sigma_q.shape == (6,)
         assert np.isrealobj(params.sigma_q)
-        assert (params.sigma_q.diagonal() >= 0).all()
+        assert (params.sigma_q >= 0).all()
+
+    def test_degenerate_covariance(self):
+        with pytest.raises(DegenerateCovarianceError):
+            aqnm_covariance(np.diag([1.0, 0.0]))
 
 
 class TestQuantizedStatistics:
@@ -137,11 +153,14 @@ class TestQuantizedStatistics:
         h = rayleigh_channel(rng, 6, 2)
         n0 = 0.4
         stats = QuantizedStatistics(h, n0)
-        np.testing.assert_array_equal(stats.received_cov, received_covariance(h, n0))
-        gain, effective = bussgang_matrices(h, n0)
+        received = received_covariance(h, n0)
+        np.testing.assert_array_equal(stats.received_cov, received)
+        gain = np.sqrt(2.0 / np.pi) / np.sqrt(received.diagonal().real)
         np.testing.assert_array_equal(stats.gain, gain)
-        np.testing.assert_array_equal(stats.effective_channel, effective)
-        np.testing.assert_array_equal(stats.noise_cov, effective_noise_covariance(h, n0))
+        np.testing.assert_array_equal(stats.effective_channel, gain[:, None] * h)
+        np.testing.assert_array_equal(
+            stats.noise_cov, effective_noise_covariance(received, n0)
+        )
 
     def test_covariance_substitution_propagates(self):
         rng = np.random.default_rng(8)
@@ -149,6 +168,6 @@ class TestQuantizedStatistics:
         substitute = 3.0 * np.eye(4)
         stats = QuantizedStatistics(h, 0.5, received_cov=substitute)
         np.testing.assert_allclose(
-            stats.gain, np.sqrt(2 / (3 * np.pi)) * np.eye(4), atol=1e-15
+            np.diag(stats.gain), np.sqrt(2 / (3 * np.pi)) * np.eye(4), atol=1e-15
         )
         np.testing.assert_array_equal(stats.received_cov, substitute)

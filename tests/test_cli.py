@@ -1,7 +1,11 @@
 """Command-line parsing, presets, config-file precedence, and end-to-end runs."""
 
+from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+from onebit_mimo import montecarlo
 from onebit_mimo.cli import main, parse_run_spec
 from onebit_mimo.errors import UsageError
 from onebit_mimo.receivers import ReceiverKind
@@ -108,6 +112,17 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="cannot read"):
             parse_run_spec(["--config", str(tmp_path / "nope.cfg")])
 
+    @pytest.mark.parametrize("line", ["mod=bpsk", "format=xml"])
+    def test_value_outside_flag_choices(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"preset=fig1a\nmax-trials=1000\n{line}\n")
+        with pytest.raises(UsageError, match="choose from"):
+            parse_run_spec(["--config", str(cfg)])
+        # Rejected before any trial runs: usage exit code, no output file.
+        out = tmp_path / "r.out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bool_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("unquantized=true\n")
@@ -141,6 +156,25 @@ class TestMain:
              "--receivers", "zf", "--max-trials", "1000", "--out", str(out)]
         )
         assert code == 1
+
+    def test_broken_worker_pool_exit_code(self, tmp_path, capsys, monkeypatch):
+        class BrokenPool(Executor):
+            def __init__(self, max_workers=None):
+                pass
+
+            def submit(self, fn, /, *args, **kwargs):
+                future = Future()
+                future.set_exception(BrokenProcessPool("a worker died"))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", BrokenPool)
+        code = main(
+            ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",
+             "--receivers", "zf", "--max-trials", "1000", "--workers", "2",
+             "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 1
+        assert "simulate: error: a worker died" in capsys.readouterr().err
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         args = ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",

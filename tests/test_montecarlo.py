@@ -183,7 +183,7 @@ class TestDiagnostics:
         h = rayleigh_channel(rng, 4, 2)
         samples = 100_000
         receive_stat, _ = residual_cross_covariance(
-            h, 1.0, samples, np.random.default_rng(77), gain=np.zeros((4, 4))
+            h, 1.0, samples, np.random.default_rng(77), gain=np.zeros(4)
         )
         assert receive_stat > 5 * np.sqrt(2 / samples)
 
