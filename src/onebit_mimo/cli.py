@@ -351,6 +351,9 @@ def main(argv=None) -> int:
     except (OneBitMimoError, OSError, ValueError, BrokenExecutor) as exc:
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("simulate: interrupted", file=sys.stderr)
+        return 130
     print(f"wrote {len(records)} records to {spec.out_path}", file=sys.stderr)
     return 0
 

@@ -2,8 +2,15 @@
 
 All receiver formulas written with a matrix inverse are evaluated by
 factor-and-solve instead; matrices here are small (at most a few hundred
-rows) and always Hermitian positive definite up to rounding.
+rows) and always Hermitian positive definite up to rounding. At those
+sizes BLAS threads cost more than they save, so sweeps run every loaded
+OpenBLAS at one thread (:func:`single_blas_thread`).
 """
+
+import contextlib
+import ctypes
+import os
+import sys
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -16,6 +23,13 @@ HERMITIAN_TOL = 1e-10
 ARCSIN_BAND = 1e-9
 # Relative diagonal jitter for the single retry on a failed factorization.
 _JITTER_SCALE = 1e-10
+# (setter, getter) of the thread count, as exported by numpy's ILP64 wheel
+# build, scipy's wheel build and a plain OpenBLAS; one library exports one pair.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -70,3 +84,64 @@ def elementwise_arcsin(matrix: np.ndarray) -> np.ndarray:
             "input is not a normalized covariance"
         )
     return np.arcsin(np.clip(re, -1.0, 1.0)) + 1j * np.arcsin(np.clip(im, -1.0, 1.0))
+
+
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process (Linux only)."""
+    if not sys.platform.startswith("linux"):
+        return []
+    try:
+        with open("/proc/self/maps") as maps:
+            rows = [line.split(None, 5) for line in maps]
+    except OSError:
+        return []
+    paths = {row[5].strip() for row in rows if len(row) == 6}
+    return sorted(path for path in paths if "openblas" in os.path.basename(path).lower())
+
+
+def _openblas_thread_calls():
+    """``(file name, get_threads, set_threads)`` of each loaded OpenBLAS that
+    exports a thread-count setter."""
+    calls = []
+    for path in _loaded_openblas():
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_CALLS:
+            if hasattr(library, setter) and hasattr(library, getter):
+                set_threads, get_threads = getattr(library, setter), getattr(library, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                calls.append((os.path.basename(path), get_threads, set_threads))
+                break
+    return calls
+
+
+def openblas_threads() -> dict[str, int]:
+    """Current thread count of each loaded OpenBLAS, keyed by file name."""
+    return {name: get_threads() for name, get_threads, _ in _openblas_thread_calls()}
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread.
+
+    Nothing changes when none is loaded or the system is not Linux. On exit,
+    also by exception, each library gets back its previous thread count.
+    """
+    calls = _openblas_thread_calls()
+    previous = [get_threads() for _, get_threads, _ in calls]
+    for _, _, set_threads in calls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, _, set_threads), count in zip(calls, previous):
+            set_threads(count)
+
+
+def pin_one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread for the rest of the process."""
+    for _, _, set_threads in _openblas_thread_calls():
+        set_threads(1)

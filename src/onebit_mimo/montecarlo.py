@@ -7,8 +7,11 @@ evaluated only at batch boundaries, in batch-index order, so the recorded
 counts are byte-identical for any worker count or scheduling. Workers can
 run ahead speculatively: a batch's per-receiver error counts depend only on
 (seed, trial index), never on which receivers are still accumulating.
+Every sweep runs one BLAS thread per process, in the pool workers too, so
+``workers`` is its only parallelism.
 """
 
+import contextlib
 import logging
 import math
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
@@ -25,6 +28,7 @@ from .channel import (
     transmit,
 )
 from .errors import RankDeficientError
+from .linalg import pin_one_blas_thread, single_blas_thread
 from .modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
 from .receivers import COVARIANCE_KINDS, ReceiverKind, build_combiner, detect_pipeline
 from .rng import TrialStreams, trial_streams
@@ -215,6 +219,59 @@ def _run_point(
     return outcome
 
 
+@contextlib.contextmanager
+def _sweep_executor(workers: int):
+    """One BLAS thread in this process and, for ``workers > 1``, a pool whose
+    workers each run one BLAS thread. On exit, also by exception, batches
+    still queued are cancelled instead of awaited."""
+    with single_blas_thread():
+        executor = (
+            ProcessPoolExecutor(max_workers=workers, initializer=pin_one_blas_thread)
+            if workers > 1
+            else None
+        )
+        try:
+            yield executor
+        finally:
+            if executor is not None:
+                executor.shutdown(cancel_futures=True)
+
+
+def _sweep_records(plan: TrialPlan, executor, max_inflight: int) -> list[BerRecord]:
+    """One record per (SNR, kind) of the plan; batches run on ``executor``,
+    or in this process when it is None."""
+    constellation = make_constellation(plan.config.modulation)
+    bits_per_trial = plan.config.users * constellation.bits_per_symbol
+    records = []
+    for snr_db in plan.snr_db_grid:
+        config = replace(plan.config, noise_power=noise_power_from_snr_db(snr_db))
+        point = _run_point(
+            config,
+            plan.kinds,
+            plan.seed,
+            plan.max_trials,
+            plan.min_bit_errors,
+            plan.quantized,
+            executor=executor,
+            max_inflight=max_inflight,
+        )
+        for kind in plan.kinds:
+            trials, bit_errors = point[kind]
+            records.append(
+                BerRecord(
+                    snr_db=snr_db,
+                    kind=kind,
+                    users=config.users,
+                    antennas=config.antennas,
+                    modulation=config.modulation,
+                    trials=trials,
+                    bits=trials * bits_per_trial,
+                    bit_errors=bit_errors,
+                )
+            )
+    return records
+
+
 def ber_sweep(plan: TrialPlan, workers: int = 1) -> list[BerRecord]:
     """Run the plan over its SNR grid; one record per (SNR, kind).
 
@@ -222,43 +279,8 @@ def ber_sweep(plan: TrialPlan, workers: int = 1) -> list[BerRecord]:
     share channel/bit draws (common random numbers) and results do not
     depend on ``workers``.
     """
-    constellation = make_constellation(plan.config.modulation)
-    bits_per_trial = plan.config.users * constellation.bits_per_symbol
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    records = []
-    try:
-        for snr_db in plan.snr_db_grid:
-            config = replace(
-                plan.config, noise_power=noise_power_from_snr_db(snr_db)
-            )
-            point = _run_point(
-                config,
-                plan.kinds,
-                plan.seed,
-                plan.max_trials,
-                plan.min_bit_errors,
-                plan.quantized,
-                executor=executor,
-                max_inflight=2 * workers,
-            )
-            for kind in plan.kinds:
-                trials, bit_errors = point[kind]
-                records.append(
-                    BerRecord(
-                        snr_db=snr_db,
-                        kind=kind,
-                        users=config.users,
-                        antennas=config.antennas,
-                        modulation=config.modulation,
-                        trials=trials,
-                        bits=trials * bits_per_trial,
-                        bit_errors=bit_errors,
-                    )
-                )
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return records
+    with _sweep_executor(workers) as executor:
+        return _sweep_records(plan, executor, max_inflight=2 * workers)
 
 
 #: Error-floor sweep operating point (floors are read off at high SNR).
@@ -274,22 +296,29 @@ def error_floor_sweep(
     min_bit_errors: int,
     workers: int = 1,
 ) -> list[BerRecord]:
-    """Error floors versus user count: QPSK at 30 dB with N = 8K antennas."""
-    records = []
-    for users in user_counts:
-        config = SystemConfig.from_snr_db(
-            users, FLOOR_ANTENNAS_PER_USER * users, FLOOR_SNR_DB, "qpsk"
-        )
-        plan = TrialPlan(
-            config=config,
+    """Error floors versus user count: QPSK at 30 dB with N = 8K antennas.
+
+    All user counts share one worker pool.
+    """
+    plans = [
+        TrialPlan(
+            config=SystemConfig.from_snr_db(
+                users, FLOOR_ANTENNAS_PER_USER * users, FLOOR_SNR_DB, "qpsk"
+            ),
             kinds=tuple(kinds),
             snr_db_grid=(FLOOR_SNR_DB,),
             max_trials=max_trials,
             min_bit_errors=min_bit_errors,
             seed=seed,
         )
-        records.extend(ber_sweep(plan, workers=workers))
-    return records
+        for users in user_counts
+    ]
+    with _sweep_executor(workers) as executor:
+        return [
+            record
+            for plan in plans
+            for record in _sweep_records(plan, executor, max_inflight=2 * workers)
+        ]
 
 
 def _gaussian_symbols(users, samples, rng):

@@ -6,6 +6,10 @@ import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from .linalg import openblas_threads
 from .montecarlo import BerRecord
 from .receivers import ReceiverKind
 
@@ -60,8 +64,10 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
     """Write records to ``path``, sorted by (receiver, snr_db).
 
     CSV output is byte-deterministic for identical records. JSON carries a
-    top-level ``meta`` object (seed, git describe, timestamp); the timestamp
-    is excluded from any determinism guarantee.
+    top-level ``meta`` object: seed, git describe, timestamp, the numpy and
+    scipy versions, and ``openblas_pinned``, the file names of the loaded
+    OpenBLAS libraries that sweeps run at one thread (empty: no pin took
+    place). The timestamp is excluded from any determinism guarantee.
     """
     records = list(records)
     if not records:
@@ -92,6 +98,9 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
                 "seed": seed,
                 "git_describe": _git_describe(),
                 "timestamp": datetime.now(timezone.utc).isoformat(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "openblas_pinned": sorted(openblas_threads()),
             },
             "records": [_record_row(record) for record in records],
         }

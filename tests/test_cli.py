@@ -5,7 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from onebit_mimo import montecarlo
+from onebit_mimo import cli, montecarlo
 from onebit_mimo.cli import main, parse_run_spec
 from onebit_mimo.errors import UsageError
 from onebit_mimo.receivers import ReceiverKind
@@ -159,7 +159,7 @@ class TestMain:
 
     def test_broken_worker_pool_exit_code(self, tmp_path, capsys, monkeypatch):
         class BrokenPool(Executor):
-            def __init__(self, max_workers=None):
+            def __init__(self, *args, **kwargs):
                 pass
 
             def submit(self, fn, /, *args, **kwargs):
@@ -175,6 +175,20 @@ class TestMain:
         )
         assert code == 1
         assert "simulate: error: a worker died" in capsys.readouterr().err
+
+    def test_keyboard_interrupt_exit_code(self, tmp_path, capsys, monkeypatch):
+        def interrupted(spec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_spec", interrupted)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",
+             "--receivers", "zf", "--max-trials", "1000", "--out", str(out)]
+        )
+        assert code == 130
+        assert capsys.readouterr().err == "simulate: interrupted\n"
+        assert not out.exists()
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         args = ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",

@@ -1,9 +1,12 @@
 """Trial execution, sweeps, stopping rule, determinism, and the
 statistical diagnostics."""
 
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from onebit_mimo import montecarlo
 from onebit_mimo.bussgang import received_covariance
 from onebit_mimo.channel import SystemConfig
 from onebit_mimo.montecarlo import (
@@ -18,6 +21,7 @@ from onebit_mimo.montecarlo import (
     wilson_interval,
 )
 from onebit_mimo.receivers import ReceiverKind
+from onebit_mimo.results import emit_results
 from onebit_mimo.rng import trial_streams
 
 
@@ -152,6 +156,34 @@ class TestBerSweep:
         )
         assert low.ber >= high.ber - 3 * sigma
 
+    def test_interrupted_sweep_cancels_queued_batches(self, monkeypatch):
+        shutdowns = []
+
+        class InterruptedPool(Executor):
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def submit(self, fn, /, *args, **kwargs):
+                future = Future()
+                future.set_exception(KeyboardInterrupt())
+                return future
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InterruptedPool)
+        plan = TrialPlan(
+            config=SystemConfig(2, 4, 1.0),
+            kinds=(ReceiverKind.ZF,),
+            snr_db_grid=(0.0,),
+            max_trials=5_000,
+            min_bit_errors=0,
+            seed=5,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            ber_sweep(plan, workers=2)
+        assert shutdowns == [True]
+
 
 class TestErrorFloorSweep:
     def test_shape_and_operating_point(self):
@@ -164,6 +196,27 @@ class TestErrorFloorSweep:
             assert record.snr_db == 30.0
             assert record.antennas == 8 * record.users
             assert record.modulation == "qpsk"
+
+    def test_one_pool_for_all_user_counts(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        kinds = (ReceiverKind.MRC, ReceiverKind.BMMSE)
+        paths = {}
+        for workers in (2, 1):
+            records = error_floor_sweep(
+                [1, 2, 3], kinds, seed=8, max_trials=1_500, min_bit_errors=0,
+                workers=workers,
+            )
+            paths[workers] = tmp_path / f"w{workers}.csv"
+            emit_results(records, "csv", paths[workers])
+        assert len(built) == 1
+        assert paths[2].read_bytes() == paths[1].read_bytes()
 
 
 class TestDiagnostics:

@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
+import scipy
 
+from onebit_mimo.linalg import openblas_threads
 from onebit_mimo.montecarlo import BerRecord
 from onebit_mimo.receivers import ReceiverKind
 from onebit_mimo.results import emit_results, read_records
@@ -72,6 +75,9 @@ def test_json_structure(tmp_path):
     assert payload["meta"]["seed"] == 42
     assert "git_describe" in payload["meta"]
     assert "timestamp" in payload["meta"]
+    assert payload["meta"]["numpy"] == np.__version__
+    assert payload["meta"]["scipy"] == scipy.__version__
+    assert payload["meta"]["openblas_pinned"] == sorted(openblas_threads())
     (row,) = payload["records"]
     assert row == {
         "snr_db": 30.0,
@@ -84,6 +90,15 @@ def test_json_structure(tmp_path):
         "bit_errors": 120,
         "ber": 0.0003,
     }
+
+    # The run facts live in the JSON meta only: the CSV schema and bytes
+    # stay as they were.
+    csv_path = tmp_path / "out.csv"
+    emit_results([record()], "csv", csv_path, seed=42)
+    assert csv_path.read_bytes() == (
+        b"snr_db,receiver,k,n,modulation,trials,bits,bit_errors,ber\r\n"
+        b"30,bmmse,2,16,qpsk,100000,400000,120,3.00000e-4\r\n"
+    )
 
 
 def test_unknown_format(tmp_path):
