@@ -10,6 +10,10 @@ The Bussgang quantities follow the convention in which the quantizer
 output carries unit power per complex component, i.e. the raw {+-1 +- 1j}
 samples divided by sqrt(2); the combiners are invariant to that positive
 scaling, but the statistics here are only consistent with data under it.
+
+Every function acts on the trailing axes: a channel is ``(..., N, K)`` and
+a covariance ``(..., N, N)``, so a stack of draws is one call and a single
+draw is the stack of one.
 """
 
 from functools import cached_property
@@ -18,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .linalg import elementwise_arcsin
+from .linalg import diagonal, elementwise_arcsin
 
 # Inverse signal-to-quantization-noise ratio of a one-bit quantizer, kept at
 # the commonly quoted rounded value rather than 1 - 2/pi.
@@ -27,17 +31,17 @@ ALPHA_ONE_BIT = 0.3634
 
 def received_covariance(channel: np.ndarray, noise_power: float) -> np.ndarray:
     """Covariance of the analog receive vector for unit-power symbols."""
-    n = channel.shape[0]
-    return channel @ channel.conj().T + noise_power * np.eye(n)
+    n = channel.shape[-2]
+    return channel @ channel.conj().mT + noise_power * np.eye(n)
 
 
 def _diag_or_raise(received_cov):
-    diagonal = received_cov.diagonal().real
-    if (diagonal <= 0).any():
+    entries = diagonal(received_cov).real
+    if (entries <= 0).any():
         raise DegenerateCovarianceError(
             "received covariance has a non-positive diagonal entry"
         )
-    return diagonal
+    return entries
 
 
 def effective_noise_covariance(received_cov, noise_power) -> np.ndarray:
@@ -47,14 +51,14 @@ def effective_noise_covariance(received_cov, noise_power) -> np.ndarray:
     C the diagonally normalized received covariance and arcsin applied
     separately to the real and imaginary part of each entry.
     """
-    diagonal = _diag_or_raise(received_cov)
-    inv_sqrt = 1.0 / np.sqrt(diagonal)
-    normalized = received_cov * np.outer(inv_sqrt, inv_sqrt)
+    power = _diag_or_raise(received_cov)
+    inv_sqrt = 1.0 / np.sqrt(power)
+    normalized = received_cov * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
     # The normalized diagonal is identically 1; pin it so rounding one ulp
     # below 1 cannot be amplified by the infinite arcsine slope there.
-    np.fill_diagonal(normalized, 1.0)
+    diagonal(normalized)[...] = 1.0
     noise = elementwise_arcsin(normalized) - normalized
-    np.fill_diagonal(noise, noise.diagonal() + noise_power * (1.0 / diagonal))
+    diagonal(noise)[...] += noise_power * (1.0 / power)
     return (2.0 / np.pi) * noise
 
 
@@ -63,7 +67,7 @@ class AqnmParameters(NamedTuple):
 
     alpha: float
     kappa: float
-    #: Diagonal of the (diagonal) distortion covariance, length N.
+    #: Diagonal of the (diagonal) distortion covariance, ``(..., N)``.
     sigma_q: np.ndarray
 
 
@@ -78,11 +82,11 @@ def aqnm_covariance(received_cov) -> AqnmParameters:
 class QuantizedStatistics:
     """Per-channel-draw statistics shared by the quantization-aware receivers.
 
-    The received covariance, Bussgang gain (the length-N diagonal
-    sqrt(2/pi) * diag(received_cov)^(-1/2)) and effective channel
-    A = diag(gain) @ channel are computed eagerly; the effective noise
-    covariance is computed on first access and cached, since only the
-    quantization-aware MMSE combiner needs it. Pass ``received_cov`` to
+    For one draw or a stack, the received covariance, Bussgang gain (the
+    ``(..., N)`` diagonal sqrt(2/pi) * diag(received_cov)^(-1/2)) and
+    effective channel A = diag(gain) @ channel are computed eagerly; the
+    effective noise covariance is computed on first access and cached, since
+    only the quantization-aware MMSE combiner needs it. Pass ``received_cov`` to
     substitute an approximate covariance (e.g. its large-user-count limit)
     into all downstream quantities.
     """
@@ -93,9 +97,9 @@ class QuantizedStatistics:
         if received_cov is None:
             received_cov = received_covariance(channel, self.noise_power)
         self.received_cov = np.asarray(received_cov)
-        diagonal = _diag_or_raise(self.received_cov)
-        self.gain = np.sqrt(2.0 / np.pi) / np.sqrt(diagonal)
-        self.effective_channel = self.gain[:, None] * channel
+        power = _diag_or_raise(self.received_cov)
+        self.gain = np.sqrt(2.0 / np.pi) / np.sqrt(power)
+        self.effective_channel = self.gain[..., :, None] * channel
 
     @cached_property
     def noise_cov(self) -> np.ndarray:

@@ -54,18 +54,18 @@ def draw_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
-def transmit(
-    channel: np.ndarray,
-    symbols: np.ndarray,
-    noise_power: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Analog receive vector: channel @ symbols plus fresh complex AWGN."""
-    n = channel.shape[0]
-    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
-        noise_power / 2.0
+def draw_noise(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw a length-N complex AWGN vector of power ``config.noise_power``."""
+    n = config.antennas
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
+        config.noise_power / 2.0
     )
-    return channel @ symbols + noise
+
+
+def transmit(channel: np.ndarray, symbols: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Analog receive vector channel @ symbols + noise, for one trial
+    (``(N, K)``, ``(K,)``, ``(N,)``) or a stack of them."""
+    return (channel @ symbols[..., None])[..., 0] + noise
 
 
 def one_bit_quantize(signal: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import os
 import sys
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ArcsinDomainError, NotPositiveDefiniteError
 
@@ -33,37 +33,68 @@ _OPENBLAS_THREAD_CALLS = (
 
 
 def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` for Hermitian positive-definite ``matrix``.
+    """Solve ``matrix @ x = rhs`` for a stack of Hermitian positive-definite
+    ``(..., n, n)`` matrices and ``(..., n, m)`` or ``(..., n)`` right sides.
 
-    Factors once via Cholesky; if the factorization fails (numerically
-    semi-definite input), retries once with a tiny trace-scaled diagonal
-    jitter before raising :class:`NotPositiveDefiniteError`.
+    Each slice is factored once via Cholesky (LAPACK ``potrf``/``potrs``, as
+    ``scipy.linalg.cho_factor``/``cho_solve`` call them); a slice whose
+    factorization fails (numerically semi-definite input) is retried once
+    with a tiny trace-scaled diagonal jitter before
+    :class:`NotPositiveDefiniteError` is raised.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
-    asymmetry = np.abs(matrix - matrix.conj().T).max()
+    asymmetry = np.abs(matrix - matrix.conj().mT).max()
     if not asymmetry <= HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |M - M^H| = {asymmetry!r} "
             f"exceeds {HERMITIAN_TOL}"
         )
-    try:
-        factor = cho_factor(matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        n = matrix.shape[0]
-        jitter = _JITTER_SCALE * matrix.trace().real / n
-        try:
-            factor = cho_factor(
-                matrix + jitter * np.eye(n), lower=True, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "Cholesky factorization failed even after jitter retry"
-            ) from exc
-    solution = cho_solve(factor, rhs, check_finite=False)
+    if rhs.shape[: matrix.ndim - 1] != matrix.shape[:-1]:
+        raise ValueError(
+            f"incompatible shapes {matrix.shape} and {rhs.shape} for a solve"
+        )
+    n = matrix.shape[-1]
+    matrices = matrix.reshape(-1, n, n)
+    rhss = rhs.reshape(len(matrices), n, -1)
+    # The factor takes the matrix's type, the solve the common type.
+    (potrf,) = get_lapack_funcs(("potrf",), (matrices,))
+    (potrs,) = get_lapack_funcs(("potrs",), (matrices, rhss))
+    # Stacking the transposes keeps potrs's Fortran order in each slice, so
+    # later products see the memory layout of a single solve.
+    solution = np.stack(
+        [
+            _cholesky_solve(potrf, potrs, slice_matrix, slice_rhs).T
+            for slice_matrix, slice_rhs in zip(matrices, rhss)
+        ]
+    ).mT.reshape(rhs.shape)
     if not np.isfinite(solution).all():
         raise NotPositiveDefiniteError("solve produced non-finite entries")
     return solution
+
+
+def _cholesky_solve(potrf, potrs, matrix, rhs):
+    """One slice of :func:`hermitian_solve`: factor (with the jitter retry)
+    and solve."""
+    factor, info = potrf(matrix, lower=True, clean=False)
+    if info > 0:
+        n = matrix.shape[0]
+        jitter = _JITTER_SCALE * matrix.trace().real / n
+        factor, info = potrf(matrix + jitter * np.eye(n), lower=True, clean=False)
+        if info > 0:
+            raise NotPositiveDefiniteError(
+                "Cholesky factorization failed even after jitter retry"
+            )
+    if info == 0:
+        solution, info = potrs(factor, rhs, lower=True)
+    if info != 0:
+        raise ValueError(f"LAPACK rejected argument {-info} of potrf/potrs")
+    return solution
+
+
+def diagonal(matrix: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a ``(..., n, n)`` stack, ``(..., n)``."""
+    return np.einsum("...ii->...i", matrix)
 
 
 def elementwise_arcsin(matrix: np.ndarray) -> np.ndarray:

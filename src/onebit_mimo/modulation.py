@@ -99,25 +99,28 @@ def make_constellation(name: str) -> Constellation:
 
 
 def map_bits_to_symbols(bits, constellation: Constellation) -> np.ndarray:
-    """Map a flat 0/1 sequence to constellation points, MSB-first per symbol."""
+    """Map each 0/1 sequence along the last axis to constellation points,
+    MSB-first per symbol."""
     bits = np.asarray(bits)
     width = constellation.bits_per_symbol
-    if bits.ndim != 1 or bits.size == 0 or bits.size % width:
+    count = bits.shape[-1] if bits.ndim else 0
+    if count == 0 or count % width:
         raise LengthMismatchError(
-            f"bit count {bits.size} is not a positive multiple of {width}"
+            f"bit count {count} is not a positive multiple of {width}"
         )
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("bits must be 0 or 1")
     weights = 1 << np.arange(width - 1, -1, -1)
-    codes = bits.reshape(-1, width) @ weights
+    codes = bits.reshape(*bits.shape[:-1], -1, width) @ weights
     return constellation.points[constellation.point_by_code[codes]]
 
 
 def symbols_to_bits(symbols, constellation: Constellation) -> np.ndarray:
-    """Invert :func:`map_bits_to_symbols`; symbols must be exact points."""
+    """Invert :func:`map_bits_to_symbols` along the last axis; symbols must
+    be exact points."""
     symbols = np.asarray(symbols)
-    matches = symbols[:, None] == constellation.points[None, :]
-    index = matches.argmax(axis=1)
-    if not matches[np.arange(symbols.size), index].all():
+    matches = symbols[..., None] == constellation.points
+    index = matches.argmax(axis=-1)
+    if not matches.any(axis=-1).all():
         raise UnknownSymbolError("symbol is not a constellation point")
-    return constellation.labels[index].reshape(-1)
+    return constellation.labels[index].reshape(*symbols.shape[:-1], -1)

@@ -1,14 +1,18 @@
 """Monte Carlo trial execution, BER accumulation, and statistical diagnostics.
 
 One trial draws a fresh channel, payload bits, and noise, then evaluates
-every requested receiver on the same draw (paired comparison). Sweeps
-accumulate trials in fixed batches of ``BATCH_SIZE``; the stopping rule is
-evaluated only at batch boundaries, in batch-index order, so the recorded
-counts are byte-identical for any worker count or scheduling. Workers can
-run ahead speculatively: a batch's per-receiver error counts depend only on
-(seed, trial index), never on which receivers are still accumulating.
-Every sweep runs one BLAS thread per process, in the pool workers too, so
-``workers`` is its only parallelism.
+every requested receiver on the same draw (paired comparison). Trials run in
+stacked chunks of ``max(1, _CHUNK_ELEMENTS // N**2)`` (64 at N=16, one at
+N=128): each trial draws from its own (seed, trial index) streams into
+``(B, N, K)`` channel, ``(B, K * bits per symbol)`` payload and ``(B, N)``
+noise arrays, and every later stage runs once per chunk; :func:`run_trial`
+is a chunk of one. Sweeps accumulate trials in fixed batches of
+``BATCH_SIZE``; the stopping rule is evaluated only at batch boundaries, in
+batch-index order, so the recorded counts are byte-identical for any worker
+count or scheduling. Workers can run ahead speculatively: a batch's
+per-receiver error counts depend only on (seed, trial index), never on which
+receivers are still accumulating. Every sweep runs one BLAS thread per
+process, in the pool workers too, so ``workers`` is its only parallelism.
 """
 
 import contextlib
@@ -23,6 +27,7 @@ from .bussgang import QuantizedStatistics
 from .channel import (
     SystemConfig,
     draw_channel,
+    draw_noise,
     noise_power_from_snr_db,
     one_bit_quantize,
     transmit,
@@ -39,6 +44,8 @@ logger = logging.getLogger(__name__)
 BATCH_SIZE = 1000
 #: Redraw attempts for (probability-zero) rank-deficient channel draws.
 _MAX_REDRAWS = 8
+#: Entries (256 KB of complex128) of one stacked N x N array of a chunk.
+_CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,32 @@ class BerRecord:
         return self.bit_errors / self.bits
 
 
+def _trial_errors(config, kinds, streams, quantized):
+    """Per-kind bit-error counts, one per trial, for a sequence of trials'
+    streams, evaluated on stacked ``(B, N, K)`` draws."""
+    constellation = make_constellation(config.modulation)
+    payload_bits = config.users * constellation.bits_per_symbol
+    channel = np.stack([draw_channel(config, s.channel) for s in streams])
+    bits = np.stack([s.symbols.integers(0, 2, size=payload_bits) for s in streams])
+    noise = np.stack([draw_noise(config, s.noise) for s in streams])
+    symbols = map_bits_to_symbols(bits, constellation)
+    received = transmit(channel, symbols, noise)
+    observed = one_bit_quantize(received) if quantized else received
+
+    stats = None
+    if any(kind in COVARIANCE_KINDS for kind in kinds):
+        stats = QuantizedStatistics(channel, config.noise_power)
+
+    errors = {}
+    for kind in kinds:
+        combiner = build_combiner(kind, channel, config.noise_power, stats=stats)
+        detected = detect_pipeline(observed, combiner, constellation)
+        errors[kind] = np.count_nonzero(
+            symbols_to_bits(detected, constellation) != bits, axis=-1
+        )
+    return errors
+
+
 def run_trial(
     config: SystemConfig,
     kinds: tuple[ReceiverKind, ...],
@@ -109,49 +142,41 @@ def run_trial(
     quantization-aware kinds. With ``quantized=False`` the pipeline runs on
     the analog receive vector (no-floor baseline).
     """
-    constellation = make_constellation(config.modulation)
-    channel = draw_channel(config, streams.channel)
-    bits = streams.symbols.integers(0, 2, size=config.users * constellation.bits_per_symbol)
-    symbols = map_bits_to_symbols(bits, constellation)
-    received = transmit(channel, symbols, config.noise_power, streams.noise)
-    observed = one_bit_quantize(received) if quantized else received
+    errors = _trial_errors(config, kinds, [streams], quantized)
+    return {kind: int(count[0]) for kind, count in errors.items()}
 
-    stats = None
-    if any(kind in COVARIANCE_KINDS for kind in kinds):
-        stats = QuantizedStatistics(channel, config.noise_power)
 
-    errors = {}
-    for kind in kinds:
-        combiner = build_combiner(kind, channel, config.noise_power, stats=stats)
-        detected = detect_pipeline(observed, combiner, constellation)
-        errors[kind] = int(
-            np.count_nonzero(symbols_to_bits(detected, constellation) != bits)
-        )
-    return errors
+def _redrawn_trial(config, kinds, seed, index, quantized):
+    """One trial alone, redrawn while its draw is rank deficient."""
+    for redraw in range(_MAX_REDRAWS):
+        try:
+            return run_trial(config, kinds, trial_streams(seed, index, redraw), quantized)
+        except RankDeficientError:
+            logger.warning(
+                "discarding rank-deficient draw at trial %d (redraw %d)",
+                index,
+                redraw + 1,
+            )
+    raise RankDeficientError(
+        f"trial {index}: {_MAX_REDRAWS} consecutive rank-deficient draws"
+    )
 
 
 def _batch_counts(config, kinds, seed, start, stop, quantized):
-    """Sum per-kind bit errors over trial indices [start, stop)."""
+    """Sum per-kind bit errors over trial indices [start, stop), chunk by
+    chunk; a chunk with a rank-deficient draw is rerun trial by trial."""
     totals = dict.fromkeys(kinds, 0)
-    for index in range(start, stop):
-        for redraw in range(_MAX_REDRAWS):
-            try:
-                counts = run_trial(
-                    config, kinds, trial_streams(seed, index, redraw), quantized
-                )
-                break
-            except RankDeficientError:
-                logger.warning(
-                    "discarding rank-deficient draw at trial %d (redraw %d)",
-                    index,
-                    redraw + 1,
-                )
-        else:
-            raise RankDeficientError(
-                f"trial {index}: {_MAX_REDRAWS} consecutive rank-deficient draws"
-            )
+    chunk = max(1, _CHUNK_ELEMENTS // config.antennas**2)
+    for first in range(start, stop, chunk):
+        indices = range(first, min(first + chunk, stop))
+        streams = [trial_streams(seed, index, 0) for index in indices]
+        try:
+            errors = _trial_errors(config, kinds, streams, quantized)
+        except RankDeficientError:
+            singles = [_redrawn_trial(config, kinds, seed, i, quantized) for i in indices]
+            errors = {kind: [single[kind] for single in singles] for kind in kinds}
         for kind in kinds:
-            totals[kind] += counts[kind]
+            totals[kind] += int(np.sum(errors[kind]))
     return totals
 
 

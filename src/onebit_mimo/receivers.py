@@ -6,6 +6,10 @@ receivers) or W @ A (quantization-aware receivers, with A the Bussgang
 effective channel); because numerator and denominator share any scaling of
 W, the detected symbols are invariant to positive rescalings of either the
 combiner or the input vector.
+
+Everything acts on the trailing axes: a channel stack ``(..., N, K)`` gives
+``(..., K, N)`` combining matrices and detects ``(..., N)`` receive vectors,
+one trial per leading index, so a single trial is the stack of one.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .linalg import hermitian_solve
+from .linalg import diagonal, hermitian_solve
 from .modulation import Constellation
 
 
@@ -48,8 +52,9 @@ DENOMINATOR_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Combiner:
-    """A receiver kind, its K x N combining matrix, and the per-user
-    equalization denominators (validated nonzero at construction)."""
+    """A receiver kind, its ``(..., K, N)`` combining matrices, and the
+    ``(..., K)`` per-user equalization denominators (validated nonzero at
+    construction)."""
 
     kind: ReceiverKind
     matrix: np.ndarray
@@ -69,7 +74,7 @@ def build_combiner(
     noise_power: float,
     stats: QuantizedStatistics | None = None,
 ) -> Combiner:
-    """Build the combining matrix for ``kind`` at one channel realization.
+    """Build the combining matrix for ``kind`` at each channel of a stack.
 
     ``stats`` carries the received covariance and Bussgang quantities; it is
     computed on demand when omitted, and should be shared across the
@@ -80,41 +85,39 @@ def build_combiner(
         stats = QuantizedStatistics(channel, noise_power)
 
     if kind is ReceiverKind.MRC:
-        matrix = channel.conj().T
+        matrix = channel.conj().mT
     elif kind is ReceiverKind.ZF:
-        gram = channel.conj().T @ channel
-        matrix = _solve_or_rank_error(gram, channel.conj().T)
+        gram = channel.conj().mT @ channel
+        matrix = _solve_or_rank_error(gram, channel.conj().mT)
     elif kind is ReceiverKind.MMSE:
-        m = channel.conj().T @ channel
-        np.fill_diagonal(m, m.diagonal() + noise_power)
-        matrix = hermitian_solve(m, channel.conj().T)
+        m = channel.conj().mT @ channel
+        diagonal(m)[...] += noise_power
+        matrix = hermitian_solve(m, channel.conj().mT)
     elif kind is ReceiverKind.AQNM_MMSE:
         aqnm = aqnm_covariance(stats.received_cov)
         m = stats.received_cov.copy()
-        np.fill_diagonal(m, m.diagonal() + aqnm.sigma_q / aqnm.kappa**2)
-        matrix = hermitian_solve(m, channel).conj().T
+        diagonal(m)[...] += aqnm.sigma_q / aqnm.kappa**2
+        matrix = hermitian_solve(m, channel).conj().mT
     elif kind is ReceiverKind.WFQ:
         aqnm = aqnm_covariance(stats.received_cov)
         m = aqnm.kappa * stats.received_cov
-        np.fill_diagonal(
-            m, m.diagonal() + aqnm.alpha * stats.received_cov.diagonal().real
-        )
-        matrix = hermitian_solve(m, channel).conj().T
+        diagonal(m)[...] += aqnm.alpha * diagonal(stats.received_cov).real
+        matrix = hermitian_solve(m, channel).conj().mT
     elif kind is ReceiverKind.BMRC:
-        matrix = stats.effective_channel.conj().T
+        matrix = stats.effective_channel.conj().mT
     elif kind is ReceiverKind.BZF:
         effective = stats.effective_channel
-        gram = effective.conj().T @ effective
-        matrix = _solve_or_rank_error(gram, effective.conj().T)
+        gram = effective.conj().mT @ effective
+        matrix = _solve_or_rank_error(gram, effective.conj().mT)
     elif kind is ReceiverKind.BMMSE:
         effective = stats.effective_channel
-        m = effective @ effective.conj().T + stats.noise_cov
-        matrix = hermitian_solve(m, effective).conj().T
+        m = effective @ effective.conj().mT + stats.noise_cov
+        matrix = hermitian_solve(m, effective).conj().mT
     else:
         raise ValueError(f"unknown receiver kind {kind!r}")
 
     reference = stats.effective_channel if kind in BUSSGANG_KINDS else channel
-    denominators = np.einsum("kn,nk->k", matrix, reference)
+    denominators = np.einsum("...kn,...nk->...k", matrix, reference)
     if (np.abs(denominators) < DENOMINATOR_FLOOR).any():
         raise DegenerateDenominatorError(
             f"{kind} equalization denominator below {DENOMINATOR_FLOOR}"
@@ -123,8 +126,8 @@ def build_combiner(
 
 
 def demultiplex(matrix: np.ndarray, received: np.ndarray) -> np.ndarray:
-    """Separate the user streams: combined = matrix @ received."""
-    return matrix @ received
+    """Separate the user streams: combined = matrix @ received, per trial."""
+    return (matrix @ received[..., None])[..., 0]
 
 
 def equalize(combined: np.ndarray, combiner: Combiner) -> np.ndarray:
@@ -137,28 +140,32 @@ def equalize(combined: np.ndarray, combiner: Combiner) -> np.ndarray:
 
 
 def rescale(equalized: np.ndarray, users: int) -> np.ndarray:
-    """Scale to squared norm ``users`` preserving direction.
+    """Scale each trailing-axis vector to squared norm ``users`` preserving
+    direction.
 
     Detection-invariant for PSK constellations; required for QAM, where
     decision regions are not scale-free.
     """
-    norm = np.linalg.norm(equalized)
-    if not norm > 0:
+    # The dot products np.linalg.norm takes of a single complex vector, so a
+    # stacked trial rounds exactly as it would alone.
+    re, im = equalized.real, equalized.imag
+    norm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+    if not (norm > 0).all():
         raise ZeroVectorError("cannot rescale a zero (or non-finite) vector")
     return np.sqrt(users) * (equalized / norm)
 
 
 def detect(signal: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Symbol-by-symbol nearest-point decision; ties pick the lowest index."""
-    distance = np.abs(signal[:, None] - constellation.points[None, :])
-    return constellation.points[distance.argmin(axis=1)]
+    distance = np.abs(signal[..., None] - constellation.points)
+    return constellation.points[distance.argmin(axis=-1)]
 
 
 def detect_pipeline(
     received: np.ndarray, combiner: Combiner, constellation: Constellation
 ) -> np.ndarray:
-    """demultiplex -> equalize -> rescale -> detect for one receive vector."""
+    """demultiplex -> equalize -> rescale -> detect for each receive vector."""
     combined = demultiplex(combiner.matrix, received)
     equalized = equalize(combined, combiner)
-    rescaled = rescale(equalized, equalized.shape[0])
+    rescaled = rescale(equalized, equalized.shape[-1])
     return detect(rescaled, constellation)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from onebit_mimo.channel import (
     SystemConfig,
     draw_channel,
+    draw_noise,
     noise_power_from_snr_db,
     one_bit_quantize,
     transmit,
@@ -57,22 +58,39 @@ class TestTransmit:
         rng = np.random.default_rng(0)
         h = np.eye(2, dtype=complex)
         x = np.array([1.0, 1j])
-        r = transmit(h, x, 1e-30, rng)
+        r = transmit(h, x, draw_noise(SystemConfig(2, 2, 1e-30), rng))
         np.testing.assert_allclose(r, x, atol=1e-12)
 
     def test_noiseless_limit_general_channel(self):
         rng = np.random.default_rng(1)
         h = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
         x = np.array([1.0, -1j])
-        r = transmit(h, x, 1e-30, rng)
+        r = transmit(h, x, draw_noise(SystemConfig(2, 4, 1e-30), rng))
         np.testing.assert_allclose(r, h @ x, atol=1e-12)
 
     def test_reproducible_from_seed(self):
         h = np.eye(3, dtype=complex)
         x = np.ones(3, dtype=complex)
-        a = transmit(h, x, 0.3, np.random.default_rng(9))
-        b = transmit(h, x, 0.3, np.random.default_rng(9))
+        cfg = SystemConfig(3, 3, 0.3)
+        a = transmit(h, x, draw_noise(cfg, np.random.default_rng(9)))
+        b = transmit(h, x, draw_noise(cfg, np.random.default_rng(9)))
         np.testing.assert_array_equal(a, b)
+
+    def test_stack_matches_single_trials(self):
+        rng = np.random.default_rng(2)
+        h = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
+        x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        z = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+        stacked = transmit(h, x, z)
+        for i in range(5):
+            assert stacked[i].tobytes() == transmit(h[i], x[i], z[i]).tobytes()
+
+    def test_noise_power(self):
+        rng = np.random.default_rng(12)
+        cfg = SystemConfig(1, 4, 0.25)
+        z = np.array([draw_noise(cfg, rng) for _ in range(50_000)])
+        assert z.shape == (50_000, 4)
+        assert np.abs((np.abs(z) ** 2).mean(axis=0) - 0.25).max() <= 0.01
 
     def test_sample_covariance_matches_model(self):
         # Cov(r) = H H^H + N0 I for unit-power uncorrelated symbols.
@@ -109,8 +127,8 @@ class TestOneBitQuantize:
     @given(
         st.lists(
             st.tuples(
-                st.floats(min_value=-10, max_value=10),
-                st.floats(min_value=-10, max_value=10),
+                st.floats(min_value=-10, max_value=10, allow_subnormal=False),
+                st.floats(min_value=-10, max_value=10, allow_subnormal=False),
             ),
             min_size=1,
             max_size=8,
@@ -120,3 +138,12 @@ class TestOneBitQuantize:
     def test_invariant_to_positive_scaling(self, pairs, scale):
         r = np.array([re + 1j * im for re, im in pairs])
         np.testing.assert_array_equal(one_bit_quantize(scale * r), one_bit_quantize(r))
+
+    def test_subnormal_underflow_maps_to_plus_one(self):
+        # Halving the smallest negative subnormal underflows to -0.0, which
+        # sign(0) = +1 maps to +1: positive scaling cannot preserve the sign
+        # of a component that rounds to zero, so the property above draws no
+        # subnormals and this outcome is pinned here instead.
+        r = np.array([complex(0.0, -5e-324)])
+        np.testing.assert_array_equal(one_bit_quantize(r), [1 - 1j])
+        np.testing.assert_array_equal(one_bit_quantize(0.5 * r), [1 + 1j])

@@ -1,0 +1,51 @@
+"""Golden-CSV oracle for the trial engine.
+
+The CSVs in ``tests/golden/`` were written by the per-trial engine that the
+stacked engine replaced (commit 0388145), with the arguments below. The
+K=2, N=16 case runs 1100 trials per point, so it crosses both a 64-trial
+chunk boundary and the 1000-trial batch boundary.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from onebit_mimo.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+_COMMON = ["--receivers", "all", "--min-bit-errors", "0", "--format", "csv"]
+CASES = {
+    "k2n16-qpsk": ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "-10",
+                   "--snr-stop", "30", "--snr-step", "10", "--max-trials", "1100",
+                   "--seed", "3"],
+    "k4n32-8psk": ["--k", "4", "--n", "32", "--mod", "8psk", "--snr-start", "0",
+                   "--snr-stop", "20", "--snr-step", "20", "--max-trials", "300",
+                   "--seed", "4"],
+    "k4n32-16qam": ["--k", "4", "--n", "32", "--mod", "16qam", "--snr-start", "0",
+                    "--snr-stop", "20", "--snr-step", "20", "--max-trials", "300",
+                    "--seed", "4"],
+    "k2n16-unquantized": ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "-10",
+                          "--snr-stop", "30", "--snr-step", "20", "--unquantized",
+                          "--max-trials", "300", "--seed", "6"],
+    "k16n128": ["--k", "16", "--n", "128", "--mod", "qpsk", "--snr-start", "0",
+                "--snr-stop", "30", "--snr-step", "30", "--max-trials", "40",
+                "--seed", "8"],
+}
+
+
+def _run(argv, out: Path) -> bytes:
+    assert main([*argv, *_COMMON, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reproduces_golden_csv(name, tmp_path):
+    written = _run(CASES[name], tmp_path / f"{name}.csv")
+    assert written == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+def test_two_workers_match_one(tmp_path):
+    argv = CASES["k2n16-qpsk"]
+    two = _run([*argv, "--workers", "2"], tmp_path / "two.csv")
+    assert two == _run([*argv, "--workers", "1"], tmp_path / "one.csv")
+    assert two == (GOLDEN_DIR / "k2n16-qpsk.csv").read_bytes()

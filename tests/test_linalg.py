@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from onebit_mimo.errors import ArcsinDomainError, NotPositiveDefiniteError
-from onebit_mimo.linalg import elementwise_arcsin, hermitian_solve
+from onebit_mimo.linalg import diagonal, elementwise_arcsin, hermitian_solve
 
 
 def random_hpd(rng, n):
@@ -68,6 +69,76 @@ class TestHermitianSolve:
         m = np.diag([1.0, 0.0])
         x = hermitian_solve(m, np.array([[1.0], [0.0]]))
         assert np.isfinite(x).all()
+
+
+def hpd_stack(rng, batch, n):
+    return np.stack([random_hpd(rng, n) for _ in range(batch)])
+
+
+def per_slice_reference(matrices, rhs):
+    """The single-matrix solve the stacked one replaces: cho_factor/cho_solve."""
+    return np.stack(
+        [
+            cho_solve(cho_factor(m, lower=True, check_finite=False), b, check_finite=False)
+            for m, b in zip(matrices, rhs)
+        ]
+    )
+
+
+class TestStackedHermitianSolve:
+    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    def test_bytes_equal_per_slice_cholesky(self, n):
+        rng = np.random.default_rng(n)
+        matrices = hpd_stack(rng, 5, n)
+        rhs = rng.standard_normal((5, n, 3)) + 1j * rng.standard_normal((5, n, 3))
+        x = hermitian_solve(matrices, rhs)
+        assert x.shape == rhs.shape
+        assert x.tobytes() == per_slice_reference(matrices, rhs).tobytes()
+        for i in range(5):
+            single = hermitian_solve(matrices[i], rhs[i])
+            assert single.tobytes() == x[i].tobytes()
+            vector = hermitian_solve(matrices[i], rhs[i, :, 0])
+            assert vector.tobytes() == x[i, :, 0].tobytes()
+
+    def test_semidefinite_slice_gets_jitter_others_unchanged(self):
+        rng = np.random.default_rng(3)
+        matrices = hpd_stack(rng, 4, 3)
+        rhs = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        clean = hermitian_solve(matrices, rhs)
+        matrices[2] = np.diag([1.0, 2.0, 0.0])
+        x = hermitian_solve(matrices, rhs)
+        assert np.isfinite(x).all()
+        for i in (0, 1, 3):
+            assert x[i].tobytes() == clean[i].tobytes()
+        # The jittered slice equals a solve of the jittered matrix itself.
+        jitter = 1e-10 * 3.0 / 3
+        jittered = matrices[2] + jitter * np.eye(3)
+        assert x[2].tobytes() == per_slice_reference([jittered], [rhs[2]])[0].tobytes()
+
+    def test_indefinite_slice_raises(self):
+        rng = np.random.default_rng(4)
+        matrices = hpd_stack(rng, 3, 4)
+        matrices[1] = -matrices[1]
+        with pytest.raises(NotPositiveDefiniteError):
+            hermitian_solve(matrices, np.ones((3, 4, 1)))
+
+    def test_non_hermitian_slice_raises(self):
+        rng = np.random.default_rng(5)
+        matrices = hpd_stack(rng, 3, 4)
+        matrices[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_solve(matrices, np.ones((3, 4, 1)))
+
+    def test_rejects_mismatched_stack(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="incompatible"):
+            hermitian_solve(hpd_stack(rng, 2, 3), np.ones((3, 3, 1)))
+
+
+def test_diagonal_is_a_writable_view():
+    m = np.zeros((2, 3, 3))
+    diagonal(m)[...] += np.arange(6.0).reshape(2, 3)
+    np.testing.assert_array_equal(m[1], np.diag([3.0, 4.0, 5.0]))
 
 
 class TestElementwiseArcsin:

@@ -8,7 +8,8 @@ import pytest
 
 from onebit_mimo import montecarlo
 from onebit_mimo.bussgang import received_covariance
-from onebit_mimo.channel import SystemConfig
+from onebit_mimo.channel import SystemConfig, draw_channel
+from onebit_mimo.errors import RankDeficientError
 from onebit_mimo.montecarlo import (
     BATCH_SIZE,
     BerRecord,
@@ -60,6 +61,64 @@ class TestRunTrial:
         all_counts = run_trial(cfg, tuple(ReceiverKind), trial_streams(13, 7))
         solo = run_trial(cfg, (ReceiverKind.BMMSE,), trial_streams(13, 7))
         assert solo[ReceiverKind.BMMSE] == all_counts[ReceiverKind.BMMSE]
+
+
+class TestBatchedEngine:
+    def test_chunks_equal_single_trials(self):
+        # 150 trials at N=16 span three 64-trial chunks, the last one partial.
+        cfg = SystemConfig.from_snr_db(2, 16, 5.0, "16qam")
+        kinds = tuple(ReceiverKind)
+        totals = montecarlo._batch_counts(cfg, kinds, 17, 50, 200, True)
+        singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(50, 200)]
+        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+
+
+@pytest.fixture
+def zero_channels(monkeypatch):
+    """Give the draws of the (trial, redraw) pairs added to the returned set
+    an all-zero (rank-deficient) channel."""
+    targets = set()
+    marked = []
+
+    def streams(seed, index, redraw=0):
+        drawn = trial_streams(seed, index, redraw)
+        if (index, redraw) in targets:
+            marked.append(drawn.channel)
+        return drawn
+
+    def channel(config, rng):
+        h = draw_channel(config, rng)
+        return np.zeros_like(h) if any(rng is m for m in marked) else h
+
+    monkeypatch.setattr(montecarlo, "trial_streams", streams)
+    monkeypatch.setattr(montecarlo, "draw_channel", channel)
+    return targets
+
+
+class TestRankDeficientRedraw:
+    # One user, so a zero column is a zero channel: ZF's Gram matrix is 0,
+    # the jitter retry cannot rescue it, and ZF runs first.
+    CONFIG = SystemConfig(1, 4, 0.2)
+    KINDS = (ReceiverKind.ZF, ReceiverKind.MMSE, ReceiverKind.BMMSE)
+
+    def test_redraw_in_the_middle_of_a_chunk(self, zero_channels, caplog):
+        zero_channels.add((37, 0))
+        assert montecarlo._CHUNK_ELEMENTS // 4**2 >= 100  # one chunk
+        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
+            totals = montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
+        singles = [
+            run_trial(self.CONFIG, self.KINDS, trial_streams(21, i, int(i == 37)))
+            for i in range(100)
+        ]
+        assert totals == {kind: sum(t[kind] for t in singles) for kind in self.KINDS}
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding rank-deficient draw at trial 37 (redraw 1)"
+        ]
+
+    def test_consecutive_rank_deficient_draws_raise(self, zero_channels):
+        zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
+        with pytest.raises(RankDeficientError, match="consecutive"):
+            montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
 
 
 class TestTrialPlan:
