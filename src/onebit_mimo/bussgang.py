@@ -88,7 +88,10 @@ class QuantizedStatistics:
     effective noise covariance is computed on first access and cached, since
     only the quantization-aware MMSE combiner needs it. Pass ``received_cov`` to
     substitute an approximate covariance (e.g. its large-user-count limit)
-    into all downstream quantities.
+    into all downstream quantities. The AQNM-MMSE and WFQ combiners read
+    only its diagonal (the distortion powers); they take HH^H from the
+    channel itself, so a substitution reaches them only through
+    ``diag(received_cov)``.
     """
 
     def __init__(self, channel, noise_power, received_cov=None):

@@ -32,7 +32,7 @@ from .channel import (
     one_bit_quantize,
     transmit,
 )
-from .errors import RankDeficientError
+from .errors import DegenerateDenominatorError, RankDeficientError
 from .linalg import pin_one_blas_thread, single_blas_thread
 from .modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
 from .receivers import COVARIANCE_KINDS, ReceiverKind, build_combiner, detect_pipeline
@@ -42,8 +42,15 @@ logger = logging.getLogger(__name__)
 
 #: Trials per stopping-rule evaluation window.
 BATCH_SIZE = 1000
-#: Redraw attempts for (probability-zero) rank-deficient channel draws.
+#: Redraw attempts for (probability-zero) degenerate channel draws.
 _MAX_REDRAWS = 8
+#: Errors that mark a channel draw on which some receiver is undefined (a
+#: rank-deficient Gram matrix, or a user with a zero channel column), each
+#: with the word the redraw warning uses for it.
+_DEGENERATE_DRAWS = {
+    RankDeficientError: "rank-deficient",
+    DegenerateDenominatorError: "zero-denominator",
+}
 #: Entries (256 KB of complex128) of one stacked N x N array of a chunk.
 _CHUNK_ELEMENTS = 2**14
 
@@ -147,24 +154,27 @@ def run_trial(
 
 
 def _redrawn_trial(config, kinds, seed, index, quantized):
-    """One trial alone, redrawn while its draw is rank deficient."""
+    """One trial alone, redrawn while its draw is degenerate."""
     for redraw in range(_MAX_REDRAWS):
         try:
             return run_trial(config, kinds, trial_streams(seed, index, redraw), quantized)
-        except RankDeficientError:
+        except tuple(_DEGENERATE_DRAWS) as exc:
+            fault = type(exc)
             logger.warning(
-                "discarding rank-deficient draw at trial %d (redraw %d)",
+                "discarding %s draw at trial %d (redraw %d)",
+                _DEGENERATE_DRAWS[fault],
                 index,
                 redraw + 1,
             )
-    raise RankDeficientError(
-        f"trial {index}: {_MAX_REDRAWS} consecutive rank-deficient draws"
+    raise fault(
+        f"trial {index}: {_MAX_REDRAWS} consecutive degenerate draws, "
+        f"the last {_DEGENERATE_DRAWS[fault]}"
     )
 
 
 def _batch_counts(config, kinds, seed, start, stop, quantized):
     """Sum per-kind bit errors over trial indices [start, stop), chunk by
-    chunk; a chunk with a rank-deficient draw is rerun trial by trial."""
+    chunk; a chunk with a degenerate draw is rerun trial by trial."""
     totals = dict.fromkeys(kinds, 0)
     chunk = max(1, _CHUNK_ELEMENTS // config.antennas**2)
     for first in range(start, stop, chunk):
@@ -172,7 +182,7 @@ def _batch_counts(config, kinds, seed, start, stop, quantized):
         streams = [trial_streams(seed, index, 0) for index in indices]
         try:
             errors = _trial_errors(config, kinds, streams, quantized)
-        except RankDeficientError:
+        except tuple(_DEGENERATE_DRAWS):
             singles = [_redrawn_trial(config, kinds, seed, i, quantized) for i in indices]
             errors = {kind: [single[kind] for single in singles] for kind in kinds}
         for kind in kinds:

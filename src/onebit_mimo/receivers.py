@@ -93,16 +93,19 @@ def build_combiner(
         m = channel.conj().mT @ channel
         diagonal(m)[...] += noise_power
         matrix = hermitian_solve(m, channel.conj().mT)
-    elif kind is ReceiverKind.AQNM_MMSE:
+    elif kind in (ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ):
+        # AQNM-MMSE is H^H (HH^H + D)^-1 with D = diag(N0 + sigma_q/kappa^2);
+        # WFQ's matrix kappa*R + alpha*diag(R) is kappa times the same one.
+        # Push-through identity: H^H (HH^H + D)^-1 = (I + H^H D^-1 H)^-1 H^H D^-1,
+        # a K x K solve in place of an N x N one.
         aqnm = aqnm_covariance(stats.received_cov)
-        m = stats.received_cov.copy()
-        diagonal(m)[...] += aqnm.sigma_q / aqnm.kappa**2
-        matrix = hermitian_solve(m, channel).conj().mT
-    elif kind is ReceiverKind.WFQ:
-        aqnm = aqnm_covariance(stats.received_cov)
-        m = aqnm.kappa * stats.received_cov
-        diagonal(m)[...] += aqnm.alpha * diagonal(stats.received_cov).real
-        matrix = hermitian_solve(m, channel).conj().mT
+        loading = noise_power + aqnm.sigma_q / aqnm.kappa**2
+        weighted = channel.conj().mT / loading[..., None, :]
+        m = weighted @ channel
+        diagonal(m)[...] += 1.0
+        matrix = hermitian_solve(m, weighted)
+        if kind is ReceiverKind.WFQ:
+            matrix /= aqnm.kappa
     elif kind is ReceiverKind.BMRC:
         matrix = stats.effective_channel.conj().mT
     elif kind is ReceiverKind.BZF:

@@ -10,7 +10,7 @@ import numpy as np
 import scipy
 
 from .linalg import openblas_threads
-from .montecarlo import BerRecord
+from .montecarlo import BerRecord, wilson_interval
 from .receivers import ReceiverKind
 
 CSV_HEADER = ("snr_db", "receiver", "k", "n", "modulation", "trials", "bits", "bit_errors", "ber")
@@ -47,6 +47,7 @@ def _git_describe() -> str:
 
 
 def _record_row(record: BerRecord) -> dict:
+    ber_low, ber_high = wilson_interval(record.bit_errors, record.bits)
     return {
         "snr_db": record.snr_db,
         "receiver": record.kind.value,
@@ -57,17 +58,21 @@ def _record_row(record: BerRecord) -> dict:
         "bits": record.bits,
         "bit_errors": record.bit_errors,
         "ber": record.ber,
+        "ber_low": ber_low,
+        "ber_high": ber_high,
     }
 
 
 def emit_results(records, out_format: str, path, seed=None) -> None:
     """Write records to ``path``, sorted by (receiver, snr_db).
 
-    CSV output is byte-deterministic for identical records. JSON carries a
-    top-level ``meta`` object: seed, git describe, timestamp, the numpy and
-    scipy versions, and ``openblas_pinned``, the file names of the loaded
-    OpenBLAS libraries that sweeps run at one thread (empty: no pin took
-    place). The timestamp is excluded from any determinism guarantee.
+    CSV output is byte-deterministic for identical records. JSON records
+    add ``ber_low`` and ``ber_high``, the Wilson 95% interval of the BER, and
+    JSON carries a top-level ``meta`` object: seed, git describe, timestamp,
+    the numpy and scipy versions, and ``openblas_pinned``, the file names of
+    the loaded OpenBLAS libraries that sweeps run at one thread (empty: no
+    pin took place). The timestamp is excluded from any determinism
+    guarantee.
     """
     records = list(records)
     if not records:

@@ -4,6 +4,10 @@ The CSVs in ``tests/golden/`` were written by the per-trial engine that the
 stacked engine replaced (commit 0388145), with the arguments below. The
 K=2, N=16 case runs 1100 trials per point, so it crosses both a 64-trial
 chunk boundary and the 1000-trial batch boundary.
+
+``k16n16-16qam`` is the square case, the worst-conditioned channel shape:
+it was written by the stacked engine at commit a810467, before AQNM-MMSE
+and WFQ moved from N x N to K x K solves.
 """
 
 from pathlib import Path
@@ -30,6 +34,9 @@ CASES = {
     "k16n128": ["--k", "16", "--n", "128", "--mod", "qpsk", "--snr-start", "0",
                 "--snr-stop", "30", "--snr-step", "30", "--max-trials", "40",
                 "--seed", "8"],
+    "k16n16-16qam": ["--k", "16", "--n", "16", "--mod", "16qam", "--snr-start", "0",
+                     "--snr-stop", "40", "--snr-step", "20", "--max-trials", "300",
+                     "--seed", "12"],
 }
 
 

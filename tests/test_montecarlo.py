@@ -9,7 +9,7 @@ import pytest
 from onebit_mimo import montecarlo
 from onebit_mimo.bussgang import received_covariance
 from onebit_mimo.channel import SystemConfig, draw_channel
-from onebit_mimo.errors import RankDeficientError
+from onebit_mimo.errors import DegenerateDenominatorError, RankDeficientError
 from onebit_mimo.montecarlo import (
     BATCH_SIZE,
     BerRecord,
@@ -76,7 +76,7 @@ class TestBatchedEngine:
 @pytest.fixture
 def zero_channels(monkeypatch):
     """Give the draws of the (trial, redraw) pairs added to the returned set
-    an all-zero (rank-deficient) channel."""
+    a zero last channel column (for one user, an all-zero channel)."""
     targets = set()
     marked = []
 
@@ -88,7 +88,9 @@ def zero_channels(monkeypatch):
 
     def channel(config, rng):
         h = draw_channel(config, rng)
-        return np.zeros_like(h) if any(rng is m for m in marked) else h
+        if any(rng is m for m in marked):
+            h[:, -1] = 0
+        return h
 
     monkeypatch.setattr(montecarlo, "trial_streams", streams)
     monkeypatch.setattr(montecarlo, "draw_channel", channel)
@@ -118,6 +120,31 @@ class TestRankDeficientRedraw:
     def test_consecutive_rank_deficient_draws_raise(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
         with pytest.raises(RankDeficientError, match="consecutive"):
+            montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
+
+
+class TestZeroColumnRedraw:
+    # Two users, one of them with a zero channel column: every kind's
+    # equalization denominator for that user is zero.
+    CONFIG = SystemConfig(2, 16, 0.2)
+    KINDS = tuple(ReceiverKind)
+
+    def test_zero_column_is_redrawn(self, zero_channels, caplog):
+        zero_channels.add((37, 0))
+        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
+            totals = montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
+        singles = [
+            run_trial(self.CONFIG, self.KINDS, trial_streams(21, i, int(i == 37)))
+            for i in range(100)
+        ]
+        assert totals == {kind: sum(t[kind] for t in singles) for kind in self.KINDS}
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding zero-denominator draw at trial 37 (redraw 1)"
+        ]
+
+    def test_consecutive_zero_columns_raise(self, zero_channels):
+        zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
+        with pytest.raises(DegenerateDenominatorError, match="consecutive"):
             montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
 
 

@@ -64,6 +64,39 @@ class TestBuildCombiner:
         aqnm = build_combiner(ReceiverKind.AQNM_MMSE, h, 0.2).matrix
         np.testing.assert_allclose(wfq, aqnm / (1 - 0.3634), atol=1e-10)
 
+    @pytest.mark.parametrize("n0", [1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 16), (4, 4), (4, 32), (16, 16), (16, 128)])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_aqnm_kinds_match_direct_formulas(self, k, n, n0, stack):
+        # The K x K solve against the N x N formulas, written out:
+        # AQNM-MMSE H^H (R + diag(sigma_q)/kappa^2)^-1 and
+        # WFQ H^H (kappa R + alpha diag(R))^-1, with R = HH^H + N0 I and
+        # sigma_q = alpha kappa diag(R).
+        rng = np.random.default_rng(14)
+        shape = (*stack, n, k)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        alpha = 0.3634
+        kappa = 1 - alpha
+        r = h @ h.conj().swapaxes(-1, -2) + n0 * np.eye(n)
+        diag_r = np.einsum("...ii->...i", r).real
+        sigma_q = alpha * kappa * diag_r
+        direct = {
+            ReceiverKind.AQNM_MMSE: r + (sigma_q / kappa**2)[..., None] * np.eye(n),
+            ReceiverKind.WFQ: kappa * r + (alpha * diag_r)[..., None] * np.eye(n),
+        }
+        stats = QuantizedStatistics(h, n0)
+        for kind, m in direct.items():
+            expected = np.linalg.solve(m, h).conj().swapaxes(-1, -2)
+            combiner = build_combiner(kind, h, n0, stats=stats)
+            matrix_error = np.abs(combiner.matrix - expected).max() / np.abs(expected).max()
+            assert matrix_error <= 1e-12, kind
+            denominators = np.einsum("...kn,...nk->...k", expected, h)
+            denominator_error = (
+                np.abs(combiner.eq_denominators - denominators).max()
+                / np.abs(denominators).max()
+            )
+            assert denominator_error <= 1e-12, kind
+
     def test_zf_unbiased(self):
         rng = np.random.default_rng(1)
         h = rayleigh_channel(rng, 16, 4)

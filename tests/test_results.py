@@ -79,6 +79,9 @@ def test_json_structure(tmp_path):
     assert payload["meta"]["scipy"] == scipy.__version__
     assert payload["meta"]["openblas_pinned"] == sorted(openblas_threads())
     (row,) = payload["records"]
+    # Wilson 95% interval of 120 errors in 400000 bits.
+    assert row.pop("ber_low") == pytest.approx(2.509172525969989e-4, rel=1e-9)
+    assert row.pop("ber_high") == pytest.approx(3.586805400926918e-4, rel=1e-9)
     assert row == {
         "snr_db": 30.0,
         "receiver": "bmmse",
