@@ -180,6 +180,8 @@ def _read_config_file(path) -> dict:
 
 
 def _parse_kinds(text: str) -> tuple[ReceiverKind, ...]:
+    if not text.strip():
+        raise UsageError("--receivers: empty receiver list")
     if text.strip().lower() == "all":
         return _ALL_KINDS
     kinds = []
@@ -194,8 +196,6 @@ def _parse_kinds(text: str) -> tuple[ReceiverKind, ...]:
             ) from None
         if kind not in kinds:
             kinds.append(kind)
-    if not kinds:
-        raise UsageError("--receivers: empty receiver list")
     return tuple(kinds)
 
 
@@ -269,7 +269,7 @@ def parse_run_spec(argv=None) -> RunSpec:
                 f"--n: antennas must be >= users (N >= K), got --k {users} --n {antennas}"
             )
 
-    explicit_receivers = cli_values.get("receivers") or file_values.get("receivers")
+    explicit_receivers = _merged("receivers", cli_values, file_values, None)
     if explicit_receivers is not None:
         kinds = _parse_kinds(explicit_receivers)
     elif preset is not None:

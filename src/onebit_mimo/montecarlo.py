@@ -35,7 +35,7 @@ from .channel import (
 from .errors import DegenerateDenominatorError, RankDeficientError
 from .linalg import pin_one_blas_thread, single_blas_thread
 from .modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
-from .receivers import COVARIANCE_KINDS, ReceiverKind, build_combiner, detect_pipeline
+from .receivers import COVARIANCE_KINDS, SAME_COMBINER, ReceiverKind, build_combiner, detect_pipeline
 from .rng import TrialStreams, trial_streams
 
 logger = logging.getLogger(__name__)
@@ -128,13 +128,13 @@ def _trial_errors(config, kinds, streams, quantized):
         stats = QuantizedStatistics(channel, config.noise_power)
 
     errors = {}
-    for kind in kinds:
+    for kind in dict.fromkeys(SAME_COMBINER.get(kind, kind) for kind in kinds):
         combiner = build_combiner(kind, channel, config.noise_power, stats=stats)
         detected = detect_pipeline(observed, combiner, constellation)
         errors[kind] = np.count_nonzero(
             symbols_to_bits(detected, constellation) != bits, axis=-1
         )
-    return errors
+    return {kind: errors[SAME_COMBINER.get(kind, kind)] for kind in kinds}
 
 
 def run_trial(
@@ -356,12 +356,19 @@ def error_floor_sweep(
         ]
 
 
-def _gaussian_symbols(users, samples, rng):
-    """Unit-power complex Gaussian payload, the regime in which the
-    quantizer's second-order linearization is exact."""
-    return (
-        rng.standard_normal((users, samples)) + 1j * rng.standard_normal((users, samples))
+def _gaussian_received(channel, noise_power, samples, rng):
+    """``samples`` unit-power complex Gaussian payloads (where the quantizer's
+    second-order linearization is exact) and their noisy receive vectors."""
+    if samples < 1000:
+        raise ValueError("need at least 1000 samples for a meaningful estimate")
+    n, k = channel.shape
+    symbols = (
+        rng.standard_normal((k, samples)) + 1j * rng.standard_normal((k, samples))
     ) * np.sqrt(0.5)
+    noise = (
+        rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
+    ) * np.sqrt(noise_power / 2.0)
+    return symbols, channel @ symbols + noise
 
 
 def residual_cross_covariance(
@@ -382,17 +389,10 @@ def residual_cross_covariance(
     output is scaled to unit per-component power to match the gain
     convention (see :mod:`onebit_mimo.bussgang`).
     """
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful estimate")
     channel = np.asarray(channel)
-    n, k = channel.shape
+    symbols, received = _gaussian_received(channel, noise_power, samples, rng)
     stats = QuantizedStatistics(channel, noise_power)
     gain = stats.gain if gain is None else np.asarray(gain)
-    symbols = _gaussian_symbols(k, samples, rng)
-    noise = (
-        rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
-    ) * np.sqrt(noise_power / 2.0)
-    received = channel @ symbols + noise
     observed = one_bit_quantize(received) / np.sqrt(2.0)
     residual = observed - gain[:, None] * received
     effective_noise = observed - stats.effective_channel @ symbols
@@ -411,15 +411,8 @@ def sample_output_covariance(
     with C the normalized receive covariance: a factor 2 above the
     unit-power convention the linearized-model statistics use.
     """
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful estimate")
-    channel = np.asarray(channel)
-    n, k = channel.shape
-    symbols = _gaussian_symbols(k, samples, rng)
-    noise = (
-        rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
-    ) * np.sqrt(noise_power / 2.0)
-    observed = one_bit_quantize(channel @ symbols + noise)
+    _, received = _gaussian_received(np.asarray(channel), noise_power, samples, rng)
+    observed = one_bit_quantize(received)
     return observed @ observed.conj().T / samples
 
 

@@ -29,6 +29,9 @@ from .modulation import Constellation
 
 
 class ReceiverKind(str, Enum):
+    """The eight receivers. ``wfq`` (Mezghani, Khoufi and Nossek, WSA 2007) is
+    AQNM-MMSE's combiner, so its rows are AQNM-MMSE's (:data:`SAME_COMBINER`)."""
+
     MRC = "mrc"
     ZF = "zf"
     MMSE = "mmse"
@@ -46,6 +49,12 @@ class ReceiverKind(str, Enum):
 BUSSGANG_KINDS = frozenset({ReceiverKind.BMRC, ReceiverKind.BZF, ReceiverKind.BMMSE})
 #: Kinds whose construction needs the received covariance.
 COVARIANCE_KINDS = BUSSGANG_KINDS | {ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ}
+#: Kinds whose combiner is another kind's, so one build and one detection
+#: serve both. WFQ's matrix kappa*R + alpha*diag(R) (Mezghani, Khoufi and
+#: Nossek, "A modified MMSE receiver for quantized MIMO systems", WSA 2007)
+#: is kappa times AQNM-MMSE's R + diag(sigma_q)/kappa^2, and detection is
+#: invariant to positive scaling of the combiner.
+SAME_COMBINER = {ReceiverKind.WFQ: ReceiverKind.AQNM_MMSE}
 
 DENOMINATOR_FLOOR = 1e-12
 
@@ -78,49 +87,41 @@ def build_combiner(
 
     ``stats`` carries the received covariance and Bussgang quantities; it is
     computed on demand when omitted, and should be shared across the
-    quantization-aware kinds within a trial.
+    quantization-aware kinds within a trial. A kind in :data:`SAME_COMBINER`
+    gets the matrix and denominators of the kind it maps to.
     """
     channel = np.asarray(channel)
     if kind in COVARIANCE_KINDS and stats is None:
         stats = QuantizedStatistics(channel, noise_power)
+    # The channel the combiner is built from and equalized against.
+    x = stats.effective_channel if kind in BUSSGANG_KINDS else channel
+    xh = x.conj().mT
+    formula = SAME_COMBINER.get(kind, kind)
 
-    if kind is ReceiverKind.MRC:
-        matrix = channel.conj().mT
-    elif kind is ReceiverKind.ZF:
-        gram = channel.conj().mT @ channel
-        matrix = _solve_or_rank_error(gram, channel.conj().mT)
-    elif kind is ReceiverKind.MMSE:
-        m = channel.conj().mT @ channel
+    if formula in (ReceiverKind.MRC, ReceiverKind.BMRC):
+        matrix = xh
+    elif formula in (ReceiverKind.ZF, ReceiverKind.BZF):
+        matrix = _solve_or_rank_error(xh @ x, xh)
+    elif formula is ReceiverKind.MMSE:
+        m = xh @ x
         diagonal(m)[...] += noise_power
-        matrix = hermitian_solve(m, channel.conj().mT)
-    elif kind in (ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ):
-        # AQNM-MMSE is H^H (HH^H + D)^-1 with D = diag(N0 + sigma_q/kappa^2);
-        # WFQ's matrix kappa*R + alpha*diag(R) is kappa times the same one.
-        # Push-through identity: H^H (HH^H + D)^-1 = (I + H^H D^-1 H)^-1 H^H D^-1,
-        # a K x K solve in place of an N x N one.
+        matrix = hermitian_solve(m, xh)
+    elif formula is ReceiverKind.AQNM_MMSE:
+        # H^H (HH^H + D)^-1 with D = diag(N0 + sigma_q/kappa^2), as the K x K
+        # solve (I + H^H D^-1 H)^-1 H^H D^-1 (the push-through identity).
         aqnm = aqnm_covariance(stats.received_cov)
         loading = noise_power + aqnm.sigma_q / aqnm.kappa**2
-        weighted = channel.conj().mT / loading[..., None, :]
-        m = weighted @ channel
+        weighted = xh / loading[..., None, :]
+        m = weighted @ x
         diagonal(m)[...] += 1.0
         matrix = hermitian_solve(m, weighted)
-        if kind is ReceiverKind.WFQ:
-            matrix /= aqnm.kappa
-    elif kind is ReceiverKind.BMRC:
-        matrix = stats.effective_channel.conj().mT
-    elif kind is ReceiverKind.BZF:
-        effective = stats.effective_channel
-        gram = effective.conj().mT @ effective
-        matrix = _solve_or_rank_error(gram, effective.conj().mT)
-    elif kind is ReceiverKind.BMMSE:
-        effective = stats.effective_channel
-        m = effective @ effective.conj().mT + stats.noise_cov
-        matrix = hermitian_solve(m, effective).conj().mT
+    elif formula is ReceiverKind.BMMSE:
+        m = x @ xh + stats.noise_cov
+        matrix = hermitian_solve(m, x).conj().mT
     else:
         raise ValueError(f"unknown receiver kind {kind!r}")
 
-    reference = stats.effective_channel if kind in BUSSGANG_KINDS else channel
-    denominators = np.einsum("...kn,...nk->...k", matrix, reference)
+    denominators = np.einsum("...kn,...nk->...k", matrix, x)
     if (np.abs(denominators) < DENOMINATOR_FLOOR).any():
         raise DegenerateDenominatorError(
             f"{kind} equalization denominator below {DENOMINATOR_FLOOR}"

@@ -12,6 +12,7 @@ import scipy
 from .linalg import openblas_threads
 from .montecarlo import BerRecord, wilson_interval
 from .receivers import ReceiverKind
+from .rng import STREAM_VERSION
 
 CSV_HEADER = ("snr_db", "receiver", "k", "n", "modulation", "trials", "bits", "bit_errors", "ber")
 
@@ -68,11 +69,11 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
 
     CSV output is byte-deterministic for identical records. JSON records
     add ``ber_low`` and ``ber_high``, the Wilson 95% interval of the BER, and
-    JSON carries a top-level ``meta`` object: seed, git describe, timestamp,
-    the numpy and scipy versions, and ``openblas_pinned``, the file names of
-    the loaded OpenBLAS libraries that sweeps run at one thread (empty: no
-    pin took place). The timestamp is excluded from any determinism
-    guarantee.
+    JSON carries a top-level ``meta`` object: seed, ``stream_version``
+    (:data:`onebit_mimo.rng.STREAM_VERSION`), git describe, timestamp, the
+    numpy and scipy versions, and ``openblas_pinned``, the file names of the
+    loaded OpenBLAS libraries that sweeps run at one thread (empty: no pin
+    took place). The timestamp is excluded from any determinism guarantee.
     """
     records = list(records)
     if not records:
@@ -101,6 +102,7 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
         payload = {
             "meta": {
                 "seed": seed,
+                "stream_version": STREAM_VERSION,
                 "git_describe": _git_describe(),
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "numpy": np.__version__,

@@ -11,6 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+#: Bumped whenever the draws of a given (seed, trial index) change.
+STREAM_VERSION = 1
+
 CHANNEL = 0
 SYMBOLS = 1
 NOISE = 2

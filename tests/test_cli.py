@@ -123,6 +123,12 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_empty_receivers_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset=fig1a\nreceivers=\n")
+        with pytest.raises(UsageError, match="empty receiver list"):
+            parse_run_spec(["--config", str(cfg)])
+
     def test_bool_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("unquantized=true\n")
@@ -136,6 +142,20 @@ class TestMain:
     def test_usage_error_exit_code(self, capsys):
         assert main(["--k", "4", "--n", "2", "--mod", "qpsk", "--snr-start", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("receivers", ["", "  "])
+    def test_empty_receivers_exit_code(self, tmp_path, capsys, receivers):
+        # An empty list is a usage error, not "receivers not given".
+        out = tmp_path / "r.csv"
+        code = main(
+            ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "30",
+             "--receivers", receivers, "--max-trials", "1000", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "simulate: error: --receivers: empty receiver list\n"
+        )
+        assert not out.exists()
 
     def test_end_to_end_small_run(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

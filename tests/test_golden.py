@@ -10,6 +10,7 @@ it was written by the stacked engine at commit a810467, before AQNM-MMSE
 and WFQ moved from N x N to K x K solves.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from onebit_mimo.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+#: The benchmark's golden CSVs, read here and never written.
+BENCH_GOLDEN_DIR = Path(__file__).parents[1] / "perfbench" / "golden"
 _COMMON = ["--receivers", "all", "--min-bit-errors", "0", "--format", "csv"]
 CASES = {
     "k2n16-qpsk": ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "-10",
@@ -56,3 +59,20 @@ def test_two_workers_match_one(tmp_path):
     two = _run([*argv, "--workers", "2"], tmp_path / "two.csv")
     assert two == _run([*argv, "--workers", "1"], tmp_path / "one.csv")
     assert two == (GOLDEN_DIR / "k2n16-qpsk.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*GOLDEN_DIR.glob("*.csv"), *BENCH_GOLDEN_DIR.glob("*.csv")]),
+    ids=lambda path: f"{path.parents[1].name}-{path.stem}",
+)
+def test_wfq_rows_are_aqnm_mmse_rows(path):
+    # WFQ's combiner is AQNM-MMSE's, so its counts are AQNM-MMSE's.
+    rows = {"wfq": {}, "aqnm-mmse": {}}
+    with open(path, newline="") as handle:
+        for row in csv.DictReader(handle):
+            if row["receiver"] in rows:
+                counts = (row["trials"], row["bits"], row["bit_errors"], row["ber"])
+                rows[row["receiver"]][row["snr_db"], row["k"]] = counts
+    assert rows["wfq"]
+    assert rows["wfq"] == rows["aqnm-mmse"]

@@ -21,7 +21,7 @@ from onebit_mimo.montecarlo import (
     sample_output_covariance,
     wilson_interval,
 )
-from onebit_mimo.receivers import ReceiverKind
+from onebit_mimo.receivers import ReceiverKind, build_combiner
 from onebit_mimo.results import emit_results
 from onebit_mimo.rng import trial_streams
 
@@ -62,6 +62,16 @@ class TestRunTrial:
         solo = run_trial(cfg, (ReceiverKind.BMMSE,), trial_streams(13, 7))
         assert solo[ReceiverKind.BMMSE] == all_counts[ReceiverKind.BMMSE]
 
+    def test_wfq_alone_counts_as_aqnm_mmse(self):
+        cfg = SystemConfig.from_snr_db(4, 8, 10.0, "16qam")
+        total = 0
+        for index in range(20):
+            wfq = run_trial(cfg, (ReceiverKind.WFQ,), trial_streams(15, index))
+            aqnm = run_trial(cfg, (ReceiverKind.AQNM_MMSE,), trial_streams(15, index))
+            assert wfq == {ReceiverKind.WFQ: aqnm[ReceiverKind.AQNM_MMSE]}
+            total += wfq[ReceiverKind.WFQ]
+        assert total > 0
+
 
 class TestBatchedEngine:
     def test_chunks_equal_single_trials(self):
@@ -71,6 +81,23 @@ class TestBatchedEngine:
         totals = montecarlo._batch_counts(cfg, kinds, 17, 50, 200, True)
         singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(50, 200)]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+
+    def test_one_build_per_distinct_combiner(self, monkeypatch):
+        # WFQ's counts are AQNM-MMSE's: a chunk over all eight kinds builds
+        # seven combiners, none of them for WFQ.
+        built = []
+
+        def counting_build(kind, *args, **kwargs):
+            built.append(kind)
+            return build_combiner(kind, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "build_combiner", counting_build)
+        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
+        totals = montecarlo._batch_counts(cfg, tuple(ReceiverKind), 19, 0, chunk, True)
+        assert len(built) == 7
+        assert ReceiverKind.WFQ not in built
+        assert totals[ReceiverKind.WFQ] == totals[ReceiverKind.AQNM_MMSE] > 0
 
 
 @pytest.fixture

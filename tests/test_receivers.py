@@ -55,14 +55,17 @@ class TestBuildCombiner:
         assert abs(bzf.matrix[0, 0] - np.sqrt(np.pi)) <= 1e-12
         assert abs(bmmse.matrix[0, 0] - 1 / np.sqrt(np.pi)) <= 1e-12
 
-    def test_wfq_is_scaled_aqnm_mmse(self):
+    def test_wfq_is_aqnm_mmse(self):
         # kappa*(Sigma_r + (alpha/kappa)*diag) is the AQNM-MMSE matrix scaled
-        # by kappa, so the combiners differ by exactly 1/kappa.
+        # by kappa, and detection is scale-invariant, so WFQ takes
+        # AQNM-MMSE's combiner as it is.
         rng = np.random.default_rng(0)
         h = rayleigh_channel(rng, 8, 3)
-        wfq = build_combiner(ReceiverKind.WFQ, h, 0.2).matrix
-        aqnm = build_combiner(ReceiverKind.AQNM_MMSE, h, 0.2).matrix
-        np.testing.assert_allclose(wfq, aqnm / (1 - 0.3634), atol=1e-10)
+        wfq = build_combiner(ReceiverKind.WFQ, h, 0.2)
+        aqnm = build_combiner(ReceiverKind.AQNM_MMSE, h, 0.2)
+        assert wfq.kind is ReceiverKind.WFQ
+        np.testing.assert_array_equal(wfq.matrix, aqnm.matrix)
+        np.testing.assert_array_equal(wfq.eq_denominators, aqnm.eq_denominators)
 
     @pytest.mark.parametrize("n0", [1e-3, 0.1, 1.0, 10.0])
     @pytest.mark.parametrize("k, n", [(1, 1), (2, 16), (4, 4), (4, 32), (16, 16), (16, 128)])
@@ -71,7 +74,8 @@ class TestBuildCombiner:
         # The K x K solve against the N x N formulas, written out:
         # AQNM-MMSE H^H (R + diag(sigma_q)/kappa^2)^-1 and
         # WFQ H^H (kappa R + alpha diag(R))^-1, with R = HH^H + N0 I and
-        # sigma_q = alpha kappa diag(R).
+        # sigma_q = alpha kappa diag(R). WFQ is built as AQNM-MMSE's
+        # combiner, which is kappa times its own.
         rng = np.random.default_rng(14)
         shape = (*stack, n, k)
         h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
@@ -81,12 +85,12 @@ class TestBuildCombiner:
         diag_r = np.einsum("...ii->...i", r).real
         sigma_q = alpha * kappa * diag_r
         direct = {
-            ReceiverKind.AQNM_MMSE: r + (sigma_q / kappa**2)[..., None] * np.eye(n),
-            ReceiverKind.WFQ: kappa * r + (alpha * diag_r)[..., None] * np.eye(n),
+            ReceiverKind.AQNM_MMSE: (r + (sigma_q / kappa**2)[..., None] * np.eye(n), 1),
+            ReceiverKind.WFQ: (kappa * r + (alpha * diag_r)[..., None] * np.eye(n), kappa),
         }
         stats = QuantizedStatistics(h, n0)
-        for kind, m in direct.items():
-            expected = np.linalg.solve(m, h).conj().swapaxes(-1, -2)
+        for kind, (m, scale) in direct.items():
+            expected = scale * np.linalg.solve(m, h).conj().swapaxes(-1, -2)
             combiner = build_combiner(kind, h, n0, stats=stats)
             matrix_error = np.abs(combiner.matrix - expected).max() / np.abs(expected).max()
             assert matrix_error <= 1e-12, kind

@@ -10,6 +10,7 @@ from onebit_mimo.linalg import openblas_threads
 from onebit_mimo.montecarlo import BerRecord
 from onebit_mimo.receivers import ReceiverKind
 from onebit_mimo.results import emit_results, read_records
+from onebit_mimo.rng import STREAM_VERSION
 
 
 def record(**overrides):
@@ -73,6 +74,7 @@ def test_json_structure(tmp_path):
     payload = json.loads(path.read_text())
     assert set(payload) == {"meta", "records"}
     assert payload["meta"]["seed"] == 42
+    assert payload["meta"]["stream_version"] == STREAM_VERSION == 1
     assert "git_describe" in payload["meta"]
     assert "timestamp" in payload["meta"]
     assert payload["meta"]["numpy"] == np.__version__
