@@ -31,7 +31,6 @@ from .montecarlo import (
     BerRecord,
     TrialPlan,
     ber_sweep,
-    error_floor_sweep,
     residual_cross_covariance,
     run_trial,
     sample_output_covariance,

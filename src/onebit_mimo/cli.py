@@ -1,32 +1,26 @@
 """The ``simulate`` command line: presets, overrides, and result emission.
 
 Precedence for every setting: command-line flag, then config-file value,
-then preset default. The fig2 preset runs the error-floor sweep over user
-counts; everything else runs a BER-versus-SNR sweep.
+then preset default. A run is a tuple of trial plans swept through one
+worker pool: one plan for a BER-versus-SNR sweep, and for the fig2 preset
+one plan per user count at N = 8K antennas.
 """
 
 import argparse
+import math
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
-from .channel import SystemConfig, noise_power_from_snr_db
+from .channel import SystemConfig
 from .errors import OneBitMimoError, UsageError
 from .modulation import supported_modulations
-from .montecarlo import TrialPlan, ber_sweep, error_floor_sweep
+from .montecarlo import TrialPlan, ber_sweep
 from .receivers import ReceiverKind
 from .results import emit_results
 
 _ALL_KINDS = tuple(ReceiverKind)
 _FIG_SNR_GRID = tuple(float(s) for s in range(-10, 31, 5))
-_FIG2_USER_COUNTS = (2, 4, 6, 8, 10, 12, 14, 16)
-# AQNM-MMSE and WFQ floors sit above ZF/MMSE and are left out of the
-# error-floor preset.
-_FIG2_KINDS = tuple(
-    kind
-    for kind in ReceiverKind
-    if kind not in (ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ)
-)
 
 PRESETS = {
     "fig1a": {
@@ -43,11 +37,18 @@ PRESETS = {
         "snr_db_grid": _FIG_SNR_GRID,
         "kinds": _ALL_KINDS,
     },
+    # Error floors versus user count, read off at 30 dB with N = 8K. The
+    # AQNM-MMSE and WFQ floors sit above ZF/MMSE and are left out.
     "fig2": {
-        "user_counts": _FIG2_USER_COUNTS,
+        "user_counts": (2, 4, 6, 8, 10, 12, 14, 16),
+        "antennas_per_user": 8,
         "mod": "qpsk",
         "snr_db_grid": (30.0,),
-        "kinds": _FIG2_KINDS,
+        "kinds": tuple(
+            kind
+            for kind in ReceiverKind
+            if kind not in (ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ)
+        ),
     },
 }
 
@@ -64,22 +65,16 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A validated run: either an SNR sweep or (fig2) an error-floor sweep."""
+    """A validated run: the plans to sweep, in order, and where to write."""
 
-    preset: str | None
-    users: int | None
-    antennas: int | None
-    modulation: str
-    snr_db_grid: tuple[float, ...]
-    user_counts: tuple[int, ...] | None
-    kinds: tuple[ReceiverKind, ...]
-    seed: int
-    max_trials: int
-    min_bit_errors: int
-    quantized: bool
+    plans: tuple[TrialPlan, ...]
     workers: int
     out_format: str
     out_path: str
+
+    @property
+    def seed(self) -> int:
+        return self.plans[0].seed
 
 
 #: Allowed values of the settings that take one of a fixed set, for flags and
@@ -204,6 +199,9 @@ def _snr_grid(start, stop, step) -> tuple[float, ...]:
         raise UsageError("--snr-start is required without a preset SNR grid")
     if stop is None:
         stop = start
+    for flag, db in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(db):
+            raise UsageError(f"--snr-{flag}: must be finite, got {db}")
     if step <= 0:
         raise UsageError(f"--snr-step must be > 0, got {step}")
     if stop < start:
@@ -248,6 +246,8 @@ def parse_run_spec(argv=None) -> RunSpec:
     modulation = value("mod")
     if floor_mode:
         snr_db_grid = preset["snr_db_grid"]
+        per_user = preset["antennas_per_user"]
+        geometry = [(k, per_user * k) for k in preset["user_counts"]]
     elif preset is not None and all(
         source.get(f) is None
         for source in (cli_values, file_values)
@@ -268,6 +268,7 @@ def parse_run_spec(argv=None) -> RunSpec:
             raise UsageError(
                 f"--n: antennas must be >= users (N >= K), got --k {users} --n {antennas}"
             )
+        geometry = [(users, antennas)]
 
     explicit_receivers = _merged("receivers", cli_values, file_values, None)
     if explicit_receivers is not None:
@@ -290,53 +291,34 @@ def parse_run_spec(argv=None) -> RunSpec:
     if workers < 1:
         raise UsageError(f"--workers: must be >= 1, got {workers}")
     out_format = value("format")
-    out_path = value("out") or f"results.{out_format}"
+    out_path = value("out")
+    if out_path is None:
+        out_path = f"results.{out_format}"
+    elif not out_path.strip():
+        raise UsageError("--out: empty output path")
 
-    return RunSpec(
-        preset=preset_name,
-        users=users,
-        antennas=antennas,
-        modulation=modulation,
-        snr_db_grid=tuple(snr_db_grid),
-        user_counts=preset["user_counts"] if floor_mode else None,
-        kinds=kinds,
-        seed=seed,
-        max_trials=max_trials,
-        min_bit_errors=min_bit_errors,
-        quantized=not value("unquantized"),
-        workers=workers,
-        out_format=out_format,
-        out_path=out_path,
-    )
+    try:
+        plans = tuple(
+            TrialPlan(
+                config=SystemConfig.from_snr_db(k, n, snr_db_grid[0], modulation),
+                kinds=kinds,
+                snr_db_grid=snr_db_grid,
+                max_trials=max_trials,
+                min_bit_errors=min_bit_errors,
+                seed=seed,
+                quantized=not value("unquantized"),
+            )
+            for k, n in geometry
+        )
+    except ValueError as exc:
+        # A first grid point whose noise power underflows to zero.
+        raise UsageError(f"--snr-start: {exc}") from exc
+    return RunSpec(plans=plans, workers=workers, out_format=out_format, out_path=out_path)
 
 
 def run_spec(spec: RunSpec):
     """Execute a RunSpec and return its records."""
-    if spec.user_counts is not None:
-        return error_floor_sweep(
-            spec.user_counts,
-            spec.kinds,
-            seed=spec.seed,
-            max_trials=spec.max_trials,
-            min_bit_errors=spec.min_bit_errors,
-            workers=spec.workers,
-        )
-    config = SystemConfig(
-        users=spec.users,
-        antennas=spec.antennas,
-        noise_power=noise_power_from_snr_db(spec.snr_db_grid[0]),
-        modulation=spec.modulation,
-    )
-    plan = TrialPlan(
-        config=config,
-        kinds=spec.kinds,
-        snr_db_grid=spec.snr_db_grid,
-        max_trials=spec.max_trials,
-        min_bit_errors=spec.min_bit_errors,
-        seed=spec.seed,
-        quantized=spec.quantized,
-    )
-    return ber_sweep(plan, workers=spec.workers)
+    return ber_sweep(spec.plans, workers=spec.workers)
 
 
 def main(argv=None) -> int:

@@ -6,19 +6,22 @@ stacked chunks of ``max(1, _CHUNK_ELEMENTS // N**2)`` (64 at N=16, one at
 N=128): each trial draws from its own (seed, trial index) streams into
 ``(B, N, K)`` channel, ``(B, K * bits per symbol)`` payload and ``(B, N)``
 noise arrays, and every later stage runs once per chunk; :func:`run_trial`
-is a chunk of one. Sweeps accumulate trials in fixed batches of
-``BATCH_SIZE``; the stopping rule is evaluated only at batch boundaries, in
-batch-index order, so the recorded counts are byte-identical for any worker
-count or scheduling. Workers can run ahead speculatively: a batch's
-per-receiver error counts depend only on (seed, trial index), never on which
-receivers are still accumulating. Every sweep runs one BLAS thread per
-process, in the pool workers too, so ``workers`` is its only parallelism.
+is a chunk of one. A sweep runs a sequence of plans through one worker
+pool: Fig. 1 is one plan over an SNR grid, Fig. 2 one plan per user count.
+Sweeps accumulate trials in fixed batches of ``BATCH_SIZE``; the stopping
+rule is evaluated only at batch boundaries, in batch-index order, so the
+recorded counts are byte-identical for any worker count or scheduling.
+Workers can run ahead speculatively: a batch's per-receiver error counts
+depend only on (seed, trial index), never on which receivers are still
+accumulating. Every sweep runs one BLAS thread per process, in the pool
+workers too, so ``workers`` is its only parallelism.
 """
 
 import contextlib
 import logging
 import math
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
+from collections.abc import Sequence
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -232,26 +235,29 @@ def _run_point(
         start = index * BATCH_SIZE
         return config, tuple(active), seed, start, min(start + BATCH_SIZE, max_trials), quantized
 
-    if executor is None:
-        for index in range(n_batches):
-            if not active:
-                break
-            fold(index, _batch_counts(*batch_args(index)))
-    else:
-        pending = {}
-        ready = {}
-        next_batch = prefix = 0
-        while active:
-            while len(pending) < max_inflight and next_batch < n_batches:
-                pending[executor.submit(_batch_counts, *batch_args(next_batch))] = next_batch
-                next_batch += 1
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                ready[pending.pop(future)] = future.result()
-            while prefix in ready and active:
-                fold(prefix, ready.pop(prefix))
-                prefix += 1
+    submit = _run_now if executor is None else executor.submit
+    pending = {}
+    ready = {}
+    next_batch = prefix = 0
+    while active:
+        while len(pending) < max_inflight and next_batch < n_batches:
+            pending[submit(_batch_counts, *batch_args(next_batch))] = next_batch
+            next_batch += 1
+        # A batch run in this process is done on submit: only a pool waits.
+        finished = [future for future in pending if future.done()]
+        for future in finished or wait(pending, return_when=FIRST_COMPLETED).done:
+            ready[pending.pop(future)] = future.result()
+        while prefix in ready and active:
+            fold(prefix, ready.pop(prefix))
+            prefix += 1
     return outcome
+
+
+def _run_now(fn, *args) -> Future:
+    """Run ``fn(*args)`` in this process; an exception propagates at once."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 @contextlib.contextmanager
@@ -307,52 +313,22 @@ def _sweep_records(plan: TrialPlan, executor, max_inflight: int) -> list[BerReco
     return records
 
 
-def ber_sweep(plan: TrialPlan, workers: int = 1) -> list[BerRecord]:
-    """Run the plan over its SNR grid; one record per (SNR, kind).
+def ber_sweep(plans: Sequence[TrialPlan], workers: int = 1) -> list[BerRecord]:
+    """Run each plan over its SNR grid; one record per (SNR, kind), in plan
+    order.
 
-    Trial randomness is keyed by (seed, trial index) only, so grid points
-    share channel/bit draws (common random numbers) and results do not
-    depend on ``workers``.
+    All plans share one pool of ``workers`` processes, which keeps
+    ``2 * workers`` batches in flight; with one worker, batches run in this
+    process one at a time. Trial randomness is keyed by (seed, trial index)
+    only, so grid points share channel/bit draws (common random numbers) and
+    results do not depend on ``workers``.
     """
-    with _sweep_executor(workers) as executor:
-        return _sweep_records(plan, executor, max_inflight=2 * workers)
-
-
-#: Error-floor sweep operating point (floors are read off at high SNR).
-FLOOR_SNR_DB = 30.0
-FLOOR_ANTENNAS_PER_USER = 8
-
-
-def error_floor_sweep(
-    user_counts,
-    kinds,
-    seed: int,
-    max_trials: int,
-    min_bit_errors: int,
-    workers: int = 1,
-) -> list[BerRecord]:
-    """Error floors versus user count: QPSK at 30 dB with N = 8K antennas.
-
-    All user counts share one worker pool.
-    """
-    plans = [
-        TrialPlan(
-            config=SystemConfig.from_snr_db(
-                users, FLOOR_ANTENNAS_PER_USER * users, FLOOR_SNR_DB, "qpsk"
-            ),
-            kinds=tuple(kinds),
-            snr_db_grid=(FLOOR_SNR_DB,),
-            max_trials=max_trials,
-            min_bit_errors=min_bit_errors,
-            seed=seed,
-        )
-        for users in user_counts
-    ]
+    max_inflight = 2 * workers if workers > 1 else 1
     with _sweep_executor(workers) as executor:
         return [
             record
             for plan in plans
-            for record in _sweep_records(plan, executor, max_inflight=2 * workers)
+            for record in _sweep_records(plan, executor, max_inflight)
         ]
 
 

@@ -21,7 +21,6 @@ from onebit_mimo.modulation import make_constellation
 from onebit_mimo.montecarlo import (
     TrialPlan,
     ber_sweep,
-    error_floor_sweep,
     residual_cross_covariance,
     wilson_interval,
 )
@@ -58,20 +57,25 @@ def fig1a_records():
         min_bit_errors=200,
         seed=SEED,
     )
-    records = ber_sweep(plan, workers=WORKERS)
+    records = ber_sweep([plan], workers=WORKERS)
     return {(r.snr_db, r.kind): r for r in records}
 
 
 @pytest.fixture(scope="module")
 def floor_records():
-    records = error_floor_sweep(
-        (2, 8, 16),
-        (ReceiverKind.MRC, ReceiverKind.BMRC),
-        seed=SEED,
-        max_trials=150_000,
-        min_bit_errors=1_000,
-        workers=WORKERS,
-    )
+    """Fig. 2 operating points (QPSK at 30 dB, N = 8K) for K = 2, 8, 16."""
+    plans = [
+        TrialPlan(
+            config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
+            kinds=(ReceiverKind.MRC, ReceiverKind.BMRC),
+            snr_db_grid=(30.0,),
+            max_trials=150_000,
+            min_bit_errors=1_000,
+            seed=SEED,
+        )
+        for k in (2, 8, 16)
+    ]
+    records = ber_sweep(plans, workers=WORKERS)
     return {(r.users, r.kind): r for r in records}
 
 
@@ -278,7 +282,7 @@ def test_criterion_7_exact_invariants():
         seed=SEED,
         quantized=False,
     )
-    (baseline,) = ber_sweep(plan)
+    (baseline,) = ber_sweep([plan])
     baseline_ok = baseline.trials == 10_000 and baseline.bit_errors == 0
 
     ok = (

@@ -10,7 +10,7 @@ import pytest
 from onebit_mimo import linalg, montecarlo
 from onebit_mimo.channel import SystemConfig
 from onebit_mimo.errors import RankDeficientError
-from onebit_mimo.montecarlo import TrialPlan, _batch_counts, ber_sweep, error_floor_sweep
+from onebit_mimo.montecarlo import TrialPlan, _batch_counts, ber_sweep
 from onebit_mimo.receivers import ReceiverKind
 
 
@@ -54,8 +54,13 @@ def test_sweep_runs_one_blas_thread(two_blas_threads, monkeypatch):
         return {kind: (1, 0) for kind in kinds}
 
     monkeypatch.setattr(montecarlo, "_run_point", recording_point)
-    ber_sweep(small_plan())
-    error_floor_sweep([1, 2], (ReceiverKind.MRC,), seed=3, max_trials=10, min_bit_errors=0)
+    ber_sweep([small_plan()])
+    floor_plans = [
+        small_plan(config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
+                   kinds=(ReceiverKind.MRC,), snr_db_grid=(30.0,), max_trials=10)
+        for k in (1, 2)
+    ]
+    ber_sweep(floor_plans)
     assert seen == [dict.fromkeys(two_blas_threads, 1)] * 4
     assert linalg.openblas_threads() == two_blas_threads
 
@@ -67,7 +72,7 @@ def test_previous_counts_back_when_the_sweep_raises(two_blas_threads, monkeypatc
 
     monkeypatch.setattr(montecarlo, "_run_point", failing_point)
     with pytest.raises(RankDeficientError):
-        ber_sweep(small_plan())
+        ber_sweep([small_plan()])
     assert linalg.openblas_threads() == two_blas_threads
 
 
@@ -81,7 +86,7 @@ def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-    ber_sweep(small_plan(), workers=2)
+    ber_sweep([small_plan()], workers=2)
     (kwargs,) = built
     context = get_context(method)
     if method == "fork":
@@ -128,6 +133,6 @@ def test_pinned_counts_equal_multithreaded_counts(two_blas_threads):
         min_bit_errors=0,
         seed=11,
     )
-    pinned = {record.kind: record.bit_errors for record in ber_sweep(plan)}
+    pinned = {record.kind: record.bit_errors for record in ber_sweep([plan])}
     assert pinned == threaded
     assert any(threaded.values())

@@ -12,30 +12,41 @@ from onebit_mimo.receivers import ReceiverKind
 from onebit_mimo.results import read_records
 
 
+def geometry(plan):
+    return plan.config.users, plan.config.antennas, plan.config.modulation
+
+
 class TestParseRunSpec:
     def test_fig1a_preset(self):
         spec = parse_run_spec(["--preset", "fig1a", "--seed", "42", "--out", "r.csv"])
-        assert (spec.users, spec.antennas, spec.modulation) == (2, 16, "qpsk")
-        assert spec.snr_db_grid == tuple(float(s) for s in range(-10, 31, 5))
-        assert spec.kinds == tuple(ReceiverKind)
-        assert spec.seed == 42
+        (plan,) = spec.plans
+        assert geometry(plan) == (2, 16, "qpsk")
+        assert plan.snr_db_grid == tuple(float(s) for s in range(-10, 31, 5))
+        assert plan.kinds == tuple(ReceiverKind)
+        assert plan.seed == spec.seed == 42
         assert spec.out_path == "r.csv"
-        assert spec.quantized
+        assert plan.quantized
 
     def test_fig1b_preset(self):
-        spec = parse_run_spec(["--preset", "fig1b"])
-        assert (spec.users, spec.antennas, spec.modulation) == (4, 64, "8psk")
+        (plan,) = parse_run_spec(["--preset", "fig1b"]).plans
+        assert geometry(plan) == (4, 64, "8psk")
 
     def test_fig2_preset(self):
         spec = parse_run_spec(["--preset", "fig2"])
-        assert spec.user_counts == (2, 4, 6, 8, 10, 12, 14, 16)
-        assert spec.snr_db_grid == (30.0,)
-        assert ReceiverKind.AQNM_MMSE not in spec.kinds
-        assert ReceiverKind.WFQ not in spec.kinds
+        users = (2, 4, 6, 8, 10, 12, 14, 16)
+        assert [geometry(plan) for plan in spec.plans] == [(k, 8 * k, "qpsk") for k in users]
+        kinds = tuple(
+            kind for kind in ReceiverKind
+            if kind not in (ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ)
+        )
+        for plan in spec.plans:
+            assert plan.snr_db_grid == (30.0,)
+            assert plan.kinds == kinds
+            assert plan.quantized
 
     def test_fig2_receiver_restriction(self):
         spec = parse_run_spec(["--preset", "fig2", "--receivers", "mrc,bmrc"])
-        assert spec.kinds == (ReceiverKind.MRC, ReceiverKind.BMRC)
+        assert {plan.kinds for plan in spec.plans} == {(ReceiverKind.MRC, ReceiverKind.BMRC)}
 
     def test_fig2_rejects_geometry_overrides(self):
         with pytest.raises(UsageError, match="--k"):
@@ -45,7 +56,7 @@ class TestParseRunSpec:
         spec = parse_run_spec(
             ["--preset", "fig1a", "--snr-start", "25", "--snr-stop", "35"]
         )
-        assert spec.snr_db_grid == (25.0, 30.0, 35.0)
+        assert spec.plans[0].snr_db_grid == (25.0, 30.0, 35.0)
 
     def test_antennas_must_cover_users(self):
         with pytest.raises(UsageError, match="N >= K"):
@@ -72,11 +83,11 @@ class TestParseRunSpec:
 
     def test_unquantized_flag(self):
         spec = parse_run_spec(["--preset", "fig1a", "--unquantized"])
-        assert not spec.quantized
+        assert not spec.plans[0].quantized
 
     def test_single_point_grid(self):
         spec = parse_run_spec(["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "10"])
-        assert spec.snr_db_grid == (10.0,)
+        assert spec.plans[0].snr_db_grid == (10.0,)
 
     def test_bad_step(self):
         with pytest.raises(UsageError, match="snr-step"):
@@ -97,10 +108,11 @@ class TestConfigFile:
             "receivers=zf,bzf\n"
         )
         spec = parse_run_spec(["--config", str(cfg), "--seed", "99"])
-        assert spec.preset == "fig1a"
-        assert spec.seed == 99  # flag beats file
-        assert spec.max_trials == 2000
-        assert spec.kinds == (ReceiverKind.ZF, ReceiverKind.BZF)
+        (plan,) = spec.plans
+        assert geometry(plan) == (2, 16, "qpsk")  # the fig1a preset's
+        assert plan.seed == 99  # flag beats file
+        assert plan.max_trials == 2000
+        assert plan.kinds == (ReceiverKind.ZF, ReceiverKind.BZF)
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -135,7 +147,7 @@ class TestConfigFile:
         spec = parse_run_spec(
             ["--config", str(cfg), "--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0"]
         )
-        assert not spec.quantized
+        assert not spec.plans[0].quantized
 
 
 class TestMain:
@@ -154,6 +166,53 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err == (
             "simulate: error: --receivers: empty receiver list\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["", "   "])
+    def test_empty_out_is_usage_error(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        args = ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",
+                "--receivers", "zf", "--max-trials", "1000"]
+        assert main([*args, "--out", out]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={out}\n")
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "simulate: error: --out: empty output path\n" * 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--snr-start", "nan"], ""),
+            (["--snr-start", "0", "--snr-stop", "inf"], ""),
+            (["--snr-start", "0", "--snr-stop", "10", "--snr-step", "nan"], ""),
+            (["--snr-start", "0", "--snr-stop", "10", "--snr-step", "inf"], ""),
+            (["--snr-stop", "10"], "snr-start=nan\n"),
+        ],
+        ids=["nan-start", "inf-stop", "nan-step", "inf-step", "config-nan-start"],
+    )
+    def test_non_finite_snr_is_usage_error(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["--k", "2", "--n", "4", "--mod", "qpsk", "--receivers", "zf",
+             "--max-trials", "1000", "--config", str(cfg), *flags, "--out", str(out)]
+        )
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("simulate: error: --snr-") and "must be finite" in line
+        assert not out.exists()
+
+    def test_snr_without_noise_power_is_usage_error(self, tmp_path, capsys):
+        # 10**(-4000/10) underflows to a zero noise power.
+        out = tmp_path / "r.csv"
+        code = main(["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "4000",
+                     "--receivers", "zf", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "simulate: error: --snr-start: noise_power must be > 0, got 0.0\n"
         )
         assert not out.exists()
 

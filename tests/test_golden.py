@@ -8,6 +8,14 @@ chunk boundary and the 1000-trial batch boundary.
 ``k16n16-16qam`` is the square case, the worst-conditioned channel shape:
 it was written by the stacked engine at commit a810467, before AQNM-MMSE
 and WFQ moved from N x N to K x K solves.
+
+``fig2-early-stop`` goes through a preset, several plans and the early-stop
+rule: K = 2 and 4 run to the 2000-trial cap, K >= 6 stop at 1000 trials on
+the error target. It was written at commit e93e291, while the fig2 sweep
+was still a separate function, by
+
+    simulate --preset fig2 --receivers mrc,bmrc --max-trials 2000 \
+        --min-bit-errors 60 --seed 6 --out fig2-early-stop.csv
 """
 
 import csv
@@ -54,6 +62,15 @@ def test_reproduces_golden_csv(name, tmp_path):
     assert written == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fig2_preset_with_early_stop(workers, tmp_path):
+    out = tmp_path / "fig2.csv"
+    argv = ["--preset", "fig2", "--receivers", "mrc,bmrc", "--max-trials", "2000",
+            "--min-bit-errors", "60", "--seed", "6", "--workers", workers]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "fig2-early-stop.csv").read_bytes()
+
+
 def test_two_workers_match_one(tmp_path):
     argv = CASES["k2n16-qpsk"]
     two = _run([*argv, "--workers", "2"], tmp_path / "two.csv")
@@ -63,7 +80,8 @@ def test_two_workers_match_one(tmp_path):
 
 @pytest.mark.parametrize(
     "path",
-    sorted([*GOLDEN_DIR.glob("*.csv"), *BENCH_GOLDEN_DIR.glob("*.csv")]),
+    # The cases that run every receiver; fig2 runs neither WFQ nor AQNM-MMSE.
+    sorted([*(GOLDEN_DIR / f"{name}.csv" for name in CASES), *BENCH_GOLDEN_DIR.glob("*.csv")]),
     ids=lambda path: f"{path.parents[1].name}-{path.stem}",
 )
 def test_wfq_rows_are_aqnm_mmse_rows(path):

@@ -15,7 +15,6 @@ from onebit_mimo.montecarlo import (
     BerRecord,
     TrialPlan,
     ber_sweep,
-    error_floor_sweep,
     residual_cross_covariance,
     run_trial,
     sample_output_covariance,
@@ -220,7 +219,7 @@ class TestBerSweep:
             min_bit_errors=50,
             seed=7,
         )
-        for record in ber_sweep(plan):
+        for record in ber_sweep([plan]):
             assert record.trials % BATCH_SIZE == 0 or record.trials == 5_000
             assert record.bits == record.trials * 2 * 2
             if record.trials < 5_000:
@@ -236,7 +235,7 @@ class TestBerSweep:
             min_bit_errors=0,
             seed=7,
         )
-        (record,) = ber_sweep(plan)
+        (record,) = ber_sweep([plan])
         assert record.trials == 1_500
 
     def test_worker_count_does_not_change_counts(self):
@@ -249,7 +248,7 @@ class TestBerSweep:
             min_bit_errors=100,
             seed=21,
         )
-        assert ber_sweep(plan, workers=1) == ber_sweep(plan, workers=2)
+        assert ber_sweep([plan], workers=1) == ber_sweep([plan], workers=2)
 
     def test_unquantized_zf_ber_decreases_with_snr(self):
         cfg = SystemConfig(2, 4, 1.0)
@@ -262,7 +261,7 @@ class TestBerSweep:
             seed=5,
             quantized=False,
         )
-        low, high = ber_sweep(plan)
+        low, high = ber_sweep([plan])
         # Allow 3-sigma binomial noise on the comparison.
         sigma = np.sqrt(
             low.ber * (1 - low.ber) / low.bits + high.ber * (1 - high.ber) / high.bits
@@ -294,15 +293,54 @@ class TestBerSweep:
             seed=5,
         )
         with pytest.raises(KeyboardInterrupt):
-            ber_sweep(plan, workers=2)
+            ber_sweep([plan], workers=2)
         assert shutdowns == [True]
+
+
+class TestRunPoint:
+    def test_in_process_runs_each_folded_batch_once(self, monkeypatch):
+        # MRC reaches the error target after two batches and ZF after three,
+        # of five: the third batch runs ZF alone, and no fourth one runs.
+        calls = []
+        per_batch = {ReceiverKind.MRC: 100, ReceiverKind.ZF: 50}
+
+        def counts(config, kinds, seed, start, stop, quantized):
+            calls.append((kinds, start, stop))
+            return {kind: per_batch[kind] for kind in kinds}
+
+        monkeypatch.setattr(montecarlo, "_batch_counts", counts)
+        kinds = (ReceiverKind.MRC, ReceiverKind.ZF)
+        outcome = montecarlo._run_point(
+            SystemConfig(2, 4, 1.0), kinds, 7, 5 * BATCH_SIZE, 150, True
+        )
+        assert outcome == {ReceiverKind.MRC: (2_000, 200), ReceiverKind.ZF: (3_000, 150)}
+        assert calls == [
+            (kinds, 0, 1_000),
+            (kinds, 1_000, 2_000),
+            ((ReceiverKind.ZF,), 2_000, 3_000),
+        ]
+
+
+def floor_plans(user_counts, kinds, seed, max_trials, min_bit_errors):
+    """The fig2 preset's plans: QPSK at 30 dB with N = 8K, one per user count."""
+    return [
+        TrialPlan(
+            config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
+            kinds=kinds,
+            snr_db_grid=(30.0,),
+            max_trials=max_trials,
+            min_bit_errors=min_bit_errors,
+            seed=seed,
+        )
+        for k in user_counts
+    ]
 
 
 class TestErrorFloorSweep:
     def test_shape_and_operating_point(self):
-        records = error_floor_sweep(
-            [2], (ReceiverKind.MRC, ReceiverKind.BMRC), seed=3,
-            max_trials=2_000, min_bit_errors=50,
+        records = ber_sweep(
+            floor_plans([2], (ReceiverKind.MRC, ReceiverKind.BMRC), seed=3,
+                        max_trials=2_000, min_bit_errors=50)
         )
         assert len(records) == 2
         for record in records:
@@ -322,8 +360,8 @@ class TestErrorFloorSweep:
         kinds = (ReceiverKind.MRC, ReceiverKind.BMMSE)
         paths = {}
         for workers in (2, 1):
-            records = error_floor_sweep(
-                [1, 2, 3], kinds, seed=8, max_trials=1_500, min_bit_errors=0,
+            records = ber_sweep(
+                floor_plans([1, 2, 3], kinds, seed=8, max_trials=1_500, min_bit_errors=0),
                 workers=workers,
             )
             paths[workers] = tmp_path / f"w{workers}.csv"
