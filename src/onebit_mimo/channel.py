@@ -13,7 +13,11 @@ from .errors import UnsupportedModulationError
 
 
 def noise_power_from_snr_db(snr_db: float) -> float:
-    return 10.0 ** (-snr_db / 10.0)
+    """``10**(-snr_db/10)``; ``inf`` where that overflows a float."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,8 @@ class SystemConfig:
             )
         if not self.noise_power > 0:
             raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
+        if not np.isfinite(self.noise_power):
+            raise ValueError(f"noise_power must be finite, got {self.noise_power}")
         if self.modulation not in supported_modulations():
             raise UnsupportedModulationError(
                 f"unsupported modulation {self.modulation!r}"

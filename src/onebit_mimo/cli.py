@@ -60,6 +60,7 @@ _DEFAULTS = {
     "workers": 1,
     "format": "csv",
     "snr_step": 5.0,
+    "kinds": _ALL_KINDS,
 }
 
 
@@ -77,100 +78,77 @@ class RunSpec:
         return self.plans[0].seed
 
 
-#: Allowed values of the settings that take one of a fixed set, for flags and
-#: config-file keys alike.
-_CHOICES = {
-    "preset": tuple(sorted(PRESETS)),
-    "mod": supported_modulations(),
-    "format": ("csv", "json"),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
 def _build_parser() -> _Parser:
+    # An unset option stays out of the namespace: it holds just the settings given.
     parser = _Parser(
         prog="simulate",
         description="Monte Carlo BER simulation of linear receivers for "
         "uplink massive MIMO with one-bit ADCs.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--preset", choices=_CHOICES["preset"], default=None)
-    parser.add_argument("--config", metavar="FILE", default=None,
+    parser.add_argument("--preset", choices=sorted(PRESETS))
+    parser.add_argument("--config", metavar="FILE",
                         help="flat key=value file mirroring the flags")
-    parser.add_argument("--k", type=int, default=None, help="number of users")
-    parser.add_argument("--n", type=int, default=None, help="number of antennas")
-    parser.add_argument("--mod", choices=_CHOICES["mod"], default=None)
-    parser.add_argument("--snr-start", type=float, default=None, metavar="DB")
-    parser.add_argument("--snr-stop", type=float, default=None, metavar="DB")
-    parser.add_argument("--snr-step", type=float, default=None, metavar="DB")
-    parser.add_argument("--receivers", default=None,
-                        help="comma-separated receiver names, or 'all'")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--max-trials", type=int, default=None)
-    parser.add_argument("--min-bit-errors", type=int, default=None,
+    parser.add_argument("--k", type=int, help="number of users")
+    parser.add_argument("--n", type=int, help="number of antennas")
+    parser.add_argument("--mod", choices=supported_modulations())
+    parser.add_argument("--snr-start", type=float, metavar="DB")
+    parser.add_argument("--snr-stop", type=float, metavar="DB")
+    parser.add_argument("--snr-step", type=float, metavar="DB")
+    parser.add_argument("--receivers", help="comma-separated receiver names, or 'all'")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--max-trials", type=int)
+    parser.add_argument("--min-bit-errors", type=int,
                         help="early-stop error target per point (0 disables)")
-    parser.add_argument("--unquantized", action="store_true", default=None,
+    parser.add_argument("--unquantized", action="store_true",
                         help="bypass the one-bit quantizer (baseline mode)")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--format", choices=_CHOICES["format"], default=None)
-    parser.add_argument("--out", default=None, metavar="PATH")
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--out", metavar="PATH")
     return parser
 
 
 _BOOL_TOKENS = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
-_FILE_PARSERS = {
-    "preset": str,
-    "k": int,
-    "n": int,
-    "mod": str,
-    "snr-start": float,
-    "snr-stop": float,
-    "snr-step": float,
-    "receivers": str,
-    "seed": int,
-    "max-trials": int,
-    "min-bit-errors": int,
-    "unquantized": lambda s: _BOOL_TOKENS[s.lower()],
-    "workers": int,
-    "format": str,
-    "out": str,
-}
 
-
-def _read_config_file(path) -> dict:
-    values = {}
+def _read_config_file(parser: _Parser, path) -> dict:
+    """The settings of a flat ``key=value`` file, each parsed by its flag ``--key``."""
     try:
         with open(path) as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path}: {exc}") from exc
+    # Exact long option names only: argparse would also take an abbreviation.
+    keys = {option[2:] for action in parser._actions for option in action.option_strings
+            if option.startswith("--")} - {"config", "help"}
+    values = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"--config: {path}:{lineno}:"
         if "=" not in line:
-            raise UsageError(f"--config: {path}:{lineno}: expected key=value")
+            raise UsageError(f"{where} expected key=value")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key not in _FILE_PARSERS:
-            raise UsageError(f"--config: {path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise UsageError(f"{where} unknown key {key!r}")
+        if key == "unquantized":
+            # The one store_true flag takes no value, so a line names its state.
+            if text.lower() not in _BOOL_TOKENS:
+                raise UsageError(f"{where} bad value for unquantized: {text!r}")
+            values["unquantized"] = _BOOL_TOKENS[text.lower()]
+            continue
         try:
-            parsed = _FILE_PARSERS[key](text)
-        except (ValueError, KeyError) as exc:
-            raise UsageError(
-                f"--config: {path}:{lineno}: bad value for {key}: {text!r}"
-            ) from exc
-        if key in _CHOICES and parsed not in _CHOICES[key]:
-            raise UsageError(
-                f"--config: {path}:{lineno}: bad value for {key}: {text!r} "
-                f"(choose from {', '.join(_CHOICES[key])})"
-            )
-        values[key.replace("-", "_")] = parsed
+            values.update(vars(parser.parse_args([f"--{key}={text}"])))
+        except UsageError as exc:
+            raise UsageError(f"{where} {exc}") from exc
     return values
 
 
@@ -206,62 +184,44 @@ def _snr_grid(start, stop, step) -> tuple[float, ...]:
         raise UsageError(f"--snr-step must be > 0, got {step}")
     if stop < start:
         raise UsageError(f"--snr-stop {stop} is below --snr-start {start}")
-    count = int((stop - start) / step + 1e-9) + 1
-    return tuple(start + i * step for i in range(count))
-
-
-def _merged(name, cli_values, file_values, preset):
-    for source in (cli_values, file_values):
-        if source.get(name) is not None:
-            return source[name]
-    if preset is not None and name in preset:
-        return preset[name]
-    return _DEFAULTS.get(name)
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise UsageError(
+            f"--snr-stop: the grid from {start} to {stop} dB in {step} dB steps overflows"
+        )
+    return tuple(start + i * step for i in range(int(steps + 1e-9) + 1))
 
 
 def parse_run_spec(argv=None) -> RunSpec:
     """Parse flags (and the optional config file) into a validated RunSpec."""
-    args = _build_parser().parse_args(argv)
-    cli_values = vars(args)
-    file_values = _read_config_file(args.config) if args.config else {}
+    parser = _build_parser()
+    flag_values = vars(parser.parse_args(argv))
+    config_path = flag_values.pop("config", None)
+    file_values = {} if config_path is None else _read_config_file(parser, config_path)
+    given = {**file_values, **flag_values}
+    preset = PRESETS.get(given.get("preset"), {})
+    settings = {**_DEFAULTS, **preset, **file_values, **flag_values}
 
-    preset_name = cli_values.get("preset") or file_values.get("preset")
-    preset = PRESETS[preset_name] if preset_name else None
-
-    def value(name):
-        return _merged(name, cli_values, file_values, preset)
-
-    floor_mode = preset_name == "fig2"
+    floor_mode = given.get("preset") == "fig2"
     if floor_mode:
-        for flag in ("k", "n", "mod", "snr_start", "snr_stop", "snr_step"):
-            if cli_values.get(flag) is not None or file_values.get(flag) is not None:
-                raise UsageError(
-                    f"--{flag.replace('_', '-')}: fixed by the fig2 preset"
-                )
-        if value("unquantized"):
+        for name in ("k", "n", "mod", "snr_start", "snr_stop", "snr_step"):
+            if name in given:
+                raise UsageError(f"--{name.replace('_', '-')}: fixed by the fig2 preset")
+        if settings["unquantized"]:
             raise UsageError("--unquantized: error floors require the quantizer")
+        geometry = [(k, preset["antennas_per_user"] * k) for k in preset["user_counts"]]
 
-    users = value("k")
-    antennas = value("n")
-    modulation = value("mod")
-    if floor_mode:
-        snr_db_grid = preset["snr_db_grid"]
-        per_user = preset["antennas_per_user"]
-        geometry = [(k, per_user * k) for k in preset["user_counts"]]
-    elif preset is not None and all(
-        source.get(f) is None
-        for source in (cli_values, file_values)
-        for f in ("snr_start", "snr_stop", "snr_step")
-    ):
+    if preset and not given.keys() & {"snr_start", "snr_stop", "snr_step"}:
         snr_db_grid = preset["snr_db_grid"]
     else:
-        snr_db_grid = _snr_grid(value("snr_start"), value("snr_stop"), value("snr_step"))
+        snr_db_grid = _snr_grid(
+            settings.get("snr_start"), settings.get("snr_stop"), settings["snr_step"]
+        )
 
     if not floor_mode:
-        if users is None or antennas is None or modulation is None:
-            raise UsageError(
-                "--k, --n and --mod are required when no preset supplies them"
-            )
+        if not settings.keys() >= {"k", "n", "mod"}:
+            raise UsageError("--k, --n and --mod are required when no preset supplies them")
+        users, antennas = settings["k"], settings["n"]
         if users < 1:
             raise UsageError(f"--k: must be >= 1, got {users}")
         if antennas < users:
@@ -270,49 +230,49 @@ def parse_run_spec(argv=None) -> RunSpec:
             )
         geometry = [(users, antennas)]
 
-    explicit_receivers = _merged("receivers", cli_values, file_values, None)
-    if explicit_receivers is not None:
-        kinds = _parse_kinds(explicit_receivers)
-    elif preset is not None:
-        kinds = preset["kinds"]
-    else:
-        kinds = _ALL_KINDS
+    kinds = _parse_kinds(settings["receivers"]) if "receivers" in settings else settings["kinds"]
 
-    seed = value("seed")
+    seed = settings["seed"]
     if seed < 0 or seed >= 2**64:
         raise UsageError(f"--seed: must be an unsigned 64-bit integer, got {seed}")
-    max_trials = value("max_trials")
+    max_trials = settings["max_trials"]
     if max_trials < 1:
         raise UsageError(f"--max-trials: must be >= 1, got {max_trials}")
-    min_bit_errors = value("min_bit_errors")
+    min_bit_errors = settings["min_bit_errors"]
     if min_bit_errors < 0:
         raise UsageError(f"--min-bit-errors: must be >= 0, got {min_bit_errors}")
-    workers = value("workers")
+    workers = settings["workers"]
     if workers < 1:
         raise UsageError(f"--workers: must be >= 1, got {workers}")
-    out_format = value("format")
-    out_path = value("out")
-    if out_path is None:
-        out_path = f"results.{out_format}"
-    elif not out_path.strip():
+    out_format = settings["format"]
+    out_path = settings.get("out", f"results.{out_format}")
+    if not out_path.strip():
         raise UsageError("--out: empty output path")
 
     try:
+        configs = [
+            SystemConfig.from_snr_db(k, n, snr_db_grid[0], settings["mod"])
+            for k, n in geometry
+        ]
+    except ValueError as exc:
+        raise UsageError(f"--snr-start: {exc}") from exc
+    try:
         plans = tuple(
             TrialPlan(
-                config=SystemConfig.from_snr_db(k, n, snr_db_grid[0], modulation),
+                config=config,
                 kinds=kinds,
                 snr_db_grid=snr_db_grid,
                 max_trials=max_trials,
                 min_bit_errors=min_bit_errors,
                 seed=seed,
-                quantized=not value("unquantized"),
+                quantized=not settings["unquantized"],
             )
-            for k, n in geometry
+            for config in configs
         )
     except ValueError as exc:
-        # A first grid point whose noise power underflows to zero.
-        raise UsageError(f"--snr-start: {exc}") from exc
+        # Past a valid first point: the noise power falls as the SNR rises,
+        # so only the far end of the grid can underflow.
+        raise UsageError(f"--snr-stop: {exc}") from exc
     return RunSpec(plans=plans, workers=workers, out_format=out_format, out_path=out_path)
 
 

@@ -62,7 +62,8 @@ _CHUNK_ELEMENTS = 2**14
 class TrialPlan:
     """A BER-versus-SNR sweep specification.
 
-    ``config.noise_power`` is replaced per grid point from the SNR value;
+    ``config.noise_power`` is replaced per grid point from the SNR value, and
+    must come out finite and positive at every point;
     ``min_bit_errors = 0`` disables the early-stop target so every point
     runs exactly ``max_trials`` trials.
     """
@@ -84,6 +85,11 @@ class TrialPlan:
             )
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid must be nonempty")
+        for snr_db in self.snr_db_grid:
+            try:
+                replace(self.config, noise_power=noise_power_from_snr_db(snr_db))
+            except ValueError as exc:
+                raise ValueError(f"grid point {snr_db} dB: {exc}") from None
         if not self.kinds:
             raise ValueError("kinds must be nonempty")
         if len(set(self.kinds)) != len(self.kinds):

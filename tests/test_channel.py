@@ -24,6 +24,16 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="noise_power"):
             SystemConfig(users=1, antennas=1, noise_power=0.0)
 
+    @pytest.mark.parametrize("noise_power", [float("inf"), float("nan")])
+    def test_rejects_non_finite_noise(self, noise_power):
+        with pytest.raises(ValueError, match="noise_power"):
+            SystemConfig(2, 4, noise_power)
+
+    def test_overflowing_noise_power_is_inf(self):
+        assert noise_power_from_snr_db(-4000.0) == float("inf")
+        with pytest.raises(ValueError, match="finite"):
+            SystemConfig.from_snr_db(2, 4, -4000.0)
+
     def test_snr_round_trip(self):
         cfg = SystemConfig.from_snr_db(2, 8, 17.5)
         assert cfg.snr_db == pytest.approx(17.5)

@@ -1,7 +1,11 @@
 """Command-line parsing, presets, config-file precedence, and end-to-end runs."""
 
+import os
+import subprocess
+import sys
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,27 @@ from onebit_mimo.results import read_records
 
 def geometry(plan):
     return plan.config.users, plan.config.antennas, plan.config.modulation
+
+
+#: One representative, non-default value per config key.
+KEY_VALUES = {
+    "preset": "fig1b",
+    "k": "3",
+    "n": "8",
+    "mod": "16qam",
+    "snr-start": "-5",
+    "snr-stop": "20",
+    "snr-step": "2.5",
+    "receivers": "zf,bmmse",
+    "seed": "77",
+    "max-trials": "3000",
+    "min-bit-errors": "0",
+    "unquantized": "yes",
+    "workers": "2",
+    "format": "json",
+    "out": "o.json",
+}
+MANUAL_RUN = {"k": "2", "n": "4", "mod": "qpsk", "snr-start": "0", "snr-stop": "10"}
 
 
 class TestParseRunSpec:
@@ -124,6 +149,10 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="cannot read"):
             parse_run_spec(["--config", str(tmp_path / "nope.cfg")])
 
+    def test_empty_path_is_not_unset(self):
+        with pytest.raises(UsageError, match="cannot read"):
+            parse_run_spec(["--preset", "fig1a", "--config", ""])
+
     @pytest.mark.parametrize("line", ["mod=bpsk", "format=xml"])
     def test_value_outside_flag_choices(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -148,6 +177,56 @@ class TestConfigFile:
             ["--config", str(cfg), "--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0"]
         )
         assert not spec.plans[0].quantized
+
+    def test_table_covers_every_config_key(self):
+        options = {
+            option[2:]
+            for action in cli._build_parser()._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        assert set(KEY_VALUES) == options - {"config", "help"}
+
+    @pytest.mark.parametrize("key", sorted(KEY_VALUES))
+    def test_flag_and_config_line_agree(self, tmp_path, key):
+        value = KEY_VALUES[key]
+        # The rest of a manual run, less the key under test; a preset needs none.
+        rest = [] if key == "preset" else [
+            f"--{name}={text}" for name, text in MANUAL_RUN.items() if name != key
+        ]
+        flag = "--unquantized" if key == "unquantized" else f"--{key}={value}"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        from_flag = parse_run_spec([*rest, flag])
+        assert from_flag == parse_run_spec([*rest, "--config", str(cfg)])
+        manual = parse_run_spec([f"--{name}={text}" for name, text in MANUAL_RUN.items()])
+        assert from_flag != manual  # the value took effect
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("k=two", "invalid int value"),
+            ("workers=1.5", "invalid int value"),
+            ("snr-step=x", "invalid float value"),
+            ("unquantized=maybe", "bad value"),
+            ("rec=zf", "unknown key"),
+            ("config=other.cfg", "unknown key"),
+            ("help=", "unknown key"),
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"preset=fig1a\n{line}\n")
+        with pytest.raises(UsageError) as info:
+            parse_run_spec(["--config", str(cfg)])
+        assert str(info.value).startswith(f"--config: {cfg}:2: ")
+        assert message in str(info.value)
+
+    def test_abbreviation_is_a_flag_only(self):
+        # The same abbreviation the config file rejects as an unknown key.
+        (plan,) = parse_run_spec(["--preset", "fig1a", "--rec", "zf"]).plans
+        assert plan.kinds == (ReceiverKind.ZF,)
+
 
 
 class TestMain:
@@ -216,6 +295,30 @@ class TestMain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--snr-start=-4000"],
+            ["--snr-start=-1e308", "--snr-stop", "1e308"],
+            ["--snr-start", "0", "--snr-stop", "4000", "--snr-step", "4000"],
+        ],
+        ids=["noise-overflow", "span-overflow", "later-point-underflow"],
+    )
+    def test_snr_grid_without_noise_power_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_batch_counts", no_trials)
+        out = tmp_path / "r.csv"
+        code = main(["--k", "2", "--n", "4", "--mod", "qpsk", "--receivers", "zf",
+                     *flags, "--out", str(out)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("simulate: error: --snr-")
+        assert not out.exists()
+
     def test_end_to_end_small_run(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(
@@ -276,3 +379,36 @@ class TestMain:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestEntryPoint:
+    """``python -m onebit_mimo`` in a fresh interpreter."""
+
+    @staticmethod
+    def simulate(cwd, *args):
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "onebit_mimo", *args], cwd=cwd,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_small_run_writes_csv(self, tmp_path):
+        result = self.simulate(
+            tmp_path, "--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",
+            "--receivers", "zf", "--max-trials", "1000", "--min-bit-errors", "0",
+            "--out", "r.csv",
+        )
+        assert result.returncode == 0, result.stderr
+        (record,) = read_records(tmp_path / "r.csv")
+        assert (record.users, record.antennas, record.trials) == (2, 4, 1000)
+
+    def test_usage_error(self, tmp_path):
+        result = self.simulate(
+            tmp_path, "--k", "4", "--n", "2", "--mod", "qpsk", "--snr-start", "0"
+        )
+        assert result.returncode == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("simulate: error: --n:")
+        assert list(tmp_path.iterdir()) == []

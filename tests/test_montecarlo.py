@@ -200,6 +200,24 @@ class TestTrialPlan:
             )
 
 
+    @pytest.mark.parametrize(
+        "grid", [(0.0, 4000.0), (-4000.0, 0.0), (0.0, float("nan"))],
+        ids=["underflow", "overflow", "nan"],
+    )
+    def test_rejects_grid_point_without_noise_power(self, grid):
+        # Every point is checked, not only the one the config was built from.
+        cfg = SystemConfig.from_snr_db(2, 4, 0.0)
+        with pytest.raises(ValueError, match="noise_power"):
+            TrialPlan(
+                config=cfg,
+                kinds=(ReceiverKind.ZF,),
+                snr_db_grid=grid,
+                max_trials=10,
+                min_bit_errors=10,
+                seed=1,
+            )
+
+
 class TestBerRecord:
     def test_ber_and_validation(self):
         record = BerRecord(30.0, ReceiverKind.BMMSE, 2, 16, "qpsk", 10, 40, 4)
