@@ -20,6 +20,9 @@ from .receivers import ReceiverKind
 from .results import emit_results
 
 _ALL_KINDS = tuple(ReceiverKind)
+#: Most SNR grid points a run may ask for; checked before the grid is built,
+#: so a tiny --snr-step is refused instead of exhausting memory.
+_MAX_GRID_POINTS = 10**6
 _FIG_SNR_GRID = tuple(float(s) for s in range(-10, 31, 5))
 
 PRESETS = {
@@ -189,7 +192,13 @@ def _snr_grid(start, stop, step) -> tuple[float, ...]:
         raise UsageError(
             f"--snr-stop: the grid from {start} to {stop} dB in {step} dB steps overflows"
         )
-    return tuple(start + i * step for i in range(int(steps + 1e-9) + 1))
+    points = int(steps + 1e-9) + 1
+    if points > _MAX_GRID_POINTS:
+        raise UsageError(
+            f"--snr-step: {step} dB steps from {start} to {stop} dB make {points} "
+            f"grid points, more than {_MAX_GRID_POINTS}"
+        )
+    return tuple(start + i * step for i in range(points))
 
 
 def parse_run_spec(argv=None) -> RunSpec:

@@ -3,11 +3,14 @@
 One trial draws a fresh channel, payload bits, and noise, then evaluates
 every requested receiver on the same draw (paired comparison). Trials run in
 stacked chunks of ``max(1, _CHUNK_ELEMENTS // N**2)`` (64 at N=16, one at
-N=128): each trial draws from its own (seed, trial index) streams into
-``(B, N, K)`` channel, ``(B, K * bits per symbol)`` payload and ``(B, N)``
-noise arrays, and every later stage runs once per chunk; :func:`run_trial`
-is a chunk of one. A sweep runs a sequence of plans through one worker
-pool: Fig. 1 is one plan over an SNR grid, Fig. 2 one plan per user count.
+N=128): a batch derives the stream keys of all its trials in one pass and
+re-keys one generator per trial and purpose, so each trial draws exactly
+what its own (seed, trial index) streams draw, into ``(B, N, K)`` channel,
+``(B, K * bits per symbol)`` payload and ``(B, N)`` noise arrays; every
+later stage runs once per chunk. :func:`run_trial` is a chunk of one,
+drawn from :func:`~onebit_mimo.rng.trial_streams`. A sweep runs a sequence
+of plans through one worker pool: Fig. 1 is one plan over an SNR grid,
+Fig. 2 one plan per user count.
 Sweeps accumulate trials in fixed batches of ``BATCH_SIZE``; the stopping
 rule is evaluated only at batch boundaries, in batch-index order, so the
 recorded counts are byte-identical for any worker count or scheduling.
@@ -39,7 +42,7 @@ from .errors import DegenerateDenominatorError, RankDeficientError
 from .linalg import pin_one_blas_thread, single_blas_thread
 from .modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
 from .receivers import COVARIANCE_KINDS, SAME_COMBINER, ReceiverKind, build_combiner, detect_pipeline
-from .rng import TrialStreams, trial_streams
+from .rng import TrialStreams, rekeyed, trial_keys, trial_streams
 
 logger = logging.getLogger(__name__)
 
@@ -121,13 +124,16 @@ class BerRecord:
 
 
 def _trial_errors(config, kinds, streams, quantized):
-    """Per-kind bit-error counts, one per trial, for a sequence of trials'
-    streams, evaluated on stacked ``(B, N, K)`` draws."""
+    """Per-kind bit-error counts, one per trial, evaluated on stacked
+    ``(B, N, K)`` draws. ``streams`` holds the channel, payload and noise
+    generators of the B trials, one iterable per purpose, each drawn from
+    in full before the next."""
     constellation = make_constellation(config.modulation)
     payload_bits = config.users * constellation.bits_per_symbol
-    channel = np.stack([draw_channel(config, s.channel) for s in streams])
-    bits = np.stack([s.symbols.integers(0, 2, size=payload_bits) for s in streams])
-    noise = np.stack([draw_noise(config, s.noise) for s in streams])
+    channel_rngs, symbol_rngs, noise_rngs = streams
+    channel = np.stack([draw_channel(config, rng) for rng in channel_rngs])
+    bits = np.stack([rng.integers(0, 2, size=payload_bits) for rng in symbol_rngs])
+    noise = np.stack([draw_noise(config, rng) for rng in noise_rngs])
     symbols = map_bits_to_symbols(bits, constellation)
     received = transmit(channel, symbols, noise)
     observed = one_bit_quantize(received) if quantized else received
@@ -158,7 +164,7 @@ def run_trial(
     quantization-aware kinds. With ``quantized=False`` the pipeline runs on
     the analog receive vector (no-floor baseline).
     """
-    errors = _trial_errors(config, kinds, [streams], quantized)
+    errors = _trial_errors(config, kinds, [(rng,) for rng in streams], quantized)
     return {kind: int(count[0]) for kind, count in errors.items()}
 
 
@@ -183,12 +189,19 @@ def _redrawn_trial(config, kinds, seed, index, quantized):
 
 def _batch_counts(config, kinds, seed, start, stop, quantized):
     """Sum per-kind bit errors over trial indices [start, stop), chunk by
-    chunk; a chunk with a degenerate draw is rerun trial by trial."""
+    chunk; a chunk with a degenerate draw is rerun trial by trial.
+
+    The stream keys of the whole range are derived once, and one generator
+    is re-keyed to each trial's key per purpose."""
     totals = dict.fromkeys(kinds, 0)
     chunk = max(1, _CHUNK_ELEMENTS // config.antennas**2)
+    keys = trial_keys(seed, np.arange(start, stop, dtype=np.uint64))
+    # Its seed is never drawn from: each trial's key replaces the state.
+    generator = np.random.Generator(np.random.Philox(0))
     for first in range(start, stop, chunk):
         indices = range(first, min(first + chunk, stop))
-        streams = [trial_streams(seed, index, 0) for index in indices]
+        chunk_keys = keys[:, first - start : indices.stop - start]
+        streams = [rekeyed(generator, purpose_keys) for purpose_keys in chunk_keys]
         try:
             errors = _trial_errors(config, kinds, streams, quantized)
         except tuple(_DEGENERATE_DRAWS):

@@ -5,8 +5,18 @@ Each trial owns three independent counter-based streams keyed by
 channel, payload bits, and noise are fully determined by the seed and the
 trial index regardless of how trials are partitioned across workers, and
 a change in how much randomness one purpose consumes cannot shift another.
+
+A stream is a Philox generator at counter 0 whose 128-bit key is
+``SeedSequence((seed, trial index, purpose, redraw)).generate_state(2,
+np.uint64)``. :func:`trial_streams` builds one trial's three streams that
+way. :func:`trial_keys` derives the same keys for a whole batch of trials in
+one vectorized pass of the SeedSequence hash, and :func:`rekeyed` points one
+existing generator at each key in turn, so a batch draws exactly what the
+per-trial streams draw without building a SeedSequence or a generator per
+trial.
 """
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +27,19 @@ STREAM_VERSION = 1
 CHANNEL = 0
 SYMBOLS = 1
 NOISE = 2
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): uint32
+# arithmetic over a pool of 4 words, with constants that do not depend on
+# the entropy.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
 
 
 class TrialStreams(NamedTuple):
@@ -37,3 +60,85 @@ def trial_streams(seed: int, trial_index: int, redraw: int = 0) -> TrialStreams:
         symbols=_stream(seed, trial_index, SYMBOLS, redraw),
         noise=_stream(seed, trial_index, NOISE, redraw),
     )
+
+
+def _words(n: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: little-endian uint32 words,
+    one word for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_sequence_keys(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(words).generate_state(2, np.uint64)`` for every element
+    at once: ``entropy`` holds at least 4 entropy words, each a uint32 array
+    of one shape; returns that shape plus a trailing axis of 2 uint64
+    words."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def trial_keys(seed: int, indices, redraw: int = 0) -> np.ndarray:
+    """Philox keys of the streams of trials ``indices``: a ``(3, B, 2)``
+    uint64 array whose ``[purpose, j]`` row is the key ``trial_streams(seed,
+    indices[j], redraw)`` gives that purpose's generator."""
+    indices = np.asarray(indices, dtype=np.uint64)
+    low = (indices & _MASK32).astype(np.uint32)
+    high = (indices >> 32).astype(np.uint32)
+    purposes = np.array([[CHANNEL], [SYMBOLS], [NOISE]], dtype=np.uint32)
+    keys = np.empty((3, indices.size, 2), dtype=np.uint64)
+    # An index below 2**32 is one entropy word, a larger one two.
+    wide = high != 0
+    for part, index_words in ((~wide, [low]), (wide, [low, high])):
+        if part.any():
+            words = [*_words(seed), *(w[part] for w in index_words), purposes, *_words(redraw)]
+            entropy = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint32) for w in words))
+            keys[:, part] = _seed_sequence_keys(entropy)
+    return keys
+
+
+def rekeyed(generator: np.random.Generator, keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """Yield the Philox-backed ``generator`` set to each row of the ``(B, 2)``
+    uint64 ``keys`` in turn at counter 0, so each yield draws what
+    ``Generator(Philox(key=key))`` draws."""
+    for key in keys.tolist():
+        generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield generator

@@ -121,6 +121,11 @@ class TestParseRunSpec:
                  "--snr-start", "0", "--snr-stop", "10", "--snr-step", "0"]
             )
 
+    def test_grid_point_bound(self):
+        assert len(cli._snr_grid(0.0, 999_999.0, 1.0)) == cli._MAX_GRID_POINTS
+        with pytest.raises(UsageError, match="^--snr-step: .* 1000001 grid points"):
+            cli._snr_grid(0.0, 1_000_000.0, 1.0)
+
 
 class TestConfigFile:
     def test_file_supplies_values_cli_overrides(self, tmp_path):
@@ -317,6 +322,23 @@ class TestMain:
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("simulate: error: --snr-")
+        assert not out.exists()
+
+    def test_oversized_snr_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 3e12 points: the count is refused before any grid point is built.
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_batch_counts", no_trials)
+        out = tmp_path / "r.csv"
+        code = main(["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",
+                     "--snr-stop", "3000", "--snr-step", "1e-9", "--receivers", "zf",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "simulate: error: --snr-step: 1e-09 dB steps from 0.0 to 3000.0 dB make "
+            "3000000000001 grid points, more than 1000000\n"
+        )
         assert not out.exists()
 
     def test_end_to_end_small_run(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from onebit_mimo import montecarlo
 from onebit_mimo.bussgang import received_covariance
-from onebit_mimo.channel import SystemConfig, draw_channel
+from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, transmit
 from onebit_mimo.errors import DegenerateDenominatorError, RankDeficientError
 from onebit_mimo.montecarlo import (
     BATCH_SIZE,
@@ -20,9 +20,10 @@ from onebit_mimo.montecarlo import (
     sample_output_covariance,
     wilson_interval,
 )
+from onebit_mimo.modulation import map_bits_to_symbols
 from onebit_mimo.receivers import ReceiverKind, build_combiner
 from onebit_mimo.results import emit_results
-from onebit_mimo.rng import trial_streams
+from onebit_mimo.rng import CHANNEL, trial_keys, trial_streams
 
 
 def rayleigh_channel(rng, n, k):
@@ -81,6 +82,61 @@ class TestBatchedEngine:
         singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(50, 200)]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
 
+    def test_chunks_equal_single_trials_at_n128(self):
+        # One trial per chunk, across the index where a trial's key takes a
+        # second entropy word.
+        cfg = SystemConfig.from_snr_db(2, 128, 0.0, "qpsk")
+        kinds = tuple(ReceiverKind)
+        start, stop = 2**32 - 2, 2**32 + 1
+        totals = montecarlo._batch_counts(cfg, kinds, 17, start, stop, True)
+        singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(start, stop)]
+        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_bulk_keyed_draws_equal_trial_streams(self, monkeypatch, chunk):
+        # A batch that starts off 0 and ends in a partial chunk; the chunk
+        # size is _CHUNK_ELEMENTS // N**2.
+        cfg = SystemConfig.from_snr_db(3, 4, 10.0, "16qam")
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk * cfg.antennas**2)
+        stacks = []
+
+        def recording_transmit(channel, symbols, noise):
+            stacks.append((channel, noise))
+            return transmit(channel, symbols, noise)
+
+        bit_stacks = []
+
+        def recording_map(bits, constellation):
+            bit_stacks.append(bits)
+            return map_bits_to_symbols(bits, constellation)
+
+        monkeypatch.setattr(montecarlo, "transmit", recording_transmit)
+        monkeypatch.setattr(montecarlo, "map_bits_to_symbols", recording_map)
+        start, stop = 1003, 1003 + 2 * chunk + 1
+        montecarlo._batch_counts(cfg, (ReceiverKind.ZF,), 23, start, stop, True)
+
+        assert [len(channel) for channel, _ in stacks] == [chunk, chunk, 1]
+        streams = [trial_streams(23, i) for i in range(start, stop)]
+        channel = np.stack([draw_channel(cfg, s.channel) for s in streams])
+        bits = np.stack([s.symbols.integers(0, 2, size=3 * 4) for s in streams])
+        noise = np.stack([draw_noise(cfg, s.noise) for s in streams])
+        assert np.concatenate([c for c, _ in stacks]).tobytes() == channel.tobytes()
+        assert np.concatenate(bit_stacks).tobytes() == bits.tobytes()
+        assert np.concatenate([z for _, z in stacks]).tobytes() == noise.tobytes()
+
+    def test_clean_range_builds_no_per_trial_streams(self, monkeypatch):
+        cfg = SystemConfig.from_snr_db(2, 16, 10.0, "qpsk")
+        kinds = tuple(ReceiverKind)
+        singles = [run_trial(cfg, kinds, trial_streams(29, i)) for i in range(60, 140)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-trial stream was built")
+
+        monkeypatch.setattr(montecarlo, "trial_streams", forbidden)
+        monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+        totals = montecarlo._batch_counts(cfg, kinds, 29, 60, 140, True)
+        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+
     def test_one_build_per_distinct_combiner(self, monkeypatch):
         # WFQ's counts are AQNM-MMSE's: a chunk over all eight kinds builds
         # seven combiners, none of them for WFQ.
@@ -99,25 +155,41 @@ class TestBatchedEngine:
         assert totals[ReceiverKind.WFQ] == totals[ReceiverKind.AQNM_MMSE] > 0
 
 
+def _key(rng):
+    return tuple(rng.bit_generator.state["state"]["key"].tolist())
+
+
 @pytest.fixture
 def zero_channels(monkeypatch):
     """Give the draws of the (trial, redraw) pairs added to the returned set
-    a zero last channel column (for one user, an all-zero channel)."""
+    a zero last channel column (for one user, an all-zero channel).
+
+    A draw is marked by the key of its channel stream: a chunk takes its
+    trials' keys from ``trial_keys``, a redrawn trial its streams from
+    ``trial_streams``."""
     targets = set()
-    marked = []
+    marked = set()
+
+    def keys(seed, indices, redraw=0):
+        drawn = trial_keys(seed, indices, redraw)
+        for index, key in zip(indices, drawn[CHANNEL]):
+            if (int(index), redraw) in targets:
+                marked.add(tuple(key.tolist()))
+        return drawn
 
     def streams(seed, index, redraw=0):
         drawn = trial_streams(seed, index, redraw)
         if (index, redraw) in targets:
-            marked.append(drawn.channel)
+            marked.add(_key(drawn.channel))
         return drawn
 
     def channel(config, rng):
         h = draw_channel(config, rng)
-        if any(rng is m for m in marked):
+        if _key(rng) in marked:
             h[:, -1] = 0
         return h
 
+    monkeypatch.setattr(montecarlo, "trial_keys", keys)
     monkeypatch.setattr(montecarlo, "trial_streams", streams)
     monkeypatch.setattr(montecarlo, "draw_channel", channel)
     return targets

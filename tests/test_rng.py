@@ -1,0 +1,105 @@
+"""Stream keys derived in bulk against numpy's SeedSequence, and re-keyed
+generators against fresh per-trial streams."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onebit_mimo import rng
+from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, rekeyed, trial_keys, trial_streams
+
+U64_MAX = 2**64 - 1
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, U64_MAX)
+#: Index ranges on each side of 2**32, where an index takes a second
+#: entropy word, and across it.
+EDGE_RANGES = (
+    range(0, 4),
+    range(997, 1003),
+    range(2**32 - 3, 2**32 + 3),
+    range(2**64 - 3, 2**64),
+)
+
+
+def seed_sequence_keys(seed, indices, redraw):
+    """The oracle: numpy's SeedSequence, one trial and purpose at a time."""
+    return np.array(
+        [
+            [
+                np.random.SeedSequence((seed, index, purpose, redraw)).generate_state(
+                    2, np.uint64
+                )
+                for index in indices
+            ]
+            for purpose in (CHANNEL, SYMBOLS, NOISE)
+        ],
+        dtype=np.uint64,
+    ).reshape(3, len(indices), 2)
+
+
+def keys_match(seed, indices, redraw):
+    keys = trial_keys(seed, np.array(indices, dtype=np.uint64), redraw)
+    return keys.dtype == np.uint64 and np.array_equal(
+        keys, seed_sequence_keys(seed, indices, redraw)
+    )
+
+
+class TestTrialKeys:
+    @pytest.mark.parametrize("indices", EDGE_RANGES, ids=lambda r: f"{r.start}+{len(r)}")
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_cases_match_seed_sequence(self, seed, indices):
+        for redraw in range(8):
+            assert keys_match(seed, indices, redraw), redraw
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, U64_MAX),
+        start=st.integers(0, U64_MAX - 16),
+        length=st.integers(1, 16),
+        redraw=st.integers(0, 7),
+    )
+    def test_matches_seed_sequence(self, seed, start, length, redraw):
+        assert keys_match(seed, range(start, start + length), redraw)
+
+    def test_shape_and_empty_range(self):
+        assert trial_keys(5, np.arange(10, 17, dtype=np.uint64)).shape == (3, 7, 2)
+        assert trial_keys(5, np.arange(0, dtype=np.uint64)).shape == (3, 0, 2)
+
+    @pytest.mark.parametrize(
+        "name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R"]
+    )
+    def test_negative_control_wrong_constant(self, monkeypatch, name):
+        monkeypatch.setattr(rng, name, getattr(rng, name) ^ 1)
+        assert not keys_match(7, range(2**32 - 2, 2**32 + 2), 0)
+
+    @pytest.mark.parametrize("dropped", [0, 11, 15])
+    def test_negative_control_dropped_mix_round(self, monkeypatch, dropped):
+        # A two-word seed makes 5 entropy words: 12 pool rounds, then 4
+        # rounds for the fifth word.
+        calls = []
+        mix = rng._mix
+
+        def dropping_mix(x, y):
+            calls.append(None)
+            return x if len(calls) - 1 == dropped else mix(x, y)
+
+        monkeypatch.setattr(rng, "_mix", dropping_mix)
+        assert not keys_match(U64_MAX, range(5), 3)
+        assert len(calls) == 16
+
+
+class TestRekeyed:
+    def test_draws_what_fresh_streams_draw(self):
+        # Each purpose's draws of each trial, across the 2**32 index word
+        # boundary, from one generator re-keyed in turn.
+        seed, indices, redraw = 2**40 + 9, range(2**32 - 2, 2**32 + 2), 1
+        keys = trial_keys(seed, np.array(indices, dtype=np.uint64), redraw)
+        generator = np.random.Generator(np.random.Philox(0))
+        for purpose in (CHANNEL, SYMBOLS, NOISE):
+            fresh = [trial_streams(seed, index, redraw)[purpose] for index in indices]
+            for keyed, stream in zip(rekeyed(generator, keys[purpose]), fresh):
+                # These draws leave buffered words and a 32-bit half word
+                # behind, which re-keying for the next trial must drop.
+                assert keyed.standard_normal(9).tobytes() == stream.standard_normal(9).tobytes()
+                assert np.array_equal(keyed.integers(0, 2, size=5), stream.integers(0, 2, size=5))
+                assert keyed.random() == stream.random()
