@@ -86,8 +86,6 @@ def make_constellation(name: str) -> Constellation:
         )
     if key not in _CACHE:
         points, labels, code_map = _BUILDERS[key]()
-        if code_map is None:
-            code_map = np.arange(len(points), dtype=np.intp)
         _CACHE[key] = Constellation(
             name=key,
             points=points,

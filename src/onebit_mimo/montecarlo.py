@@ -9,11 +9,12 @@ what its own (seed, trial index) streams draw, into ``(B, N, K)`` channel,
 ``(B, K * bits per symbol)`` payload and ``(B, N)`` noise arrays; every
 later stage runs once per chunk. :func:`run_trial` is a chunk of one,
 drawn from :func:`~onebit_mimo.rng.trial_streams`. A sweep runs a sequence
-of plans through one worker pool: Fig. 1 is one plan over an SNR grid,
-Fig. 2 one plan per user count.
-Sweeps accumulate trials in fixed batches of ``BATCH_SIZE``; the stopping
-rule is evaluated only at batch boundaries, in batch-index order, so the
-recorded counts are byte-identical for any worker count or scheduling.
+of plans through one worker pool (Fig. 1 is one plan over an SNR grid, Fig. 2
+one plan per user count), one grid point, a (plan, SNR) pair, at a time:
+:func:`_point_records` turns a point into its records. A point accumulates
+trials in fixed batches of ``BATCH_SIZE``; the stopping rule is evaluated
+only at batch boundaries, in batch-index order, so the recorded counts are
+byte-identical for any worker count or scheduling.
 Workers can run ahead speculatively: a batch's per-receiver error counts
 depend only on (seed, trial index), never on which receivers are still
 accumulating. Every sweep runs one BLAS thread per process, in the pool
@@ -24,7 +25,7 @@ import contextlib
 import logging
 import math
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,64 +213,62 @@ def _batch_counts(config, kinds, seed, start, stop, quantized):
     return totals
 
 
-def _run_point(
-    config: SystemConfig,
-    kinds: tuple[ReceiverKind, ...],
-    seed: int,
-    max_trials: int,
-    min_bit_errors: int,
-    quantized: bool,
-    executor: Executor | None = None,
-    max_inflight: int = 1,
-) -> dict[ReceiverKind, tuple[int, int]]:
-    """Accumulate one grid point; returns kind -> (trials, bit_errors).
+def _point_records(plan: TrialPlan, snr_db: float, submit, max_inflight: int) -> list[BerRecord]:
+    """The records of one grid point, in ``plan.kinds`` order. Batches go to
+    ``submit(fn, *args)``, which returns a future, at most ``max_inflight`` at
+    a time.
 
     Each kind stops at the first batch boundary where its cumulative errors
-    reach ``min_bit_errors`` (if positive), else at ``max_trials``. Batch
-    results are folded strictly in batch-index order, so the outcome is
-    independent of execution order; parallel batches are dispatched with the
-    kinds still active as of the folded prefix, a superset of the kinds
-    canonically active at any later boundary.
+    reach ``plan.min_bit_errors`` (if positive), else at ``plan.max_trials``.
+    Batch results are folded strictly in batch-index order, so the records are
+    independent of execution order; batches are dispatched with the kinds
+    still active as of the folded prefix, a superset of the kinds canonically
+    active at any later boundary.
     """
-    n_batches = math.ceil(max_trials / BATCH_SIZE)
-    threshold = min_bit_errors if min_bit_errors > 0 else None
-    cumulative = dict.fromkeys(kinds, 0)
-    outcome: dict[ReceiverKind, tuple[int, int]] = {}
-    active = list(kinds)
-
-    def fold(batch_index, counts):
-        nonlocal active
-        boundary = min((batch_index + 1) * BATCH_SIZE, max_trials)
-        remaining = []
-        for kind in active:
-            cumulative[kind] += counts[kind]
-            done = threshold is not None and cumulative[kind] >= threshold
-            if done or boundary >= max_trials:
-                outcome[kind] = (boundary, cumulative[kind])
-            else:
-                remaining.append(kind)
-        active = remaining
-
-    def batch_args(index):
-        start = index * BATCH_SIZE
-        return config, tuple(active), seed, start, min(start + BATCH_SIZE, max_trials), quantized
-
-    submit = _run_now if executor is None else executor.submit
+    config = replace(plan.config, noise_power=noise_power_from_snr_db(snr_db))
+    n_batches = math.ceil(plan.max_trials / BATCH_SIZE)
+    trials = dict.fromkeys(plan.kinds, 0)
+    errors = dict.fromkeys(plan.kinds, 0)
+    active = list(plan.kinds)
     pending = {}
     ready = {}
     next_batch = prefix = 0
     while active:
         while len(pending) < max_inflight and next_batch < n_batches:
-            pending[submit(_batch_counts, *batch_args(next_batch))] = next_batch
+            start = next_batch * BATCH_SIZE
+            stop = min(start + BATCH_SIZE, plan.max_trials)
+            args = config, tuple(active), plan.seed, start, stop, plan.quantized
+            pending[submit(_batch_counts, *args)] = next_batch
             next_batch += 1
         # A batch run in this process is done on submit: only a pool waits.
         finished = [future for future in pending if future.done()]
         for future in finished or wait(pending, return_when=FIRST_COMPLETED).done:
             ready[pending.pop(future)] = future.result()
         while prefix in ready and active:
-            fold(prefix, ready.pop(prefix))
+            counts = ready.pop(prefix)
             prefix += 1
-    return outcome
+            boundary = min(prefix * BATCH_SIZE, plan.max_trials)
+            for kind in active:
+                trials[kind] = boundary
+                errors[kind] += counts[kind]
+            capped = boundary == plan.max_trials
+            active = [
+                kind for kind in active if not (capped or 0 < plan.min_bit_errors <= errors[kind])
+            ]
+    bits_per_trial = config.users * make_constellation(config.modulation).bits_per_symbol
+    return [
+        BerRecord(
+            snr_db=snr_db,
+            kind=kind,
+            users=config.users,
+            antennas=config.antennas,
+            modulation=config.modulation,
+            trials=trials[kind],
+            bits=trials[kind] * bits_per_trial,
+            bit_errors=errors[kind],
+        )
+        for kind in plan.kinds
+    ]
 
 
 def _run_now(fn, *args) -> Future:
@@ -281,73 +280,39 @@ def _run_now(fn, *args) -> Future:
 
 @contextlib.contextmanager
 def _sweep_executor(workers: int):
-    """One BLAS thread in this process and, for ``workers > 1``, a pool whose
-    workers each run one BLAS thread. On exit, also by exception, batches
-    still queued are cancelled instead of awaited."""
+    """Yield ``(submit, max_inflight)`` as :func:`ber_sweep` describes, with
+    one BLAS thread per process. On exit, also by exception, batches still
+    queued are cancelled instead of awaited."""
     with single_blas_thread():
-        executor = (
-            ProcessPoolExecutor(max_workers=workers, initializer=pin_one_blas_thread)
-            if workers > 1
-            else None
-        )
+        if workers == 1:
+            yield _run_now, 1
+            return
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=pin_one_blas_thread)
         try:
-            yield executor
+            yield executor.submit, 2 * workers
         finally:
-            if executor is not None:
-                executor.shutdown(cancel_futures=True)
-
-
-def _sweep_records(plan: TrialPlan, executor, max_inflight: int) -> list[BerRecord]:
-    """One record per (SNR, kind) of the plan; batches run on ``executor``,
-    or in this process when it is None."""
-    constellation = make_constellation(plan.config.modulation)
-    bits_per_trial = plan.config.users * constellation.bits_per_symbol
-    records = []
-    for snr_db in plan.snr_db_grid:
-        config = replace(plan.config, noise_power=noise_power_from_snr_db(snr_db))
-        point = _run_point(
-            config,
-            plan.kinds,
-            plan.seed,
-            plan.max_trials,
-            plan.min_bit_errors,
-            plan.quantized,
-            executor=executor,
-            max_inflight=max_inflight,
-        )
-        for kind in plan.kinds:
-            trials, bit_errors = point[kind]
-            records.append(
-                BerRecord(
-                    snr_db=snr_db,
-                    kind=kind,
-                    users=config.users,
-                    antennas=config.antennas,
-                    modulation=config.modulation,
-                    trials=trials,
-                    bits=trials * bits_per_trial,
-                    bit_errors=bit_errors,
-                )
-            )
-    return records
+            executor.shutdown(cancel_futures=True)
 
 
 def ber_sweep(plans: Sequence[TrialPlan], workers: int = 1) -> list[BerRecord]:
     """Run each plan over its SNR grid; one record per (SNR, kind), in plan
-    order.
+    order, each grid point's records in ``plan.kinds`` order.
 
     All plans share one pool of ``workers`` processes, which keeps
     ``2 * workers`` batches in flight; with one worker, batches run in this
     process one at a time. Trial randomness is keyed by (seed, trial index)
     only, so grid points share channel/bit draws (common random numbers) and
-    results do not depend on ``workers``.
+    results do not depend on ``workers``. A ``workers`` below 1 raises
+    ``ValueError``.
     """
-    max_inflight = 2 * workers if workers > 1 else 1
-    with _sweep_executor(workers) as executor:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    with _sweep_executor(workers) as (submit, max_inflight):
         return [
             record
             for plan in plans
-            for record in _sweep_records(plan, executor, max_inflight)
+            for snr_db in plan.snr_db_grid
+            for record in _point_records(plan, snr_db, submit, max_inflight)
         ]
 
 

@@ -18,7 +18,10 @@ CSV_HEADER = ("snr_db", "receiver", "k", "n", "modulation", "trials", "bits", "b
 
 
 def _format_snr(value: float) -> str:
-    return f"{value:g}"
+    # Six significant digits where they read back exactly, else the shortest
+    # string that does: two grid points never share a label.
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 def _format_ber(value: float) -> str:

@@ -49,11 +49,11 @@ def two_blas_threads():
 def test_sweep_runs_one_blas_thread(two_blas_threads, monkeypatch):
     seen = []
 
-    def recording_point(config, kinds, *args, **kwargs):
+    def recording_point(*args):
         seen.append(linalg.openblas_threads())
-        return {kind: (1, 0) for kind in kinds}
+        return []
 
-    monkeypatch.setattr(montecarlo, "_run_point", recording_point)
+    monkeypatch.setattr(montecarlo, "_point_records", recording_point)
     ber_sweep([small_plan()])
     floor_plans = [
         small_plan(config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
@@ -66,11 +66,11 @@ def test_sweep_runs_one_blas_thread(two_blas_threads, monkeypatch):
 
 
 def test_previous_counts_back_when_the_sweep_raises(two_blas_threads, monkeypatch):
-    def failing_point(*args, **kwargs):
+    def failing_point(*args):
         assert set(linalg.openblas_threads().values()) == {1}
         raise RankDeficientError("every draw rank-deficient")
 
-    monkeypatch.setattr(montecarlo, "_run_point", failing_point)
+    monkeypatch.setattr(montecarlo, "_point_records", failing_point)
     with pytest.raises(RankDeficientError):
         ber_sweep([small_plan()])
     assert linalg.openblas_threads() == two_blas_threads

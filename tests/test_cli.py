@@ -353,6 +353,18 @@ class TestMain:
         assert len(records) == 2
         assert all(r.trials == 1000 for r in records)
 
+    def test_close_grid_points_keep_distinct_labels(self, tmp_path, capsys):
+        # Six significant digits would label all three points "100".
+        out = tmp_path / "r.csv"
+        argv = ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "100",
+                "--snr-stop", "100.0002", "--snr-step", "0.0001", "--receivers", "zf",
+                "--max-trials", "10", "--min-bit-errors", "0", "--out", str(out)]
+        assert main(argv) == 0
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert len(set(labels)) == 3
+        (plan,) = parse_run_spec(argv).plans
+        assert [r.snr_db for r in read_records(out)] == list(plan.snr_db_grid)
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "r.csv"
         code = main(

@@ -358,6 +358,23 @@ class TestBerSweep:
         )
         assert low.ber >= high.ber - 3 * sigma
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_raises(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(montecarlo, "_batch_counts", lambda *args: calls.append(args))
+        monkeypatch.setattr(montecarlo, "single_blas_thread", lambda: calls.append("pin"))
+        plan = TrialPlan(
+            config=SystemConfig(2, 4, 1.0),
+            kinds=(ReceiverKind.ZF,),
+            snr_db_grid=(0.0,),
+            max_trials=1_000,
+            min_bit_errors=0,
+            seed=5,
+        )
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ber_sweep([plan], workers=workers)
+        assert calls == []
+
     def test_interrupted_sweep_cancels_queued_batches(self, monkeypatch):
         shutdowns = []
 
@@ -387,7 +404,7 @@ class TestBerSweep:
         assert shutdowns == [True]
 
 
-class TestRunPoint:
+class TestPointRecords:
     def test_in_process_runs_each_folded_batch_once(self, monkeypatch):
         # MRC reaches the error target after two batches and ZF after three,
         # of five: the third batch runs ZF alone, and no fourth one runs.
@@ -400,10 +417,20 @@ class TestRunPoint:
 
         monkeypatch.setattr(montecarlo, "_batch_counts", counts)
         kinds = (ReceiverKind.MRC, ReceiverKind.ZF)
-        outcome = montecarlo._run_point(
-            SystemConfig(2, 4, 1.0), kinds, 7, 5 * BATCH_SIZE, 150, True
+        plan = TrialPlan(
+            config=SystemConfig(2, 4, 1.0),
+            kinds=kinds,
+            snr_db_grid=(0.0,),
+            max_trials=5 * BATCH_SIZE,
+            min_bit_errors=150,
+            seed=7,
         )
-        assert outcome == {ReceiverKind.MRC: (2_000, 200), ReceiverKind.ZF: (3_000, 150)}
+        records = montecarlo._point_records(plan, 0.0, montecarlo._run_now, 1)
+        # QPSK: 2 users x 2 bits per trial.
+        assert [(r.kind, r.trials, r.bits, r.bit_errors) for r in records] == [
+            (ReceiverKind.MRC, 2_000, 2_000 * 2 * 2, 200),
+            (ReceiverKind.ZF, 3_000, 3_000 * 2 * 2, 150),
+        ]
         assert calls == [
             (kinds, 0, 1_000),
             (kinds, 1_000, 2_000),
