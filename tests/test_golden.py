@@ -16,6 +16,16 @@ was still a separate function, by
 
     simulate --preset fig2 --receivers mrc,bmrc --max-trials 2000 \
         --min-bit-errors 60 --seed 6 --out fig2-early-stop.csv
+
+``k2n16-early-stop-grid`` is one plan whose grid points stop at different
+batches: at -10 dB every kind stops at 1000 trials, at 10 dB MRC stops at
+1000, BMRC at 2000 and the rest at the 2500-trial cap, a partial last
+batch. It was written at commit 06959fd, while every grid point still ran
+as its own batches, by
+
+    simulate --k 2 --n 16 --mod qpsk --snr-start -10 --snr-stop 30 \
+        --snr-step 20 --receivers all --max-trials 2500 --min-bit-errors 15 \
+        --seed 9 --out k2n16-early-stop-grid.csv
 """
 
 import csv
@@ -69,6 +79,29 @@ def test_fig2_preset_with_early_stop(workers, tmp_path):
             "--min-bit-errors", "60", "--seed", "6", "--workers", workers]
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / "fig2-early-stop.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_grid_points_stopping_at_different_batches(workers, tmp_path):
+    golden = GOLDEN_DIR / "k2n16-early-stop-grid.csv"
+    with open(golden, newline="") as handle:
+        trials = {}
+        for row in csv.DictReader(handle):
+            trials.setdefault(float(row["snr_db"]), {})[row["receiver"]] = int(row["trials"])
+    # The spread the golden exists for: a point that stops at the first
+    # batch, a point whose slowest kind runs to the cap, and a point whose
+    # kinds stop at three different batches.
+    assert set(trials[-10.0].values()) == {1000}
+    assert max(trials[30.0].values()) == 2500
+    assert set(trials[10.0].values()) == {1000, 2000, 2500}
+
+    out = tmp_path / "grid.csv"
+    argv = ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "-10",
+            "--snr-stop", "30", "--snr-step", "20", "--receivers", "all",
+            "--max-trials", "2500", "--min-bit-errors", "15", "--seed", "9",
+            "--workers", workers]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_two_workers_match_one(tmp_path):
