@@ -60,18 +60,25 @@ def draw_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
+def draw_noise_direction(antennas: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``a + 1j * b`` with ``a``, ``b`` length-N standard normal: the
+    noise of every noise power, before its scale ``sqrt(N0 / 2)``."""
+    return rng.standard_normal(antennas) + 1j * rng.standard_normal(antennas)
+
+
 def draw_noise(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw a length-N complex AWGN vector of power ``config.noise_power``."""
-    n = config.antennas
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
-        config.noise_power / 2.0
-    )
+    return draw_noise_direction(config.antennas, rng) * np.sqrt(config.noise_power / 2.0)
 
 
-def transmit(channel: np.ndarray, symbols: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def transmit(
+    channel: np.ndarray, symbols: np.ndarray, noise: np.ndarray | None = None
+) -> np.ndarray:
     """Analog receive vector channel @ symbols + noise, for one trial
-    (``(N, K)``, ``(K,)``, ``(N,)``) or a stack of them."""
-    return (channel @ symbols[..., None])[..., 0] + noise
+    (``(N, K)``, ``(K,)``, ``(N,)``) or a stack of them; without ``noise``,
+    the noiseless channel @ symbols, to which any noise adds the same way."""
+    signal = (channel @ symbols[..., None])[..., 0]
+    return signal if noise is None else signal + noise
 
 
 def one_bit_quantize(signal: np.ndarray) -> np.ndarray:

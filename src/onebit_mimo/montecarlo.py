@@ -1,24 +1,35 @@
 """Monte Carlo trial execution, BER accumulation, and statistical diagnostics.
 
 One trial draws a fresh channel, payload bits, and noise, then evaluates
-every requested receiver on the same draw (paired comparison). Trials run in
-stacked chunks of ``max(1, _CHUNK_ELEMENTS // N**2)`` (64 at N=16, one at
-N=128): a batch derives the stream keys of all its trials in one pass and
-re-keys one generator per trial and purpose, so each trial draws exactly
-what its own (seed, trial index) streams draw, into ``(B, N, K)`` channel,
-``(B, K * bits per symbol)`` payload and ``(B, N)`` noise arrays; every
-later stage runs once per chunk. :func:`run_trial` is a chunk of one,
-drawn from :func:`~onebit_mimo.rng.trial_streams`. A sweep runs a sequence
-of plans through one worker pool (Fig. 1 is one plan over an SNR grid, Fig. 2
-one plan per user count), one grid point, a (plan, SNR) pair, at a time:
-:func:`_point_records` turns a point into its records. A point accumulates
-trials in fixed batches of ``BATCH_SIZE``; the stopping rule is evaluated
-only at batch boundaries, in batch-index order, so the recorded counts are
-byte-identical for any worker count or scheduling.
-Workers can run ahead speculatively: a batch's per-receiver error counts
-depend only on (seed, trial index), never on which receivers are still
-accumulating. Every sweep runs one BLAS thread per process, in the pool
-workers too, so ``workers`` is its only parallelism.
+every requested receiver on the same draw (paired comparison). The draws are
+keyed by (seed, trial index) only, so trial i has the same channel, payload
+and noise direction ``a + 1j * b`` at every SNR (common random numbers); a
+grid point changes only the noise scale ``sqrt(N0 / 2)``.
+
+A sweep runs a sequence of plans through one worker pool (Fig. 1 is one plan
+over an SNR grid, Fig. 2 one plan per user count), and :func:`_plan_records`
+turns a plan into its records. The unit of work is a batch: a plan's trials
+``[start, stop)``, ``BATCH_SIZE`` of them, run at the grid points and kinds
+still active. :func:`_batch_counts` walks a batch in stacked chunks of
+``max(1, _CHUNK_ELEMENTS // N**2)`` trials (64 at N=16, one at N=128). A
+batch derives the stream keys of all its trials in one pass and re-keys one
+generator per trial and purpose, so each trial draws exactly what its own
+(seed, trial index) streams draw, into ``(B, N, K)`` channel,
+``(B, K * bits per symbol)`` payload and ``(B, N)`` noise-direction arrays.
+The draws, ``H @ x`` and the combiners that do not depend on the noise power
+(MRC, ZF) are computed once per chunk; the receive vector, quantizer,
+Bussgang statistics, the other combiners and detection once per (chunk,
+grid point), one point after another, with the floating-point operations of
+a point evaluated alone. :func:`run_trial` is a chunk of one at one point,
+drawn from :func:`~onebit_mimo.rng.trial_streams`.
+
+Each (point, kind) stops at a batch boundary: its error target or the trial
+cap. Batch results are folded strictly in batch-index order, so the recorded
+counts are byte-identical for any worker count or scheduling. Workers can
+run ahead speculatively: a batch's error counts at a (point, kind) depend
+only on the seed, the trial indices and the SNR, never on which points and
+receivers are still accumulating. Every sweep runs one BLAS thread per
+process, in the pool workers too, so ``workers`` is its only parallelism.
 """
 
 import contextlib
@@ -34,7 +45,7 @@ from .bussgang import QuantizedStatistics
 from .channel import (
     SystemConfig,
     draw_channel,
-    draw_noise,
+    draw_noise_direction,
     noise_power_from_snr_db,
     one_bit_quantize,
     transmit,
@@ -42,7 +53,14 @@ from .channel import (
 from .errors import DegenerateDenominatorError, RankDeficientError
 from .linalg import pin_one_blas_thread, single_blas_thread
 from .modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
-from .receivers import COVARIANCE_KINDS, SAME_COMBINER, ReceiverKind, build_combiner, detect_pipeline
+from .receivers import (
+    COVARIANCE_KINDS,
+    NOISE_INDEPENDENT_KINDS,
+    SAME_COMBINER,
+    ReceiverKind,
+    build_combiner,
+    detect_pipeline,
+)
 from .rng import TrialStreams, rekeyed, trial_keys, trial_streams
 
 logger = logging.getLogger(__name__)
@@ -91,7 +109,7 @@ class TrialPlan:
             raise ValueError("snr_db_grid must be nonempty")
         for snr_db in self.snr_db_grid:
             try:
-                replace(self.config, noise_power=noise_power_from_snr_db(snr_db))
+                self.config_at(snr_db)
             except ValueError as exc:
                 raise ValueError(f"grid point {snr_db} dB: {exc}") from None
         if not self.kinds:
@@ -100,6 +118,10 @@ class TrialPlan:
             raise ValueError("kinds must be unique")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+
+    def config_at(self, snr_db: float) -> SystemConfig:
+        """``config`` with the noise power of the grid point ``snr_db``."""
+        return replace(self.config, noise_power=noise_power_from_snr_db(snr_db))
 
 
 @dataclass(frozen=True)
@@ -124,33 +146,49 @@ class BerRecord:
         return self.bit_errors / self.bits
 
 
-def _trial_errors(config, kinds, streams, quantized):
-    """Per-kind bit-error counts, one per trial, evaluated on stacked
-    ``(B, N, K)`` draws. ``streams`` holds the channel, payload and noise
-    generators of the B trials, one iterable per purpose, each drawn from
-    in full before the next."""
-    constellation = make_constellation(config.modulation)
-    payload_bits = config.users * constellation.bits_per_symbol
-    channel_rngs, symbol_rngs, noise_rngs = streams
-    channel = np.stack([draw_channel(config, rng) for rng in channel_rngs])
-    bits = np.stack([rng.integers(0, 2, size=payload_bits) for rng in symbol_rngs])
-    noise = np.stack([draw_noise(config, rng) for rng in noise_rngs])
-    symbols = map_bits_to_symbols(bits, constellation)
-    received = transmit(channel, symbols, noise)
-    observed = one_bit_quantize(received) if quantized else received
+class _ChunkDraws:
+    """The draws of a chunk of B trials, to be evaluated at any number of
+    grid points: ``(B, N, K)`` channels, ``(B, K * bits per symbol)`` payload
+    bits, ``(B, N)`` noiseless receive vectors ``H @ x`` and ``(B, N)`` noise
+    directions. ``streams`` holds the channel, payload and noise generators
+    of the B trials, one iterable per purpose, each drawn from in full before
+    the next."""
 
-    stats = None
-    if any(kind in COVARIANCE_KINDS for kind in kinds):
-        stats = QuantizedStatistics(channel, config.noise_power)
-
-    errors = {}
-    for kind in dict.fromkeys(SAME_COMBINER.get(kind, kind) for kind in kinds):
-        combiner = build_combiner(kind, channel, config.noise_power, stats=stats)
-        detected = detect_pipeline(observed, combiner, constellation)
-        errors[kind] = np.count_nonzero(
-            symbols_to_bits(detected, constellation) != bits, axis=-1
+    def __init__(self, config, streams):
+        self.constellation = make_constellation(config.modulation)
+        payload_bits = config.users * self.constellation.bits_per_symbol
+        channel_rngs, symbol_rngs, noise_rngs = streams
+        self.channel = np.stack([draw_channel(config, rng) for rng in channel_rngs])
+        self.bits = np.stack([rng.integers(0, 2, size=payload_bits) for rng in symbol_rngs])
+        self.noise = np.stack(
+            [draw_noise_direction(config.antennas, rng) for rng in noise_rngs]
         )
-    return {kind: errors[SAME_COMBINER.get(kind, kind)] for kind in kinds}
+        self.signal = transmit(self.channel, map_bits_to_symbols(self.bits, self.constellation))
+        # Built at the first point that needs them, then shared by the rest.
+        self._noise_independent = {}
+
+    def errors(self, noise_power, kinds, quantized):
+        """Per-kind bit-error counts, one per trial, at ``noise_power``; the
+        noise is ``draw_noise``'s, added as ``transmit`` adds it."""
+        received = self.signal + self.noise * np.sqrt(noise_power / 2.0)
+        observed = one_bit_quantize(received) if quantized else received
+
+        stats = None
+        if any(kind in COVARIANCE_KINDS for kind in kinds):
+            stats = QuantizedStatistics(self.channel, noise_power)
+
+        errors = {}
+        for kind in dict.fromkeys(SAME_COMBINER.get(kind, kind) for kind in kinds):
+            combiner = self._noise_independent.get(kind)
+            if combiner is None:
+                combiner = build_combiner(kind, self.channel, noise_power, stats=stats)
+                if kind in NOISE_INDEPENDENT_KINDS:
+                    self._noise_independent[kind] = combiner
+            detected = detect_pipeline(observed, combiner, self.constellation)
+            errors[kind] = np.count_nonzero(
+                symbols_to_bits(detected, self.constellation) != self.bits, axis=-1
+            )
+        return {kind: errors[SAME_COMBINER.get(kind, kind)] for kind in kinds}
 
 
 def run_trial(
@@ -165,7 +203,8 @@ def run_trial(
     quantization-aware kinds. With ``quantized=False`` the pipeline runs on
     the analog receive vector (no-floor baseline).
     """
-    errors = _trial_errors(config, kinds, [(rng,) for rng in streams], quantized)
+    draws = _ChunkDraws(config, [(rng,) for rng in streams])
+    errors = draws.errors(config.noise_power, kinds, quantized)
     return {kind: int(count[0]) for kind, count in errors.items()}
 
 
@@ -188,48 +227,60 @@ def _redrawn_trial(config, kinds, seed, index, quantized):
     )
 
 
-def _batch_counts(config, kinds, seed, start, stop, quantized):
-    """Sum per-kind bit errors over trial indices [start, stop), chunk by
-    chunk; a chunk with a degenerate draw is rerun trial by trial.
+def _batch_counts(plan: TrialPlan, points, start: int, stop: int):
+    """Per-kind bit errors summed over trial indices [start, stop) at each
+    grid point of ``points``, a map from an index into ``plan.snr_db_grid``
+    to the kinds counted there; returns ``{point: {kind: errors}}``.
 
     The stream keys of the whole range are derived once, and one generator
-    is re-keyed to each trial's key per purpose."""
-    totals = dict.fromkeys(kinds, 0)
-    chunk = max(1, _CHUNK_ELEMENTS // config.antennas**2)
-    keys = trial_keys(seed, np.arange(start, stop, dtype=np.uint64))
+    is re-keyed to each trial's key per purpose. Each chunk is drawn once and
+    evaluated at the points in turn; a (chunk, point) with a degenerate draw
+    is rerun trial by trial, each such trial redrawn at that point."""
+    configs = {point: plan.config_at(plan.snr_db_grid[point]) for point in points}
+    totals = {point: dict.fromkeys(kinds, 0) for point, kinds in points.items()}
+    chunk = max(1, _CHUNK_ELEMENTS // plan.config.antennas**2)
+    keys = trial_keys(plan.seed, np.arange(start, stop, dtype=np.uint64))
     # Its seed is never drawn from: each trial's key replaces the state.
     generator = np.random.Generator(np.random.Philox(0))
     for first in range(start, stop, chunk):
         indices = range(first, min(first + chunk, stop))
         chunk_keys = keys[:, first - start : indices.stop - start]
         streams = [rekeyed(generator, purpose_keys) for purpose_keys in chunk_keys]
-        try:
-            errors = _trial_errors(config, kinds, streams, quantized)
-        except tuple(_DEGENERATE_DRAWS):
-            singles = [_redrawn_trial(config, kinds, seed, i, quantized) for i in indices]
-            errors = {kind: [single[kind] for single in singles] for kind in kinds}
-        for kind in kinds:
-            totals[kind] += int(np.sum(errors[kind]))
+        draws = _ChunkDraws(plan.config, streams)
+        for point, kinds in points.items():
+            config = configs[point]
+            try:
+                errors = draws.errors(config.noise_power, kinds, plan.quantized)
+            except tuple(_DEGENERATE_DRAWS):
+                singles = [
+                    _redrawn_trial(config, kinds, plan.seed, i, plan.quantized) for i in indices
+                ]
+                errors = {kind: [single[kind] for single in singles] for kind in kinds}
+            for kind in kinds:
+                totals[point][kind] += int(np.sum(errors[kind]))
     return totals
 
 
-def _point_records(plan: TrialPlan, snr_db: float, submit, max_inflight: int) -> list[BerRecord]:
-    """The records of one grid point, in ``plan.kinds`` order. Batches go to
-    ``submit(fn, *args)``, which returns a future, at most ``max_inflight`` at
-    a time.
+def _plan_records(plan: TrialPlan, submit, max_inflight: int) -> list[BerRecord]:
+    """The records of one plan, in grid order, each grid point's in
+    ``plan.kinds`` order. Batches go to ``submit(fn, *args)``, which returns
+    a future, at most ``max_inflight`` at a time.
 
-    Each kind stops at the first batch boundary where its cumulative errors
-    reach ``plan.min_bit_errors`` (if positive), else at ``plan.max_trials``.
-    Batch results are folded strictly in batch-index order, so the records are
-    independent of execution order; batches are dispatched with the kinds
-    still active as of the folded prefix, a superset of the kinds canonically
-    active at any later boundary.
+    Each (point, kind) stops at the first batch boundary where its
+    cumulative errors reach ``plan.min_bit_errors`` (if positive), else at
+    ``plan.max_trials``; a point stops with its last kind. Batch results are
+    folded strictly in batch-index order, so the records are independent of
+    execution order; batches are dispatched with the points and kinds still
+    active as of the folded prefix, a superset of those canonically active
+    at any later boundary.
     """
-    config = replace(plan.config, noise_power=noise_power_from_snr_db(snr_db))
     n_batches = math.ceil(plan.max_trials / BATCH_SIZE)
-    trials = dict.fromkeys(plan.kinds, 0)
-    errors = dict.fromkeys(plan.kinds, 0)
-    active = list(plan.kinds)
+    grid = range(len(plan.snr_db_grid))
+    trials = [dict.fromkeys(plan.kinds, 0) for _ in grid]
+    errors = [dict.fromkeys(plan.kinds, 0) for _ in grid]
+    # Point -> its active kinds. Entries are replaced, never mutated, so the
+    # copy a batch is submitted with stays as it was.
+    active = dict.fromkeys(grid, plan.kinds)
     pending = {}
     ready = {}
     next_batch = prefix = 0
@@ -237,8 +288,7 @@ def _point_records(plan: TrialPlan, snr_db: float, submit, max_inflight: int) ->
         while len(pending) < max_inflight and next_batch < n_batches:
             start = next_batch * BATCH_SIZE
             stop = min(start + BATCH_SIZE, plan.max_trials)
-            args = config, tuple(active), plan.seed, start, stop, plan.quantized
-            pending[submit(_batch_counts, *args)] = next_batch
+            pending[submit(_batch_counts, plan, dict(active), start, stop)] = next_batch
             next_batch += 1
         # A batch run in this process is done on submit: only a pool waits.
         finished = [future for future in pending if future.done()]
@@ -248,13 +298,21 @@ def _point_records(plan: TrialPlan, snr_db: float, submit, max_inflight: int) ->
             counts = ready.pop(prefix)
             prefix += 1
             boundary = min(prefix * BATCH_SIZE, plan.max_trials)
-            for kind in active:
-                trials[kind] = boundary
-                errors[kind] += counts[kind]
             capped = boundary == plan.max_trials
-            active = [
-                kind for kind in active if not (capped or 0 < plan.min_bit_errors <= errors[kind])
-            ]
+            for point, kinds in list(active.items()):
+                for kind in kinds:
+                    trials[point][kind] = boundary
+                    errors[point][kind] += counts[point][kind]
+                kinds = tuple(
+                    kind
+                    for kind in kinds
+                    if not (capped or 0 < plan.min_bit_errors <= errors[point][kind])
+                )
+                if kinds:
+                    active[point] = kinds
+                else:
+                    del active[point]
+    config = plan.config
     bits_per_trial = config.users * make_constellation(config.modulation).bits_per_symbol
     return [
         BerRecord(
@@ -263,10 +321,11 @@ def _point_records(plan: TrialPlan, snr_db: float, submit, max_inflight: int) ->
             users=config.users,
             antennas=config.antennas,
             modulation=config.modulation,
-            trials=trials[kind],
-            bits=trials[kind] * bits_per_trial,
-            bit_errors=errors[kind],
+            trials=trials[point][kind],
+            bits=trials[point][kind] * bits_per_trial,
+            bit_errors=errors[point][kind],
         )
+        for point, snr_db in enumerate(plan.snr_db_grid)
         for kind in plan.kinds
     ]
 
@@ -308,12 +367,7 @@ def ber_sweep(plans: Sequence[TrialPlan], workers: int = 1) -> list[BerRecord]:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     with _sweep_executor(workers) as (submit, max_inflight):
-        return [
-            record
-            for plan in plans
-            for snr_db in plan.snr_db_grid
-            for record in _point_records(plan, snr_db, submit, max_inflight)
-        ]
+        return [record for plan in plans for record in _plan_records(plan, submit, max_inflight)]
 
 
 def _gaussian_received(channel, noise_power, samples, rng):
@@ -380,6 +434,10 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
     """Wilson score confidence interval for a binomial proportion."""
     if total <= 0:
         raise ValueError("total must be positive")
+    if not 0 <= successes <= total:
+        raise ValueError(
+            f"successes must lie in [0, total], got successes={successes}, total={total}"
+        )
     p = successes / total
     denom = 1.0 + z**2 / total
     center = (p + z**2 / (2 * total)) / denom

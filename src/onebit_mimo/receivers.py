@@ -49,6 +49,9 @@ class ReceiverKind(str, Enum):
 BUSSGANG_KINDS = frozenset({ReceiverKind.BMRC, ReceiverKind.BZF, ReceiverKind.BMMSE})
 #: Kinds whose construction needs the received covariance.
 COVARIANCE_KINDS = BUSSGANG_KINDS | {ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ}
+#: Kinds whose combiner does not depend on the noise power, so one build
+#: serves a channel draw at every grid point.
+NOISE_INDEPENDENT_KINDS = frozenset({ReceiverKind.MRC, ReceiverKind.ZF})
 #: Kinds whose combiner is another kind's, so one build and one detection
 #: serve both. WFQ's matrix kappa*R + alpha*diag(R) (Mezghani, Khoufi and
 #: Nossek, "A modified MMSE receiver for quantized MIMO systems", WSA 2007)

@@ -49,11 +49,11 @@ def two_blas_threads():
 def test_sweep_runs_one_blas_thread(two_blas_threads, monkeypatch):
     seen = []
 
-    def recording_point(*args):
+    def recording_batch(plan, points, start, stop):
         seen.append(linalg.openblas_threads())
-        return []
+        return {point: dict.fromkeys(kinds, 0) for point, kinds in points.items()}
 
-    monkeypatch.setattr(montecarlo, "_point_records", recording_point)
+    monkeypatch.setattr(montecarlo, "_batch_counts", recording_batch)
     ber_sweep([small_plan()])
     floor_plans = [
         small_plan(config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
@@ -66,11 +66,11 @@ def test_sweep_runs_one_blas_thread(two_blas_threads, monkeypatch):
 
 
 def test_previous_counts_back_when_the_sweep_raises(two_blas_threads, monkeypatch):
-    def failing_point(*args):
+    def failing_plan(*args):
         assert set(linalg.openblas_threads().values()) == {1}
         raise RankDeficientError("every draw rank-deficient")
 
-    monkeypatch.setattr(montecarlo, "_point_records", failing_point)
+    monkeypatch.setattr(montecarlo, "_plan_records", failing_plan)
     with pytest.raises(RankDeficientError):
         ber_sweep([small_plan()])
     assert linalg.openblas_threads() == two_blas_threads
@@ -124,7 +124,6 @@ def test_pinned_counts_equal_multithreaded_counts(two_blas_threads):
     # several BLAS threads equal those of the pinned sweep.
     config = SystemConfig.from_snr_db(16, 128, 30.0, "qpsk")
     kinds = tuple(ReceiverKind)
-    threaded = _batch_counts(config, kinds, 11, 0, 40, True)
     plan = TrialPlan(
         config=config,
         kinds=kinds,
@@ -133,6 +132,7 @@ def test_pinned_counts_equal_multithreaded_counts(two_blas_threads):
         min_bit_errors=0,
         seed=11,
     )
+    threaded = _batch_counts(plan, {0: kinds}, 0, 40)[0]
     pinned = {record.kind: record.bit_errors for record in ber_sweep([plan])}
     assert pinned == threaded
     assert any(threaded.values())

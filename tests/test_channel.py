@@ -9,6 +9,7 @@ from onebit_mimo.channel import (
     SystemConfig,
     draw_channel,
     draw_noise,
+    draw_noise_direction,
     noise_power_from_snr_db,
     one_bit_quantize,
     transmit,
@@ -94,6 +95,23 @@ class TestTransmit:
         stacked = transmit(h, x, z)
         for i in range(5):
             assert stacked[i].tobytes() == transmit(h[i], x[i], z[i]).tobytes()
+
+    def test_noise_adds_to_the_noiseless_signal(self):
+        # The noiseless signal is formed once and every noise power's noise
+        # added to it: the same bytes as transmitting with that noise.
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
+        x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        direction = np.stack([draw_noise_direction(6, rng) for _ in range(5)])
+        for n0 in (1e-3, 0.3, 10.0):
+            z = direction * np.sqrt(n0 / 2.0)
+            assert (transmit(h, x) + z).tobytes() == transmit(h, x, z).tobytes()
+
+    def test_noise_is_its_direction_scaled(self):
+        cfg = SystemConfig(2, 6, 0.3)
+        z = draw_noise(cfg, np.random.default_rng(5))
+        direction = draw_noise_direction(6, np.random.default_rng(5))
+        assert z.tobytes() == (direction * np.sqrt(0.3 / 2.0)).tobytes()
 
     def test_noise_power(self):
         rng = np.random.default_rng(12)

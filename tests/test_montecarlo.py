@@ -8,7 +8,7 @@ import pytest
 
 from onebit_mimo import montecarlo
 from onebit_mimo.bussgang import received_covariance
-from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, transmit
+from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, one_bit_quantize, transmit
 from onebit_mimo.errors import DegenerateDenominatorError, RankDeficientError
 from onebit_mimo.montecarlo import (
     BATCH_SIZE,
@@ -20,14 +20,53 @@ from onebit_mimo.montecarlo import (
     sample_output_covariance,
     wilson_interval,
 )
-from onebit_mimo.modulation import map_bits_to_symbols
-from onebit_mimo.receivers import ReceiverKind, build_combiner
+from onebit_mimo.modulation import make_constellation, map_bits_to_symbols
+from onebit_mimo.receivers import (
+    NOISE_INDEPENDENT_KINDS,
+    SAME_COMBINER,
+    ReceiverKind,
+    build_combiner,
+)
 from onebit_mimo.results import emit_results
 from onebit_mimo.rng import CHANNEL, trial_keys, trial_streams
 
 
 def rayleigh_channel(rng, n, k):
     return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
+
+
+def grid_plan(config, kinds, seed, grid, quantized=True):
+    """A plan for calling ``_batch_counts`` directly; its trial cap and
+    error target are not read there."""
+    return TrialPlan(config=config, kinds=kinds, snr_db_grid=grid, max_trials=1,
+                     min_bit_errors=0, seed=seed, quantized=quantized)
+
+
+def point_counts(config, kinds, seed, start, stop, quantized=True):
+    """``_batch_counts`` over [start, stop) at the one grid point of
+    ``config``'s SNR."""
+    plan = grid_plan(config, kinds, seed, (config.snr_db,), quantized)
+    assert plan.config_at(config.snr_db) == config  # the SNR names this N0 exactly
+    return montecarlo._batch_counts(plan, {0: kinds}, start, stop)[0]
+
+
+def oracle_counts(plan, start, stop, redrawn=frozenset()):
+    """Per-point, per-kind sums of single ``run_trial`` calls over [start,
+    stop), the trials in ``redrawn`` from their first redraw."""
+    totals = {}
+    for point, snr_db in enumerate(plan.snr_db_grid):
+        singles = [
+            run_trial(plan.config_at(snr_db), plan.kinds,
+                      trial_streams(plan.seed, i, int(i in redrawn)), plan.quantized)
+            for i in range(start, stop)
+        ]
+        totals[point] = {kind: sum(t[kind] for t in singles) for kind in plan.kinds}
+    return totals
+
+
+def every_point(plan):
+    """The ``points`` argument of ``_batch_counts``: every kind at every point."""
+    return dict.fromkeys(range(len(plan.snr_db_grid)), plan.kinds)
 
 
 class TestRunTrial:
@@ -78,7 +117,7 @@ class TestBatchedEngine:
         # 150 trials at N=16 span three 64-trial chunks, the last one partial.
         cfg = SystemConfig.from_snr_db(2, 16, 5.0, "16qam")
         kinds = tuple(ReceiverKind)
-        totals = montecarlo._batch_counts(cfg, kinds, 17, 50, 200, True)
+        totals = point_counts(cfg, kinds, 17, 50, 200)
         singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(50, 200)]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
 
@@ -88,7 +127,7 @@ class TestBatchedEngine:
         cfg = SystemConfig.from_snr_db(2, 128, 0.0, "qpsk")
         kinds = tuple(ReceiverKind)
         start, stop = 2**32 - 2, 2**32 + 1
-        totals = montecarlo._batch_counts(cfg, kinds, 17, start, stop, True)
+        totals = point_counts(cfg, kinds, 17, start, stop)
         singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(start, stop)]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
 
@@ -98,10 +137,12 @@ class TestBatchedEngine:
         # size is _CHUNK_ELEMENTS // N**2.
         cfg = SystemConfig.from_snr_db(3, 4, 10.0, "16qam")
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk * cfg.antennas**2)
+        # The noise reaches no stage alone, so the receive vectors the
+        # quantizer sees are compared with transmit(channel, symbols, noise).
         stacks = []
 
-        def recording_transmit(channel, symbols, noise):
-            stacks.append((channel, noise))
+        def recording_transmit(channel, symbols, noise=None):
+            stacks.append(channel)
             return transmit(channel, symbols, noise)
 
         bit_stacks = []
@@ -110,19 +151,27 @@ class TestBatchedEngine:
             bit_stacks.append(bits)
             return map_bits_to_symbols(bits, constellation)
 
+        received_stacks = []
+
+        def recording_quantize(received):
+            received_stacks.append(received)
+            return one_bit_quantize(received)
+
         monkeypatch.setattr(montecarlo, "transmit", recording_transmit)
         monkeypatch.setattr(montecarlo, "map_bits_to_symbols", recording_map)
+        monkeypatch.setattr(montecarlo, "one_bit_quantize", recording_quantize)
         start, stop = 1003, 1003 + 2 * chunk + 1
-        montecarlo._batch_counts(cfg, (ReceiverKind.ZF,), 23, start, stop, True)
+        point_counts(cfg, (ReceiverKind.ZF,), 23, start, stop)
 
-        assert [len(channel) for channel, _ in stacks] == [chunk, chunk, 1]
+        assert [len(channel) for channel in stacks] == [chunk, chunk, 1]
         streams = [trial_streams(23, i) for i in range(start, stop)]
         channel = np.stack([draw_channel(cfg, s.channel) for s in streams])
         bits = np.stack([s.symbols.integers(0, 2, size=3 * 4) for s in streams])
         noise = np.stack([draw_noise(cfg, s.noise) for s in streams])
-        assert np.concatenate([c for c, _ in stacks]).tobytes() == channel.tobytes()
+        received = transmit(channel, map_bits_to_symbols(bits, make_constellation("16qam")), noise)
+        assert np.concatenate(stacks).tobytes() == channel.tobytes()
         assert np.concatenate(bit_stacks).tobytes() == bits.tobytes()
-        assert np.concatenate([z for _, z in stacks]).tobytes() == noise.tobytes()
+        assert np.concatenate(received_stacks).tobytes() == received.tobytes()
 
     def test_clean_range_builds_no_per_trial_streams(self, monkeypatch):
         cfg = SystemConfig.from_snr_db(2, 16, 10.0, "qpsk")
@@ -134,7 +183,7 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(montecarlo, "trial_streams", forbidden)
         monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-        totals = montecarlo._batch_counts(cfg, kinds, 29, 60, 140, True)
+        totals = point_counts(cfg, kinds, 29, 60, 140)
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
 
     def test_one_build_per_distinct_combiner(self, monkeypatch):
@@ -149,10 +198,91 @@ class TestBatchedEngine:
         monkeypatch.setattr(montecarlo, "build_combiner", counting_build)
         cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
         chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
-        totals = montecarlo._batch_counts(cfg, tuple(ReceiverKind), 19, 0, chunk, True)
+        totals = point_counts(cfg, tuple(ReceiverKind), 19, 0, chunk)
         assert len(built) == 7
         assert ReceiverKind.WFQ not in built
         assert totals[ReceiverKind.WFQ] == totals[ReceiverKind.AQNM_MMSE] > 0
+
+
+class TestFoldedGrid:
+    """One draw per chunk, evaluated at every grid point of a batch."""
+
+    GRID = (-5.0, 5.0, 15.0)
+
+    @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "analog"])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_folded_counts_equal_single_trials_per_point(self, monkeypatch, chunk, quantized):
+        cfg = SystemConfig(2, 8, 1.0, "16qam")
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk * cfg.antennas**2)
+        plan = grid_plan(cfg, tuple(ReceiverKind), 31, self.GRID, quantized)
+        start, stop = 1003, 1003 + 2 * chunk + 1
+        totals = montecarlo._batch_counts(plan, every_point(plan), start, stop)
+        assert totals == oracle_counts(plan, start, stop)
+        assert all(any(counts.values()) for counts in totals.values())
+
+    def test_noise_of_another_point_fails_the_oracle(self, monkeypatch):
+        # Negative control: a fold that scales every point's noise with the
+        # first point's N0 is told apart by the per-point oracle.
+        cfg = SystemConfig(2, 8, 1.0, "16qam")
+        plan = grid_plan(cfg, tuple(ReceiverKind), 31, self.GRID)
+        first = plan.config_at(self.GRID[0]).noise_power
+        errors = montecarlo._ChunkDraws.errors
+
+        def stale_noise(draws, noise_power, kinds, quantized):
+            direction = draws.noise
+            draws.noise = direction * np.sqrt(first / noise_power)
+            try:
+                return errors(draws, noise_power, kinds, quantized)
+            finally:
+                draws.noise = direction
+
+        oracle = oracle_counts(plan, 0, 100)
+        assert montecarlo._batch_counts(plan, every_point(plan), 0, 100) == oracle
+        monkeypatch.setattr(montecarlo._ChunkDraws, "errors", stale_noise)
+        stale = montecarlo._batch_counts(plan, every_point(plan), 0, 100)
+        assert stale[0] == oracle[0]
+        assert stale[1] != oracle[1] and stale[2] != oracle[2]
+
+    def test_points_and_kinds_are_counted_as_given(self):
+        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        plan = grid_plan(cfg, (ReceiverKind.MRC, ReceiverKind.BMMSE), 5, self.GRID)
+        oracle = oracle_counts(plan, 0, 70)
+        points = {2: (ReceiverKind.BMMSE,), 0: plan.kinds}
+        totals = montecarlo._batch_counts(plan, points, 0, 70)
+        assert totals == {
+            2: {ReceiverKind.BMMSE: oracle[2][ReceiverKind.BMMSE]},
+            0: oracle[0],
+        }
+
+    def test_noise_independent_combiners_do_not_read_the_noise_power(self):
+        channel = rayleigh_channel(np.random.default_rng(4), 16, 2)
+        for kind in NOISE_INDEPENDENT_KINDS:
+            low, high = (build_combiner(kind, channel, n0) for n0 in (1e-3, 10.0))
+            assert low.matrix.tobytes() == high.matrix.tobytes()
+            assert low.eq_denominators.tobytes() == high.eq_denominators.tobytes()
+
+    @pytest.mark.parametrize("grid", [(0.0,), (-10.0, 0.0, 10.0, 20.0)])
+    def test_builds_per_chunk_and_per_point(self, monkeypatch, grid):
+        # MRC and ZF once per chunk whatever the grid length; every kind
+        # that reads the noise power once per (chunk, point); WFQ never.
+        built = []
+
+        def counting_build(kind, *args, **kwargs):
+            built.append(kind)
+            return build_combiner(kind, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "build_combiner", counting_build)
+        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
+        plan = grid_plan(cfg, tuple(ReceiverKind), 19, grid)
+        montecarlo._batch_counts(plan, every_point(plan), 0, 2 * chunk + 1)
+        chunks = 3
+        assert NOISE_INDEPENDENT_KINDS == {ReceiverKind.MRC, ReceiverKind.ZF}
+        assert {kind: built.count(kind) for kind in set(built)} == {
+            kind: chunks if kind in NOISE_INDEPENDENT_KINDS else chunks * len(grid)
+            for kind in ReceiverKind
+            if kind not in SAME_COMBINER
+        }
 
 
 def _key(rng):
@@ -198,14 +328,14 @@ def zero_channels(monkeypatch):
 class TestRankDeficientRedraw:
     # One user, so a zero column is a zero channel: ZF's Gram matrix is 0,
     # the jitter retry cannot rescue it, and ZF runs first.
-    CONFIG = SystemConfig(1, 4, 0.2)
+    CONFIG = SystemConfig.from_snr_db(1, 4, 7.0)
     KINDS = (ReceiverKind.ZF, ReceiverKind.MMSE, ReceiverKind.BMMSE)
 
     def test_redraw_in_the_middle_of_a_chunk(self, zero_channels, caplog):
         zero_channels.add((37, 0))
         assert montecarlo._CHUNK_ELEMENTS // 4**2 >= 100  # one chunk
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
+            totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
         singles = [
             run_trial(self.CONFIG, self.KINDS, trial_streams(21, i, int(i == 37)))
             for i in range(100)
@@ -218,19 +348,35 @@ class TestRankDeficientRedraw:
     def test_consecutive_rank_deficient_draws_raise(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
         with pytest.raises(RankDeficientError, match="consecutive"):
-            montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
+            point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
+
+    def test_each_grid_point_redraws_the_trial(self, zero_channels, caplog):
+        zero_channels.add((37, 0))
+        plan = grid_plan(self.CONFIG, self.KINDS, 21, (7.0, 20.0))
+        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
+            totals = montecarlo._batch_counts(plan, every_point(plan), 0, 100)
+        assert totals == oracle_counts(plan, 0, 100, redrawn={37})
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding rank-deficient draw at trial 37 (redraw 1)"
+        ] * 2
+
+    def test_consecutive_draws_raise_on_a_grid(self, zero_channels):
+        zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
+        plan = grid_plan(self.CONFIG, self.KINDS, 21, (7.0, 20.0))
+        with pytest.raises(RankDeficientError, match="consecutive"):
+            montecarlo._batch_counts(plan, every_point(plan), 0, 100)
 
 
 class TestZeroColumnRedraw:
     # Two users, one of them with a zero channel column: every kind's
     # equalization denominator for that user is zero.
-    CONFIG = SystemConfig(2, 16, 0.2)
+    CONFIG = SystemConfig.from_snr_db(2, 16, 7.0)
     KINDS = tuple(ReceiverKind)
 
     def test_zero_column_is_redrawn(self, zero_channels, caplog):
         zero_channels.add((37, 0))
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
+            totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
         singles = [
             run_trial(self.CONFIG, self.KINDS, trial_streams(21, i, int(i == 37)))
             for i in range(100)
@@ -243,7 +389,23 @@ class TestZeroColumnRedraw:
     def test_consecutive_zero_columns_raise(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
         with pytest.raises(DegenerateDenominatorError, match="consecutive"):
-            montecarlo._batch_counts(self.CONFIG, self.KINDS, 21, 0, 100, True)
+            point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
+
+    def test_each_grid_point_redraws_the_trial(self, zero_channels, caplog):
+        zero_channels.add((37, 0))
+        plan = grid_plan(self.CONFIG, self.KINDS, 21, (-3.0, 7.0))
+        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
+            totals = montecarlo._batch_counts(plan, every_point(plan), 0, 100)
+        assert totals == oracle_counts(plan, 0, 100, redrawn={37})
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding zero-denominator draw at trial 37 (redraw 1)"
+        ] * 2
+
+    def test_consecutive_draws_raise_on_a_grid(self, zero_channels):
+        zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
+        plan = grid_plan(self.CONFIG, self.KINDS, 21, (-3.0, 7.0))
+        with pytest.raises(DegenerateDenominatorError, match="consecutive"):
+            montecarlo._batch_counts(plan, every_point(plan), 0, 100)
 
 
 class TestTrialPlan:
@@ -404,16 +566,17 @@ class TestBerSweep:
         assert shutdowns == [True]
 
 
-class TestPointRecords:
+class TestPlanRecords:
     def test_in_process_runs_each_folded_batch_once(self, monkeypatch):
         # MRC reaches the error target after two batches and ZF after three,
         # of five: the third batch runs ZF alone, and no fourth one runs.
         calls = []
         per_batch = {ReceiverKind.MRC: 100, ReceiverKind.ZF: 50}
 
-        def counts(config, kinds, seed, start, stop, quantized):
-            calls.append((kinds, start, stop))
-            return {kind: per_batch[kind] for kind in kinds}
+        def counts(plan, points, start, stop):
+            calls.append((points[0], start, stop))
+            return {point: {kind: per_batch[kind] for kind in kinds}
+                    for point, kinds in points.items()}
 
         monkeypatch.setattr(montecarlo, "_batch_counts", counts)
         kinds = (ReceiverKind.MRC, ReceiverKind.ZF)
@@ -425,7 +588,7 @@ class TestPointRecords:
             min_bit_errors=150,
             seed=7,
         )
-        records = montecarlo._point_records(plan, 0.0, montecarlo._run_now, 1)
+        records = montecarlo._plan_records(plan, montecarlo._run_now, 1)
         # QPSK: 2 users x 2 bits per trial.
         assert [(r.kind, r.trials, r.bits, r.bit_errors) for r in records] == [
             (ReceiverKind.MRC, 2_000, 2_000 * 2 * 2, 200),
@@ -435,6 +598,49 @@ class TestPointRecords:
             (kinds, 0, 1_000),
             (kinds, 1_000, 2_000),
             ((ReceiverKind.ZF,), 2_000, 3_000),
+        ]
+
+    def test_stopped_points_drop_out_of_later_batches(self, monkeypatch):
+        # At -10 dB both kinds reach the target in the first batch; at 0 dB
+        # MRC stops after two batches and ZF after three; at 10 dB nothing
+        # errs and the point runs to the cap, whose last batch is partial.
+        per_batch = [
+            {ReceiverKind.MRC: 500, ReceiverKind.ZF: 500},
+            {ReceiverKind.MRC: 100, ReceiverKind.ZF: 50},
+            {ReceiverKind.MRC: 0, ReceiverKind.ZF: 0},
+        ]
+        calls = []
+
+        def counts(plan, points, start, stop):
+            calls.append((points, start, stop))
+            return {point: {kind: per_batch[point][kind] for kind in kinds}
+                    for point, kinds in points.items()}
+
+        monkeypatch.setattr(montecarlo, "_batch_counts", counts)
+        kinds = (ReceiverKind.MRC, ReceiverKind.ZF)
+        plan = TrialPlan(
+            config=SystemConfig(2, 4, 1.0),
+            kinds=kinds,
+            snr_db_grid=(-10.0, 0.0, 10.0),
+            max_trials=4_500,
+            min_bit_errors=150,
+            seed=7,
+        )
+        records = montecarlo._plan_records(plan, montecarlo._run_now, 1)
+        assert [(r.snr_db, r.kind, r.trials, r.bit_errors) for r in records] == [
+            (-10.0, ReceiverKind.MRC, 1_000, 500),
+            (-10.0, ReceiverKind.ZF, 1_000, 500),
+            (0.0, ReceiverKind.MRC, 2_000, 200),
+            (0.0, ReceiverKind.ZF, 3_000, 150),
+            (10.0, ReceiverKind.MRC, 4_500, 0),
+            (10.0, ReceiverKind.ZF, 4_500, 0),
+        ]
+        assert calls == [
+            ({0: kinds, 1: kinds, 2: kinds}, 0, 1_000),
+            ({1: kinds, 2: kinds}, 1_000, 2_000),
+            ({1: (ReceiverKind.ZF,), 2: kinds}, 2_000, 3_000),
+            ({2: kinds}, 3_000, 4_000),
+            ({2: kinds}, 4_000, 4_500),
         ]
 
 
@@ -566,3 +772,12 @@ class TestWilsonInterval:
         lo, hi = wilson_interval(0, 1000)
         assert lo == 0.0
         assert hi > 0
+
+    @pytest.mark.parametrize("successes", [5, -1])
+    def test_rejects_successes_outside_the_total(self, successes):
+        with pytest.raises(ValueError, match=rf"successes={successes}, total=3\b"):
+            wilson_interval(successes, 3)
+
+    def test_bounds_of_the_range_are_accepted(self):
+        assert wilson_interval(3, 3)[1] == 1.0
+        assert wilson_interval(0, 3)[0] == 0.0
