@@ -47,6 +47,6 @@ from .receivers import (
     rescale,
 )
 from .results import emit_results, read_records
-from .rng import TrialStreams, trial_streams
+from .rng import trial_streams
 
 __version__ = "0.1.0"

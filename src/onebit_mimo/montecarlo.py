@@ -12,16 +12,16 @@ turns a plan into its records. The unit of work is a batch: a plan's trials
 ``[start, stop)``, ``BATCH_SIZE`` of them, run at the grid points and kinds
 still active. :func:`_batch_counts` walks a batch in stacked chunks of
 ``max(1, _CHUNK_ELEMENTS // N**2)`` trials (64 at N=16, one at N=128). A
-batch derives the stream keys of all its trials in one pass and re-keys one
-generator per trial and purpose, so each trial draws exactly what its own
-(seed, trial index) streams draw, into ``(B, N, K)`` channel,
+batch takes the streams of all its trials from one
+:func:`~onebit_mimo.rng.trial_streams` call, which keys them in one pass,
+and each chunk draws its trials from them into ``(B, N, K)`` channel,
 ``(B, K * bits per symbol)`` payload and ``(B, N)`` noise-direction arrays.
 The draws, ``H @ x`` and the combiners that do not depend on the noise power
 (MRC, ZF) are computed once per chunk; the receive vector, quantizer,
 Bussgang statistics, the other combiners and detection once per (chunk,
 grid point), one point after another, with the floating-point operations of
 a point evaluated alone. :func:`run_trial` is a chunk of one at one point,
-drawn from :func:`~onebit_mimo.rng.trial_streams`.
+which redraws a degenerate trial from its streams at the next ``redraw``.
 
 Each (point, kind) stops at a batch boundary: its error target or the trial
 cap. Batch results are folded strictly in batch-index order, so the recorded
@@ -33,6 +33,7 @@ process, in the pool workers too, so ``workers`` is its only parallelism.
 """
 
 import contextlib
+import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -61,7 +62,7 @@ from .receivers import (
     build_combiner,
     detect_pipeline,
 )
-from .rng import TrialStreams, rekeyed, trial_keys, trial_streams
+from .rng import trial_streams
 
 logger = logging.getLogger(__name__)
 
@@ -151,8 +152,8 @@ class _ChunkDraws:
     grid points: ``(B, N, K)`` channels, ``(B, K * bits per symbol)`` payload
     bits, ``(B, N)`` noiseless receive vectors ``H @ x`` and ``(B, N)`` noise
     directions. ``streams`` holds the channel, payload and noise generators
-    of the B trials, one iterable per purpose, each drawn from in full before
-    the next."""
+    of the B trials, one iterable per purpose, as
+    :func:`~onebit_mimo.rng.trial_streams` yields them."""
 
     def __init__(self, config, streams):
         self.constellation = make_constellation(config.modulation)
@@ -194,32 +195,37 @@ class _ChunkDraws:
 def run_trial(
     config: SystemConfig,
     kinds: tuple[ReceiverKind, ...],
-    streams: TrialStreams,
+    streams,
     quantized: bool = True,
 ) -> dict[ReceiverKind, int]:
-    """One trial: per-kind bit-error counts on a shared (H, x, z) draw.
+    """One trial: per-kind bit-error counts on a shared (H, x, z) draw from
+    ``streams``, what ``trial_streams(seed, [index], redraw)`` returns.
 
     Channel statistics are computed once and shared across the
     quantization-aware kinds. With ``quantized=False`` the pipeline runs on
     the analog receive vector (no-floor baseline).
     """
-    draws = _ChunkDraws(config, [(rng,) for rng in streams])
+    draws = _ChunkDraws(config, streams)
     errors = draws.errors(config.noise_power, kinds, quantized)
     return {kind: int(count[0]) for kind, count in errors.items()}
 
 
-def _redrawn_trial(config, kinds, seed, index, quantized):
-    """One trial alone, redrawn while its draw is degenerate."""
+def _redrawn_trial(plan, snr_db, kinds, index):
+    """Trial ``index`` alone at the grid point ``snr_db``, redrawn while its
+    draw is degenerate."""
+    config = plan.config_at(snr_db)
     for redraw in range(_MAX_REDRAWS):
         try:
-            return run_trial(config, kinds, trial_streams(seed, index, redraw), quantized)
+            streams = trial_streams(plan.seed, [index], redraw)
+            return run_trial(config, kinds, streams, plan.quantized)
         except tuple(_DEGENERATE_DRAWS) as exc:
             fault = type(exc)
             logger.warning(
-                "discarding %s draw at trial %d (redraw %d)",
+                "discarding %s draw at trial %d (redraw %d) at %g dB",
                 _DEGENERATE_DRAWS[fault],
                 index,
                 redraw + 1,
+                snr_db,
             )
     raise fault(
         f"trial {index}: {_MAX_REDRAWS} consecutive degenerate draws, "
@@ -232,29 +238,23 @@ def _batch_counts(plan: TrialPlan, points, start: int, stop: int):
     grid point of ``points``, a map from an index into ``plan.snr_db_grid``
     to the kinds counted there; returns ``{point: {kind: errors}}``.
 
-    The stream keys of the whole range are derived once, and one generator
-    is re-keyed to each trial's key per purpose. Each chunk is drawn once and
-    evaluated at the points in turn; a (chunk, point) with a degenerate draw
-    is rerun trial by trial, each such trial redrawn at that point."""
+    The streams of the whole range are keyed in one ``trial_streams`` call.
+    Each chunk is drawn from them once and evaluated at the points in turn; a
+    (chunk, point) with a degenerate draw is rerun trial by trial, each such
+    trial redrawn at that point."""
     configs = {point: plan.config_at(plan.snr_db_grid[point]) for point in points}
     totals = {point: dict.fromkeys(kinds, 0) for point, kinds in points.items()}
     chunk = max(1, _CHUNK_ELEMENTS // plan.config.antennas**2)
-    keys = trial_keys(plan.seed, np.arange(start, stop, dtype=np.uint64))
-    # Its seed is never drawn from: each trial's key replaces the state.
-    generator = np.random.Generator(np.random.Philox(0))
+    streams = trial_streams(plan.seed, range(start, stop))
     for first in range(start, stop, chunk):
         indices = range(first, min(first + chunk, stop))
-        chunk_keys = keys[:, first - start : indices.stop - start]
-        streams = [rekeyed(generator, purpose_keys) for purpose_keys in chunk_keys]
-        draws = _ChunkDraws(plan.config, streams)
+        draws = _ChunkDraws(plan.config, [itertools.islice(s, len(indices)) for s in streams])
         for point, kinds in points.items():
-            config = configs[point]
             try:
-                errors = draws.errors(config.noise_power, kinds, plan.quantized)
+                errors = draws.errors(configs[point].noise_power, kinds, plan.quantized)
             except tuple(_DEGENERATE_DRAWS):
-                singles = [
-                    _redrawn_trial(config, kinds, plan.seed, i, plan.quantized) for i in indices
-                ]
+                snr_db = plan.snr_db_grid[point]
+                singles = [_redrawn_trial(plan, snr_db, kinds, i) for i in indices]
                 errors = {kind: [single[kind] for single in singles] for kind in kinds}
             for kind in kinds:
                 totals[point][kind] += int(np.sum(errors[kind]))

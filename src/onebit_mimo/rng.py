@@ -8,16 +8,15 @@ a change in how much randomness one purpose consumes cannot shift another.
 
 A stream is a Philox generator at counter 0 whose 128-bit key is
 ``SeedSequence((seed, trial index, purpose, redraw)).generate_state(2,
-np.uint64)``. :func:`trial_streams` builds one trial's three streams that
-way. :func:`trial_keys` derives the same keys for a whole batch of trials in
-one vectorized pass of the SeedSequence hash, and :func:`rekeyed` points one
-existing generator at each key in turn, so a batch draws exactly what the
-per-trial streams draw without building a SeedSequence or a generator per
-trial.
+np.uint64)``. :func:`trial_keys` derives those keys for any number of trials
+in one vectorized pass of the SeedSequence hash, and :func:`trial_streams`
+hands out the streams: per purpose, one Philox generator re-keyed to each
+trial's key in turn, so each trial draws exactly what its own
+``Generator(Philox(key))`` draws without building a SeedSequence or a
+generator per trial.
 """
 
 from collections.abc import Iterator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,26 +39,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-
-
-class TrialStreams(NamedTuple):
-    channel: np.random.Generator
-    symbols: np.random.Generator
-    noise: np.random.Generator
-
-
-def _stream(seed: int, trial_index: int, purpose: int, redraw: int):
-    key = np.random.SeedSequence((seed, trial_index, purpose, redraw))
-    return np.random.Generator(np.random.Philox(key))
-
-
-def trial_streams(seed: int, trial_index: int, redraw: int = 0) -> TrialStreams:
-    """Streams for one trial; bump ``redraw`` to redraw a discarded trial."""
-    return TrialStreams(
-        channel=_stream(seed, trial_index, CHANNEL, redraw),
-        symbols=_stream(seed, trial_index, SYMBOLS, redraw),
-        noise=_stream(seed, trial_index, NOISE, redraw),
-    )
 
 
 def _words(n: int) -> list[int]:
@@ -111,9 +90,14 @@ def _seed_sequence_keys(entropy: list[np.ndarray]) -> np.ndarray:
 
 def trial_keys(seed: int, indices, redraw: int = 0) -> np.ndarray:
     """Philox keys of the streams of trials ``indices``: a ``(3, B, 2)``
-    uint64 array whose ``[purpose, j]`` row is the key ``trial_streams(seed,
-    indices[j], redraw)`` gives that purpose's generator."""
-    indices = np.asarray(indices, dtype=np.uint64)
+    uint64 array whose ``[purpose, j]`` row is the key of that purpose's
+    stream of trial ``indices[j]``. A negative seed, index or redraw raises
+    ``ValueError``, as ``SeedSequence`` does."""
+    indices = np.asarray(indices)
+    bad_index = indices.size and (indices.dtype.kind not in "ui" or indices.min() < 0)
+    if seed < 0 or redraw < 0 or bad_index:
+        raise ValueError("seed, trial indices and redraw must be nonnegative integers")
+    indices = indices.astype(np.uint64)
     low = (indices & _MASK32).astype(np.uint32)
     high = (indices >> 32).astype(np.uint32)
     purposes = np.array([[CHANNEL], [SYMBOLS], [NOISE]], dtype=np.uint32)
@@ -128,10 +112,12 @@ def trial_keys(seed: int, indices, redraw: int = 0) -> np.ndarray:
     return keys
 
 
-def rekeyed(generator: np.random.Generator, keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """Yield the Philox-backed ``generator`` set to each row of the ``(B, 2)``
-    uint64 ``keys`` in turn at counter 0, so each yield draws what
+def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """Yield one Philox-backed generator set to each row of the ``(B, 2)``
+    uint64 ``keys`` in turn at counter 0: each yield draws what
     ``Generator(Philox(key=key))`` draws."""
+    # Its seed is never drawn from: each key replaces the state.
+    generator = np.random.Generator(np.random.Philox(0))
     for key in keys.tolist():
         generator.bit_generator.state = {
             "bit_generator": "Philox",
@@ -142,3 +128,12 @@ def rekeyed(generator: np.random.Generator, keys: np.ndarray) -> Iterator[np.ran
             "uinteger": 0,
         }
         yield generator
+
+
+def trial_streams(seed: int, indices, redraw: int = 0) -> tuple[Iterator, Iterator, Iterator]:
+    """The channel, payload and noise streams of trials ``indices``: one
+    iterator per purpose, each yielding the trials' generators in turn, all
+    keyed in one :func:`trial_keys` pass. A yielded generator is re-keyed
+    for the next trial, so finish drawing from it before advancing its
+    iterator. Bump ``redraw`` to redraw discarded trials."""
+    return tuple(_rekeyed(purpose_keys) for purpose_keys in trial_keys(seed, indices, redraw))

@@ -28,7 +28,13 @@ from onebit_mimo.receivers import (
     build_combiner,
 )
 from onebit_mimo.results import emit_results
-from onebit_mimo.rng import CHANNEL, trial_keys, trial_streams
+from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, trial_keys, trial_streams
+
+
+def seed_sequence_stream(seed, index, purpose, redraw=0):
+    """One trial's stream of one purpose, built from its own SeedSequence."""
+    key = np.random.SeedSequence((seed, index, purpose, redraw))
+    return np.random.Generator(np.random.Philox(key))
 
 
 def rayleigh_channel(rng, n, k):
@@ -57,7 +63,7 @@ def oracle_counts(plan, start, stop, redrawn=frozenset()):
     for point, snr_db in enumerate(plan.snr_db_grid):
         singles = [
             run_trial(plan.config_at(snr_db), plan.kinds,
-                      trial_streams(plan.seed, i, int(i in redrawn)), plan.quantized)
+                      trial_streams(plan.seed, [i], int(i in redrawn)), plan.quantized)
             for i in range(start, stop)
         ]
         totals[point] = {kind: sum(t[kind] for t in singles) for kind in plan.kinds}
@@ -74,7 +80,7 @@ class TestRunTrial:
         cfg = SystemConfig(2, 8, 1e-30)
         for index in range(50):
             errors = run_trial(
-                cfg, (ReceiverKind.ZF,), trial_streams(3, index), quantized=False
+                cfg, (ReceiverKind.ZF,), trial_streams(3, [index]), quantized=False
             )
             assert errors[ReceiverKind.ZF] == 0
 
@@ -83,30 +89,30 @@ class TestRunTrial:
         # sampling is lossless here as noise vanishes.
         cfg = SystemConfig(1, 1, 1e-20)
         for index in range(200):
-            errors = run_trial(cfg, (ReceiverKind.MRC,), trial_streams(9, index))
+            errors = run_trial(cfg, (ReceiverKind.MRC,), trial_streams(9, [index]))
             assert errors[ReceiverKind.MRC] == 0
 
     def test_deterministic_given_streams(self):
         cfg = SystemConfig(2, 8, 0.5)
         kinds = tuple(ReceiverKind)
-        a = run_trial(cfg, kinds, trial_streams(11, 4))
-        b = run_trial(cfg, kinds, trial_streams(11, 4))
+        a = run_trial(cfg, kinds, trial_streams(11, [4]))
+        b = run_trial(cfg, kinds, trial_streams(11, [4]))
         assert a == b
 
     def test_counts_do_not_depend_on_requested_kinds(self):
         # A kind's error count is a function of (seed, trial) only, which is
         # what makes speculative parallel batches exact.
         cfg = SystemConfig(2, 8, 0.1)
-        all_counts = run_trial(cfg, tuple(ReceiverKind), trial_streams(13, 7))
-        solo = run_trial(cfg, (ReceiverKind.BMMSE,), trial_streams(13, 7))
+        all_counts = run_trial(cfg, tuple(ReceiverKind), trial_streams(13, [7]))
+        solo = run_trial(cfg, (ReceiverKind.BMMSE,), trial_streams(13, [7]))
         assert solo[ReceiverKind.BMMSE] == all_counts[ReceiverKind.BMMSE]
 
     def test_wfq_alone_counts_as_aqnm_mmse(self):
         cfg = SystemConfig.from_snr_db(4, 8, 10.0, "16qam")
         total = 0
         for index in range(20):
-            wfq = run_trial(cfg, (ReceiverKind.WFQ,), trial_streams(15, index))
-            aqnm = run_trial(cfg, (ReceiverKind.AQNM_MMSE,), trial_streams(15, index))
+            wfq = run_trial(cfg, (ReceiverKind.WFQ,), trial_streams(15, [index]))
+            aqnm = run_trial(cfg, (ReceiverKind.AQNM_MMSE,), trial_streams(15, [index]))
             assert wfq == {ReceiverKind.WFQ: aqnm[ReceiverKind.AQNM_MMSE]}
             total += wfq[ReceiverKind.WFQ]
         assert total > 0
@@ -118,7 +124,7 @@ class TestBatchedEngine:
         cfg = SystemConfig.from_snr_db(2, 16, 5.0, "16qam")
         kinds = tuple(ReceiverKind)
         totals = point_counts(cfg, kinds, 17, 50, 200)
-        singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(50, 200)]
+        singles = [run_trial(cfg, kinds, trial_streams(17, [i])) for i in range(50, 200)]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
 
     def test_chunks_equal_single_trials_at_n128(self):
@@ -128,7 +134,7 @@ class TestBatchedEngine:
         kinds = tuple(ReceiverKind)
         start, stop = 2**32 - 2, 2**32 + 1
         totals = point_counts(cfg, kinds, 17, start, stop)
-        singles = [run_trial(cfg, kinds, trial_streams(17, i)) for i in range(start, stop)]
+        singles = [run_trial(cfg, kinds, trial_streams(17, [i])) for i in range(start, stop)]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -164,27 +170,39 @@ class TestBatchedEngine:
         point_counts(cfg, (ReceiverKind.ZF,), 23, start, stop)
 
         assert [len(channel) for channel in stacks] == [chunk, chunk, 1]
-        streams = [trial_streams(23, i) for i in range(start, stop)]
-        channel = np.stack([draw_channel(cfg, s.channel) for s in streams])
-        bits = np.stack([s.symbols.integers(0, 2, size=3 * 4) for s in streams])
-        noise = np.stack([draw_noise(cfg, s.noise) for s in streams])
+        # The oracle: each trial's streams built from their own SeedSequence.
+        channel_rngs, symbol_rngs, noise_rngs = (
+            [seed_sequence_stream(23, i, purpose) for i in range(start, stop)]
+            for purpose in (CHANNEL, SYMBOLS, NOISE)
+        )
+        channel = np.stack([draw_channel(cfg, rng) for rng in channel_rngs])
+        bits = np.stack([rng.integers(0, 2, size=3 * 4) for rng in symbol_rngs])
+        noise = np.stack([draw_noise(cfg, rng) for rng in noise_rngs])
         received = transmit(channel, map_bits_to_symbols(bits, make_constellation("16qam")), noise)
         assert np.concatenate(stacks).tobytes() == channel.tobytes()
         assert np.concatenate(bit_stacks).tobytes() == bits.tobytes()
         assert np.concatenate(received_stacks).tobytes() == received.tobytes()
 
     def test_clean_range_builds_no_per_trial_streams(self, monkeypatch):
+        # 80 trials at N=16 are two chunks, keyed in one trial_streams call
+        # for the whole batch, not one per chunk or trial.
         cfg = SystemConfig.from_snr_db(2, 16, 10.0, "qpsk")
         kinds = tuple(ReceiverKind)
-        singles = [run_trial(cfg, kinds, trial_streams(29, i)) for i in range(60, 140)]
+        singles = [run_trial(cfg, kinds, trial_streams(29, [i])) for i in range(60, 140)]
+        calls = []
+
+        def counting_streams(*args):
+            calls.append(args)
+            return trial_streams(*args)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a per-trial stream was built")
+            raise AssertionError("a SeedSequence was built")
 
-        monkeypatch.setattr(montecarlo, "trial_streams", forbidden)
+        monkeypatch.setattr(montecarlo, "trial_streams", counting_streams)
         monkeypatch.setattr(np.random, "SeedSequence", forbidden)
         totals = point_counts(cfg, kinds, 29, 60, 140)
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+        assert calls == [(29, range(60, 140))]
 
     def test_one_build_per_distinct_combiner(self, monkeypatch):
         # WFQ's counts are AQNM-MMSE's: a chunk over all eight kinds builds
@@ -294,24 +312,16 @@ def zero_channels(monkeypatch):
     """Give the draws of the (trial, redraw) pairs added to the returned set
     a zero last channel column (for one user, an all-zero channel).
 
-    A draw is marked by the key of its channel stream: a chunk takes its
-    trials' keys from ``trial_keys``, a redrawn trial its streams from
-    ``trial_streams``."""
+    A draw is marked by the key of its channel stream, which a batch and a
+    redrawn trial both take from ``trial_streams``."""
     targets = set()
     marked = set()
 
-    def keys(seed, indices, redraw=0):
-        drawn = trial_keys(seed, indices, redraw)
-        for index, key in zip(indices, drawn[CHANNEL]):
-            if (int(index), redraw) in targets:
+    def streams(seed, indices, redraw=0):
+        for index, key in zip(indices, trial_keys(seed, indices, redraw)[CHANNEL]):
+            if (index, redraw) in targets:
                 marked.add(tuple(key.tolist()))
-        return drawn
-
-    def streams(seed, index, redraw=0):
-        drawn = trial_streams(seed, index, redraw)
-        if (index, redraw) in targets:
-            marked.add(_key(drawn.channel))
-        return drawn
+        return trial_streams(seed, indices, redraw)
 
     def channel(config, rng):
         h = draw_channel(config, rng)
@@ -319,7 +329,6 @@ def zero_channels(monkeypatch):
             h[:, -1] = 0
         return h
 
-    monkeypatch.setattr(montecarlo, "trial_keys", keys)
     monkeypatch.setattr(montecarlo, "trial_streams", streams)
     monkeypatch.setattr(montecarlo, "draw_channel", channel)
     return targets
@@ -337,12 +346,12 @@ class TestRankDeficientRedraw:
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
             totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
         singles = [
-            run_trial(self.CONFIG, self.KINDS, trial_streams(21, i, int(i == 37)))
+            run_trial(self.CONFIG, self.KINDS, trial_streams(21, [i], int(i == 37)))
             for i in range(100)
         ]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in self.KINDS}
         assert [r.getMessage() for r in caplog.records] == [
-            "discarding rank-deficient draw at trial 37 (redraw 1)"
+            "discarding rank-deficient draw at trial 37 (redraw 1) at 7 dB"
         ]
 
     def test_consecutive_rank_deficient_draws_raise(self, zero_channels):
@@ -357,8 +366,9 @@ class TestRankDeficientRedraw:
             totals = montecarlo._batch_counts(plan, every_point(plan), 0, 100)
         assert totals == oracle_counts(plan, 0, 100, redrawn={37})
         assert [r.getMessage() for r in caplog.records] == [
-            "discarding rank-deficient draw at trial 37 (redraw 1)"
-        ] * 2
+            "discarding rank-deficient draw at trial 37 (redraw 1) at 7 dB",
+            "discarding rank-deficient draw at trial 37 (redraw 1) at 20 dB",
+        ]
 
     def test_consecutive_draws_raise_on_a_grid(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
@@ -378,12 +388,12 @@ class TestZeroColumnRedraw:
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
             totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
         singles = [
-            run_trial(self.CONFIG, self.KINDS, trial_streams(21, i, int(i == 37)))
+            run_trial(self.CONFIG, self.KINDS, trial_streams(21, [i], int(i == 37)))
             for i in range(100)
         ]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in self.KINDS}
         assert [r.getMessage() for r in caplog.records] == [
-            "discarding zero-denominator draw at trial 37 (redraw 1)"
+            "discarding zero-denominator draw at trial 37 (redraw 1) at 7 dB"
         ]
 
     def test_consecutive_zero_columns_raise(self, zero_channels):
@@ -398,8 +408,9 @@ class TestZeroColumnRedraw:
             totals = montecarlo._batch_counts(plan, every_point(plan), 0, 100)
         assert totals == oracle_counts(plan, 0, 100, redrawn={37})
         assert [r.getMessage() for r in caplog.records] == [
-            "discarding zero-denominator draw at trial 37 (redraw 1)"
-        ] * 2
+            "discarding zero-denominator draw at trial 37 (redraw 1) at -3 dB",
+            "discarding zero-denominator draw at trial 37 (redraw 1) at 7 dB",
+        ]
 
     def test_consecutive_draws_raise_on_a_grid(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))

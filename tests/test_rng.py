@@ -1,5 +1,7 @@
-"""Stream keys derived in bulk against numpy's SeedSequence, and re-keyed
-generators against fresh per-trial streams."""
+"""Stream keys derived in bulk, and the trial streams keyed with them,
+against numpy's SeedSequence built per trial and purpose."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit_mimo import rng
-from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, rekeyed, trial_keys, trial_streams
+from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, trial_keys, trial_streams
 
 U64_MAX = 2**64 - 1
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, U64_MAX)
@@ -35,6 +37,12 @@ def seed_sequence_keys(seed, indices, redraw):
         ],
         dtype=np.uint64,
     ).reshape(3, len(indices), 2)
+
+
+def seed_sequence_stream(seed, index, purpose, redraw):
+    """The stream of one trial and purpose, built from its own SeedSequence."""
+    key = np.random.SeedSequence((seed, index, purpose, redraw))
+    return np.random.Generator(np.random.Philox(key))
 
 
 def keys_match(seed, indices, redraw):
@@ -88,18 +96,50 @@ class TestTrialKeys:
         assert len(calls) == 16
 
 
-class TestRekeyed:
+class TestTrialStreams:
     def test_draws_what_fresh_streams_draw(self):
         # Each purpose's draws of each trial, across the 2**32 index word
-        # boundary, from one generator re-keyed in turn.
-        seed, indices, redraw = 2**40 + 9, range(2**32 - 2, 2**32 + 2), 1
-        keys = trial_keys(seed, np.array(indices, dtype=np.uint64), redraw)
-        generator = np.random.Generator(np.random.Philox(0))
-        for purpose in (CHANNEL, SYMBOLS, NOISE):
-            fresh = [trial_streams(seed, index, redraw)[purpose] for index in indices]
-            for keyed, stream in zip(rekeyed(generator, keys[purpose]), fresh):
-                # These draws leave buffered words and a 32-bit half word
-                # behind, which re-keying for the next trial must drop.
-                assert keyed.standard_normal(9).tobytes() == stream.standard_normal(9).tobytes()
-                assert np.array_equal(keyed.integers(0, 2, size=5), stream.integers(0, 2, size=5))
-                assert keyed.random() == stream.random()
+        # boundary, from one generator per purpose re-keyed in turn.
+        cases = [(2**40 + 9, range(2**32 - 2, 2**32 + 2)), (0, [7, 2**33, 5]), (U64_MAX, [0])]
+        for (seed, indices), redraw in itertools.product(cases, range(8)):
+            streams = trial_streams(seed, indices, redraw)
+            for purpose, keyed_stream in zip((CHANNEL, SYMBOLS, NOISE), streams, strict=True):
+                fresh = [seed_sequence_stream(seed, index, purpose, redraw) for index in indices]
+                for keyed, stream in zip(keyed_stream, fresh, strict=True):
+                    # These draws leave buffered words and a 32-bit half word
+                    # behind, which re-keying for the next trial must drop.
+                    assert keyed.standard_normal(9).tobytes() == stream.standard_normal(9).tobytes()
+                    assert np.array_equal(
+                        keyed.integers(0, 2, size=5), stream.integers(0, 2, size=5)
+                    )
+                    assert keyed.random() == stream.random()
+
+    def test_one_generator_per_purpose(self):
+        # Drawing a purpose out of turn cannot shift another purpose's draws.
+        channel, symbols, noise = trial_streams(3, [10, 11])
+        first_noise = next(noise)
+        assert next(channel).random() == seed_sequence_stream(3, 10, CHANNEL, 0).random()
+        assert next(symbols).random() == seed_sequence_stream(3, 10, SYMBOLS, 0).random()
+        assert first_noise.random() == seed_sequence_stream(3, 10, NOISE, 0).random()
+        assert next(channel).random() == seed_sequence_stream(3, 11, CHANNEL, 0).random()
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize(
+        "seed, indices, redraw",
+        [
+            (-1, [0], 0),
+            (0, [0], -1),
+            (0, np.array([3, -1]), 0),
+            (0, [-1, U64_MAX], 0),
+            (0, [2**64], 0),
+            (0, [1.0], 0),
+        ],
+    )
+    def test_negative_or_non_integer_input_raises(self, seed, indices, redraw):
+        # A negative seed once looped forever in _words, and an int64 index
+        # of -1 took the key of trial 2**64 - 1.
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            trial_keys(seed, indices, redraw)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            trial_streams(seed, indices, redraw)
