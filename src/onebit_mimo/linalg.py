@@ -2,9 +2,13 @@
 
 All receiver formulas written with a matrix inverse are evaluated by
 factor-and-solve instead; matrices here are small (at most a few hundred
-rows) and always Hermitian positive definite up to rounding. At those
-sizes BLAS threads cost more than they save, so sweeps run every loaded
-OpenBLAS at one thread (:func:`single_blas_thread`).
+rows) and always Hermitian positive definite up to rounding. A stack of
+order at most 8 (the K x K systems of a few users) is solved by numpy's
+stacked gufuncs in one call, since per-call overhead dominates there; a
+larger order is factored slice by slice through LAPACK's Cholesky, which
+is faster per slice. At these sizes BLAS threads cost more than they save,
+so sweeps run every loaded OpenBLAS at one thread
+(:func:`single_blas_thread`).
 """
 
 import contextlib
@@ -23,6 +27,9 @@ HERMITIAN_TOL = 1e-10
 ARCSIN_BAND = 1e-9
 # Relative diagonal jitter for the single retry on a failed factorization.
 _JITTER_SCALE = 1e-10
+# Largest matrix order solved by numpy's stacked gufuncs; larger stacks are
+# factored slice by slice through LAPACK, which is faster per slice there.
+_GUFUNC_MAX_ORDER = 8
 # (setter, getter) of the thread count, as exported by numpy's ILP64 wheel
 # build, scipy's wheel build and a plain OpenBLAS; one library exports one pair.
 _OPENBLAS_THREAD_CALLS = (
@@ -36,11 +43,17 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for a stack of Hermitian positive-definite
     ``(..., n, n)`` matrices and ``(..., n, m)`` or ``(..., n)`` right sides.
 
-    Each slice is factored once via Cholesky (LAPACK ``potrf``/``potrs``, as
-    ``scipy.linalg.cho_factor``/``cho_solve`` call them); a slice whose
-    factorization fails (numerically semi-definite input) is retried once
-    with a tiny trace-scaled diagonal jitter before
-    :class:`NotPositiveDefiniteError` is raised.
+    The kernel follows the order n. Up to ``_GUFUNC_MAX_ORDER`` the whole
+    stack goes through numpy's gufuncs: one ``np.linalg.cholesky`` call is
+    the positive-definite test and one ``np.linalg.solve`` call (LU) the
+    solve, since per-call overhead outweighs the arithmetic there. Above it
+    each slice is factored once via Cholesky and solved (LAPACK
+    ``potrf``/``potrs``, as ``scipy.linalg.cho_factor``/``cho_solve`` call
+    them). Either way a slice that fails the factorization (numerically
+    semi-definite input) is retried once with a tiny trace-scaled diagonal
+    jitter before :class:`NotPositiveDefiniteError` is raised; the other
+    slices are solved as they are. The order alone picks the kernel, so a
+    slice solves to the same bytes in a stack of any size.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
@@ -57,39 +70,78 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n = matrix.shape[-1]
     matrices = matrix.reshape(-1, n, n)
     rhss = rhs.reshape(len(matrices), n, -1)
-    # The factor takes the matrix's type, the solve the common type.
-    (potrf,) = get_lapack_funcs(("potrf",), (matrices,))
-    (potrs,) = get_lapack_funcs(("potrs",), (matrices, rhss))
-    # Stacking the transposes keeps potrs's Fortran order in each slice, so
-    # later products see the memory layout of a single solve.
-    solution = np.stack(
-        [
-            _cholesky_solve(potrf, potrs, slice_matrix, slice_rhs).T
-            for slice_matrix, slice_rhs in zip(matrices, rhss)
-        ]
-    ).mT.reshape(rhs.shape)
+    solve = _gufunc_solve if n <= _GUFUNC_MAX_ORDER else _lapack_solve
+    solution = solve(matrices, rhss).reshape(rhs.shape)
     if not np.isfinite(solution).all():
         raise NotPositiveDefiniteError("solve produced non-finite entries")
     return solution
 
 
-def _cholesky_solve(potrf, potrs, matrix, rhs):
-    """One slice of :func:`hermitian_solve`: factor (with the jitter retry)
+def _gufunc_solve(matrices, rhss):
+    """:func:`hermitian_solve` of a ``(B, n, n)`` stack in two gufunc calls."""
+    try:
+        np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        matrices = np.stack([_with_jitter(_positive_definite, m) for m in matrices])
+    return np.linalg.solve(matrices, rhss)
+
+
+def _positive_definite(matrix):
+    """``matrix`` if its Cholesky factorization succeeds, else None."""
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    return matrix
+
+
+def _lapack_solve(matrices, rhss):
+    """:func:`hermitian_solve` of a ``(B, n, n)`` stack, one LAPACK factor
+    and solve per slice."""
+    # The factor takes the matrix's type, the solve the common type.
+    (potrf,) = get_lapack_funcs(("potrf",), (matrices,))
+    (potrs,) = get_lapack_funcs(("potrs",), (matrices, rhss))
+
+    def factor(matrix):
+        lower, info = potrf(matrix, lower=True, clean=False)
+        if info < 0:
+            raise ValueError(f"LAPACK rejected argument {-info} of potrf")
+        return lower if info == 0 else None
+
+    # Stacking the transposes keeps potrs's Fortran order in each slice, so
+    # later products see the memory layout of a single solve.
+    return np.stack(
+        [
+            _cholesky_solve(factor, potrs, slice_matrix, slice_rhs).T
+            for slice_matrix, slice_rhs in zip(matrices, rhss)
+        ]
+    ).mT
+
+
+def _cholesky_solve(factor, potrs, matrix, rhs):
+    """One slice of :func:`_lapack_solve`: factor (with the jitter retry)
     and solve."""
-    factor, info = potrf(matrix, lower=True, clean=False)
-    if info > 0:
+    solution, info = potrs(_with_jitter(factor, matrix), rhs, lower=True)
+    if info != 0:
+        raise ValueError(f"LAPACK rejected argument {-info} of potrs")
+    return solution
+
+
+def _with_jitter(factor, matrix):
+    """``factor(matrix)``; where that is None (the matrix is not numerically
+    positive definite), ``factor`` of the matrix plus ``_JITTER_SCALE``
+    times its mean diagonal on the diagonal, once, before
+    :class:`NotPositiveDefiniteError`."""
+    result = factor(matrix)
+    if result is None:
         n = matrix.shape[0]
         jitter = _JITTER_SCALE * matrix.trace().real / n
-        factor, info = potrf(matrix + jitter * np.eye(n), lower=True, clean=False)
-        if info > 0:
+        result = factor(matrix + jitter * np.eye(n))
+        if result is None:
             raise NotPositiveDefiniteError(
                 "Cholesky factorization failed even after jitter retry"
             )
-    if info == 0:
-        solution, info = potrs(factor, rhs, lower=True)
-    if info != 0:
-        raise ValueError(f"LAPACK rejected argument {-info} of potrf/potrs")
-    return solution
+    return result
 
 
 def diagonal(matrix: np.ndarray) -> np.ndarray:

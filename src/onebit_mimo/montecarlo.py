@@ -18,10 +18,13 @@ and each chunk draws its trials from them into ``(B, N, K)`` channel,
 ``(B, K * bits per symbol)`` payload and ``(B, N)`` noise-direction arrays.
 The draws, ``H @ x`` and the combiners that do not depend on the noise power
 (MRC, ZF) are computed once per chunk; the receive vector, quantizer,
-Bussgang statistics, the other combiners and detection once per (chunk,
-grid point), one point after another, with the floating-point operations of
-a point evaluated alone. :func:`run_trial` is a chunk of one at one point,
-which redraws a degenerate trial from its streams at the next ``redraw``.
+Bussgang statistics and the other combiners once per (chunk, grid point),
+one point after another, with the floating-point operations of a point
+evaluated alone. Detection runs once per (chunk, point) too, on the
+``(C, B, K, N)`` stack of the C distinct combiners (7 for all eight kinds,
+see :data:`~onebit_mimo.receivers.SAME_COMBINER`). :func:`run_trial` is a
+chunk of one at one point, which redraws a degenerate trial from its
+streams at the next ``redraw``.
 
 Each (point, kind) stops at a batch boundary: its error target or the trial
 cap. Batch results are folded strictly in batch-index order, so the recorded
@@ -178,17 +181,26 @@ class _ChunkDraws:
         if any(kind in COVARIANCE_KINDS for kind in kinds):
             stats = QuantizedStatistics(self.channel, noise_power)
 
-        errors = {}
+        combiners = []
         for kind in dict.fromkeys(SAME_COMBINER.get(kind, kind) for kind in kinds):
             combiner = self._noise_independent.get(kind)
             if combiner is None:
                 combiner = build_combiner(kind, self.channel, noise_power, stats=stats)
                 if kind in NOISE_INDEPENDENT_KINDS:
                     self._noise_independent[kind] = combiner
-            detected = detect_pipeline(observed, combiner, self.constellation)
-            errors[kind] = np.count_nonzero(
-                symbols_to_bits(detected, self.constellation) != self.bits, axis=-1
-            )
+            combiners.append(combiner)
+        # One detection pass over the (C, B, K, N) stack of the C distinct
+        # combiners; row c of the counts is combiners[c]'s.
+        detected = detect_pipeline(
+            observed,
+            np.stack([combiner.matrix for combiner in combiners]),
+            np.stack([combiner.eq_denominators for combiner in combiners]),
+            self.constellation,
+        )
+        counts = np.count_nonzero(
+            symbols_to_bits(detected, self.constellation) != self.bits, axis=-1
+        )
+        errors = {combiner.kind: row for combiner, row in zip(combiners, counts)}
         return {kind: errors[SAME_COMBINER.get(kind, kind)] for kind in kinds}
 
 

@@ -10,6 +10,9 @@ combiner or the input vector.
 Everything acts on the trailing axes: a channel stack ``(..., N, K)`` gives
 ``(..., K, N)`` combining matrices and detects ``(..., N)`` receive vectors,
 one trial per leading index, so a single trial is the stack of one.
+Detection reads only a combiner's matrix and denominators, never its kind,
+so :func:`detect_pipeline` takes those arrays, and several combiners
+stacked along one more leading axis are detected in one pass.
 """
 
 from dataclasses import dataclass
@@ -59,14 +62,16 @@ NOISE_INDEPENDENT_KINDS = frozenset({ReceiverKind.MRC, ReceiverKind.ZF})
 #: invariant to positive scaling of the combiner.
 SAME_COMBINER = {ReceiverKind.WFQ: ReceiverKind.AQNM_MMSE}
 
+#: Smallest |w_k x_k| / (|w_k| |x_k|) of a usable equalization denominator.
 DENOMINATOR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class Combiner:
     """A receiver kind, its ``(..., K, N)`` combining matrices, and the
-    ``(..., K)`` per-user equalization denominators (validated nonzero at
-    construction)."""
+    ``(..., K)`` per-user equalization denominators (validated at
+    construction to lie above ``DENOMINATOR_FLOOR`` times their
+    Cauchy-Schwarz bound)."""
 
     kind: ReceiverKind
     matrix: np.ndarray
@@ -125,9 +130,13 @@ def build_combiner(
         raise ValueError(f"unknown receiver kind {kind!r}")
 
     denominators = np.einsum("...kn,...nk->...k", matrix, x)
-    if (np.abs(denominators) < DENOMINATOR_FLOOR).any():
+    # |w_k x_k| <= |w_k| |x_k| (Cauchy-Schwarz), so the floor is relative and
+    # holds at any noise power; a zero channel column still trips it.
+    scale = np.sqrt(np.vecdot(matrix, matrix).real * np.vecdot(x, x, axis=-2).real)
+    if (np.abs(denominators) <= DENOMINATOR_FLOOR * scale).any():
         raise DegenerateDenominatorError(
-            f"{kind} equalization denominator below {DENOMINATOR_FLOOR}"
+            f"{kind} equalization denominator within {DENOMINATOR_FLOOR} of "
+            "zero, relative to its Cauchy-Schwarz bound"
         )
     return Combiner(kind=kind, matrix=matrix, eq_denominators=denominators)
 
@@ -137,13 +146,14 @@ def demultiplex(matrix: np.ndarray, received: np.ndarray) -> np.ndarray:
     return (matrix @ received[..., None])[..., 0]
 
 
-def equalize(combined: np.ndarray, combiner: Combiner) -> np.ndarray:
-    """Per-user division by the combiner's equalization denominators.
+def equalize(combined: np.ndarray, eq_denominators: np.ndarray) -> np.ndarray:
+    """Per-user division by a combiner's ``(..., K)`` equalization
+    denominators.
 
     For the zero-forcing kinds the denominators are 1 up to rounding, so
     this is a no-op there; applying it uniformly keeps one code path.
     """
-    return combined / combiner.eq_denominators
+    return combined / eq_denominators
 
 
 def rescale(equalized: np.ndarray, users: int) -> np.ndarray:
@@ -169,10 +179,19 @@ def detect(signal: np.ndarray, constellation: Constellation) -> np.ndarray:
 
 
 def detect_pipeline(
-    received: np.ndarray, combiner: Combiner, constellation: Constellation
+    received: np.ndarray,
+    matrix: np.ndarray,
+    eq_denominators: np.ndarray,
+    constellation: Constellation,
 ) -> np.ndarray:
-    """demultiplex -> equalize -> rescale -> detect for each receive vector."""
-    combined = demultiplex(combiner.matrix, received)
-    equalized = equalize(combined, combiner)
+    """demultiplex -> equalize -> rescale -> detect for each receive vector.
+
+    ``matrix`` and ``eq_denominators`` are a :class:`Combiner`'s, or a stack
+    of several combiners' along a leading axis, ``(C, ..., K, N)`` and
+    ``(C, ..., K)``, which detects the ``(..., N)`` receive vectors once per
+    combiner in one pass. Detection does not depend on the receiver kind.
+    """
+    combined = demultiplex(matrix, received)
+    equalized = equalize(combined, eq_denominators)
     rescaled = rescale(equalized, equalized.shape[-1])
     return detect(rescaled, constellation)

@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from onebit_mimo import linalg
 from onebit_mimo.errors import ArcsinDomainError, NotPositiveDefiniteError
 from onebit_mimo.linalg import diagonal, elementwise_arcsin, hermitian_solve
+
+
+#: The highest order ``hermitian_solve`` hands to numpy's gufuncs; above it
+#: each slice goes through LAPACK's potrf/potrs.
+GUFUNC_MAX_ORDER = 8
 
 
 def random_hpd(rng, n):
@@ -75,8 +81,8 @@ def hpd_stack(rng, batch, n):
     return np.stack([random_hpd(rng, n) for _ in range(batch)])
 
 
-def per_slice_reference(matrices, rhs):
-    """The single-matrix solve the stacked one replaces: cho_factor/cho_solve."""
+def cholesky_reference(matrices, rhs):
+    """Per-slice cho_factor/cho_solve: the LAPACK kernel's byte oracle."""
     return np.stack(
         [
             cho_solve(cho_factor(m, lower=True, check_finite=False), b, check_finite=False)
@@ -85,8 +91,23 @@ def per_slice_reference(matrices, rhs):
     )
 
 
+def per_slice_reference(matrices, rhs):
+    """The single-matrix solve each kernel's stack replaces, byte for byte:
+    ``np.linalg.solve`` up to the gufunc cut, ``cho_solve`` above it."""
+    if np.shape(matrices)[-1] > GUFUNC_MAX_ORDER:
+        return cholesky_reference(matrices, rhs)
+    return np.stack([np.linalg.solve(m, b) for m, b in zip(matrices, rhs)])
+
+
+def assert_close_relative(actual, expected, tolerance=1e-12):
+    assert np.abs(actual - expected).max() <= tolerance * np.abs(expected).max()
+
+
 class TestStackedHermitianSolve:
-    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    # Orders 8 and 9 sit on either side of the cut between the kernels.
+    ORDERS = [1, 2, 8, 9, 16, 128]
+
+    @pytest.mark.parametrize("n", ORDERS)
     def test_bytes_equal_per_slice_cholesky(self, n):
         rng = np.random.default_rng(n)
         matrices = hpd_stack(rng, 5, n)
@@ -94,33 +115,65 @@ class TestStackedHermitianSolve:
         x = hermitian_solve(matrices, rhs)
         assert x.shape == rhs.shape
         assert x.tobytes() == per_slice_reference(matrices, rhs).tobytes()
+        assert_close_relative(x, cholesky_reference(matrices, rhs))
         for i in range(5):
             single = hermitian_solve(matrices[i], rhs[i])
             assert single.tobytes() == x[i].tobytes()
             vector = hermitian_solve(matrices[i], rhs[i, :, 0])
             assert vector.tobytes() == x[i, :, 0].tobytes()
 
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_lapack_kernel_only_above_the_cut(self, monkeypatch, n):
+        # The gufunc kernel never reaches the per-slice LAPACK solve; the
+        # LAPACK kernel runs it once per slice.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cholesky_solve(*args)
+
+        cholesky_solve = linalg._cholesky_solve
+        monkeypatch.setattr(linalg, "_cholesky_solve", counting)
+        rng = np.random.default_rng(n)
+        hermitian_solve(hpd_stack(rng, 5, n), np.ones((5, n, 2)))
+        assert len(calls) == (5 if n > GUFUNC_MAX_ORDER else 0)
+
     def test_semidefinite_slice_gets_jitter_others_unchanged(self):
+        self.check_semidefinite_slice(3)
+
+    def test_semidefinite_slice_above_the_cut(self):
+        self.check_semidefinite_slice(16)
+
+    @staticmethod
+    def check_semidefinite_slice(n):
         rng = np.random.default_rng(3)
-        matrices = hpd_stack(rng, 4, 3)
-        rhs = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        matrices = hpd_stack(rng, 4, n)
+        rhs = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
         clean = hermitian_solve(matrices, rhs)
-        matrices[2] = np.diag([1.0, 2.0, 0.0])
+        matrices[2] = np.diag(np.arange(n, dtype=float))
         x = hermitian_solve(matrices, rhs)
         assert np.isfinite(x).all()
         for i in (0, 1, 3):
             assert x[i].tobytes() == clean[i].tobytes()
         # The jittered slice equals a solve of the jittered matrix itself.
-        jitter = 1e-10 * 3.0 / 3
-        jittered = matrices[2] + jitter * np.eye(3)
+        jitter = 1e-10 * matrices[2].trace().real / n
+        jittered = matrices[2] + jitter * np.eye(n)
         assert x[2].tobytes() == per_slice_reference([jittered], [rhs[2]])[0].tobytes()
+        assert_close_relative(x[2], cholesky_reference([jittered], [rhs[2]])[0])
 
     def test_indefinite_slice_raises(self):
+        self.check_indefinite_slice(4)
+
+    def test_indefinite_slice_above_the_cut_raises(self):
+        self.check_indefinite_slice(16)
+
+    @staticmethod
+    def check_indefinite_slice(n):
         rng = np.random.default_rng(4)
-        matrices = hpd_stack(rng, 3, 4)
+        matrices = hpd_stack(rng, 3, n)
         matrices[1] = -matrices[1]
         with pytest.raises(NotPositiveDefiniteError):
-            hermitian_solve(matrices, np.ones((3, 4, 1)))
+            hermitian_solve(matrices, np.ones((3, n, 1)))
 
     def test_non_hermitian_slice_raises(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from onebit_mimo import montecarlo
-from onebit_mimo.bussgang import received_covariance
+from onebit_mimo.bussgang import QuantizedStatistics, received_covariance
 from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, one_bit_quantize, transmit
 from onebit_mimo.errors import DegenerateDenominatorError, RankDeficientError
 from onebit_mimo.montecarlo import (
@@ -20,12 +20,13 @@ from onebit_mimo.montecarlo import (
     sample_output_covariance,
     wilson_interval,
 )
-from onebit_mimo.modulation import make_constellation, map_bits_to_symbols
+from onebit_mimo.modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
 from onebit_mimo.receivers import (
     NOISE_INDEPENDENT_KINDS,
     SAME_COMBINER,
     ReceiverKind,
     build_combiner,
+    detect_pipeline,
 )
 from onebit_mimo.results import emit_results
 from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, trial_keys, trial_streams
@@ -120,12 +121,23 @@ class TestRunTrial:
 
 class TestBatchedEngine:
     def test_chunks_equal_single_trials(self):
+        self.check_chunks_equal_single_trials(2)
+
+    @pytest.mark.parametrize("users", [8, 9], ids=["gufunc-solves", "lapack-solves"])
+    def test_chunks_equal_single_trials_either_side_of_the_solve_cut(self, users):
+        # The K x K solves take numpy's stacked kernel up to order 8 and the
+        # per-slice LAPACK one above; BMMSE's 16 x 16 solve takes LAPACK.
+        self.check_chunks_equal_single_trials(users)
+
+    @staticmethod
+    def check_chunks_equal_single_trials(users):
         # 150 trials at N=16 span three 64-trial chunks, the last one partial.
-        cfg = SystemConfig.from_snr_db(2, 16, 5.0, "16qam")
+        cfg = SystemConfig.from_snr_db(users, 16, 5.0, "16qam")
         kinds = tuple(ReceiverKind)
         totals = point_counts(cfg, kinds, 17, 50, 200)
         singles = [run_trial(cfg, kinds, trial_streams(17, [i])) for i in range(50, 200)]
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+        assert all(totals.values())
 
     def test_chunks_equal_single_trials_at_n128(self):
         # One trial per chunk, across the index where a trial's key takes a
@@ -220,6 +232,62 @@ class TestBatchedEngine:
         assert len(built) == 7
         assert ReceiverKind.WFQ not in built
         assert totals[ReceiverKind.WFQ] == totals[ReceiverKind.AQNM_MMSE] > 0
+
+
+class TestStackedDetection:
+    """All distinct combiners of a (chunk, point) are detected in one pass."""
+
+    @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "analog"])
+    @pytest.mark.parametrize(
+        "users, antennas, modulation", [(2, 16, "qpsk"), (16, 128, "qpsk"), (4, 32, "16qam")]
+    )
+    def test_detects_what_each_combiner_detects_alone(
+        self, monkeypatch, users, antennas, modulation, quantized
+    ):
+        cfg = SystemConfig.from_snr_db(users, antennas, 5.0, modulation)
+        trials = 3 if antennas == 128 else 40
+        draws = montecarlo._ChunkDraws(cfg, trial_streams(37, range(trials)))
+        passes = []
+
+        def recording(*args):
+            passes.append((args, detect_pipeline(*args)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(montecarlo, "detect_pipeline", recording)
+        kinds = tuple(ReceiverKind)
+        errors = draws.errors(cfg.noise_power, kinds, quantized)
+        [((observed, _, _, constellation), stacked)] = passes
+
+        # The oracle: each distinct combiner built and detected on its own.
+        received = transmit(draws.channel, map_bits_to_symbols(draws.bits, constellation),
+                            draws.noise * np.sqrt(cfg.noise_power / 2.0))
+        assert observed.tobytes() == (one_bit_quantize(received) if quantized else received).tobytes()
+        stats = QuantizedStatistics(draws.channel, cfg.noise_power)
+        formulas = list(dict.fromkeys(SAME_COMBINER.get(kind, kind) for kind in kinds))
+        assert len(formulas) == len(stacked) == 7
+        for formula, row in zip(formulas, stacked):
+            combiner = build_combiner(formula, draws.channel, cfg.noise_power, stats=stats)
+            alone = detect_pipeline(observed, combiner.matrix, combiner.eq_denominators, constellation)
+            assert row.tobytes() == alone.tobytes(), formula
+            bit_errors = np.count_nonzero(symbols_to_bits(alone, constellation) != draws.bits, axis=-1)
+            for kind in kinds:
+                if SAME_COMBINER.get(kind, kind) is formula:
+                    assert errors[kind].tobytes() == bit_errors.tobytes(), kind
+
+    def test_one_detection_per_chunk_and_point(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return detect_pipeline(*args)
+
+        monkeypatch.setattr(montecarlo, "detect_pipeline", counting)
+        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
+        plan = grid_plan(cfg, tuple(ReceiverKind), 19, (-10.0, 0.0, 10.0))
+        montecarlo._batch_counts(plan, every_point(plan), 0, 2 * chunk + 1)
+        stacks = [(7, chunk, 2, 16)] * 2 + [(7, 1, 2, 16)]
+        assert calls == [shape for shape in stacks for _ in plan.snr_db_grid]
 
 
 class TestFoldedGrid:
@@ -382,6 +450,18 @@ class TestZeroColumnRedraw:
     # equalization denominator for that user is zero.
     CONFIG = SystemConfig.from_snr_db(2, 16, 7.0)
     KINDS = tuple(ReceiverKind)
+
+    def test_healthy_draws_at_minus_150_db_are_kept(self, zero_channels, caplog):
+        # The denominators scale with 1/N0; healthy draws are no redraws at
+        # any noise power, while a zero column still is one.
+        zero_channels.add((37, 0))
+        config = SystemConfig.from_snr_db(2, 16, -150.0)
+        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
+            totals = point_counts(config, self.KINDS, 21, 0, 100)
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding zero-denominator draw at trial 37 (redraw 1) at -150 dB"
+        ]
+        assert all(0.4 <= errors / (100 * 4) <= 0.6 for errors in totals.values())
 
     def test_zero_column_is_redrawn(self, zero_channels, caplog):
         zero_channels.add((37, 0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onebit_mimo.bussgang import QuantizedStatistics
-from onebit_mimo.channel import one_bit_quantize
+from onebit_mimo.channel import noise_power_from_snr_db, one_bit_quantize
 from onebit_mimo.errors import (
     DegenerateDenominatorError,
     RankDeficientError,
@@ -14,7 +14,6 @@ from onebit_mimo.linalg import hermitian_solve
 from onebit_mimo.modulation import make_constellation, map_bits_to_symbols
 from onebit_mimo.receivers import (
     BUSSGANG_KINDS,
-    Combiner,
     ReceiverKind,
     _solve_or_rank_error,
     build_combiner,
@@ -158,6 +157,18 @@ class TestBuildCombiner:
         with pytest.raises(DegenerateDenominatorError):
             build_combiner(ReceiverKind.MRC, h, 1.0)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_denominator_floor_is_scale_free(self, kind):
+        # At -150 dB the denominators of the noise-dependent kinds scale down
+        # with 1/N0 far below any absolute floor; a healthy draw must still
+        # pass, and the same draw with a zero column must not.
+        h = rayleigh_channel(np.random.default_rng(15), 16, 2)
+        n0 = noise_power_from_snr_db(-150.0)
+        assert (build_combiner(kind, h, n0).eq_denominators != 0).all()
+        h[:, 1] = 0
+        with pytest.raises((DegenerateDenominatorError, RankDeficientError)):
+            build_combiner(kind, h, n0)
+
     def test_rank_error_translation(self):
         with pytest.raises(RankDeficientError):
             _solve_or_rank_error(np.diag([1.0, -1.0]), np.eye(2))
@@ -186,28 +197,26 @@ class TestPipelineStages:
         h = rayleigh_channel(rng, 8, 3)
         combiner = build_combiner(ReceiverKind.ZF, h, 0.2)
         x_tilde = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        np.testing.assert_allclose(equalize(x_tilde, combiner), x_tilde, atol=1e-10)
+        np.testing.assert_allclose(
+            equalize(x_tilde, combiner.eq_denominators), x_tilde, atol=1e-10
+        )
 
     def test_equalize_scalar_chain(self):
         # Scalar quantization-aware MMSE has denominator (W A) = 1/pi.
         h = np.array([[1.0 + 0j]])
         combiner = build_combiner(ReceiverKind.BMMSE, h, 1.0)
         assert abs(combiner.eq_denominators[0] - 1 / np.pi) <= 1e-12
-        out = equalize(np.array([0.3 + 0j]), combiner)
+        out = equalize(np.array([0.3 + 0j]), combiner.eq_denominators)
         assert abs(out[0] - 0.3 * np.pi) <= 1e-10
 
     def test_equalize_invariant_to_combiner_scaling(self):
         rng = np.random.default_rng(8)
         h = rayleigh_channel(rng, 6, 2)
         combiner = build_combiner(ReceiverKind.MMSE, h, 0.4)
-        scaled = Combiner(
-            kind=combiner.kind,
-            matrix=3.7 * combiner.matrix,
-            eq_denominators=np.einsum("kn,nk->k", 3.7 * combiner.matrix, h),
-        )
+        scaled = 3.7 * combiner.matrix
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        a = equalize(demultiplex(combiner.matrix, y), combiner)
-        b = equalize(demultiplex(scaled.matrix, y), scaled)
+        a = equalize(demultiplex(combiner.matrix, y), combiner.eq_denominators)
+        b = equalize(demultiplex(scaled, y), np.einsum("kn,nk->k", scaled, h))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_rescale_examples(self):
@@ -275,7 +284,9 @@ class TestDetectPipeline:
         bits = rng.integers(0, 2, size=4)
         x = map_bits_to_symbols(bits, qpsk)
         combiner = build_combiner(ReceiverKind.ZF, h, 1e-30)
-        np.testing.assert_array_equal(detect_pipeline(h @ x, combiner, qpsk), x)
+        np.testing.assert_array_equal(
+            detect_pipeline(h @ x, combiner.matrix, combiner.eq_denominators, qpsk), x
+        )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_scaling_invariance(self, kind):
@@ -288,17 +299,19 @@ class TestDetectPipeline:
         stats = QuantizedStatistics(h, n0)
         combiner = build_combiner(kind, h, n0, stats=stats)
         reference = stats.effective_channel if kind in BUSSGANG_KINDS else h
+        matrix, denominators = combiner.matrix, combiner.eq_denominators
         for _ in range(40):
             y = one_bit_quantize(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-            base = detect_pipeline(y, combiner, qpsk)
+            base = detect_pipeline(y, matrix, denominators, qpsk)
             c = 10 ** rng.uniform(-6, 6)
-            scaled = Combiner(
-                kind=kind,
-                matrix=c * combiner.matrix,
-                eq_denominators=np.einsum("kn,nk->k", c * combiner.matrix, reference),
+            scaled = c * matrix
+            scaled_denominators = np.einsum("kn,nk->k", scaled, reference)
+            np.testing.assert_array_equal(
+                detect_pipeline(y, scaled, scaled_denominators, qpsk), base
             )
-            np.testing.assert_array_equal(detect_pipeline(y, scaled, qpsk), base)
-            np.testing.assert_array_equal(detect_pipeline(c * y, combiner, qpsk), base)
+            np.testing.assert_array_equal(
+                detect_pipeline(c * y, matrix, denominators, qpsk), base
+            )
 
     def test_bmmse_is_stationary_for_monte_carlo_mse(self):
         # No small perturbation of the quantization-aware MMSE combiner may

@@ -1,13 +1,20 @@
 """The benchmark's tracer replaces package globals by name; each one it names
-must exist, or its layer silently reads 0 in the benchmark record."""
+must exist, and must be called by a run, or its layer silently reads 0 in
+the benchmark record."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 from onebit_mimo import montecarlo
+from onebit_mimo.channel import SystemConfig
+from onebit_mimo.receivers import ReceiverKind
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+#: Targets a clean in-process run does not reach: ``run_trial`` runs only for
+#: a redrawn (degenerate) trial, and ``wait`` only with a worker pool.
+UNREACHED_IN_PROCESS = {"montecarlo.run_trial", "montecarlo.wait"}
 
 
 def trace_targets():
@@ -36,3 +43,24 @@ def test_every_trace_target_resolves():
 def test_a_removed_global_is_reported(monkeypatch):
     monkeypatch.delattr(montecarlo, "trial_streams")
     assert missing_targets() == ["montecarlo.trial_streams"]
+
+
+def test_every_trace_target_is_reached(monkeypatch):
+    # A tiny batch over two grid points and all eight receivers, with a
+    # counter where the tracer would put its wrapper.
+    calls = Counter()
+    for module_name, name, _ in trace_targets():
+        module = importlib.import_module(f"onebit_mimo.{module_name}")
+
+        def counting(*args, _target=f"{module_name}.{name}", _fn=getattr(module, name), **kwargs):
+            calls[_target] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    plan = montecarlo.TrialPlan(
+        config=SystemConfig(2, 4, 1.0), kinds=tuple(ReceiverKind), snr_db_grid=(0.0, 10.0),
+        max_trials=3, min_bit_errors=0, seed=1,
+    )
+    montecarlo._batch_counts(plan, dict.fromkeys(range(2), plan.kinds), 0, 3)
+    unreached = {f"{module}.{name}" for module, name, _ in trace_targets()} - set(calls)
+    assert unreached == UNREACHED_IN_PROCESS
