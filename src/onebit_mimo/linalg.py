@@ -5,9 +5,9 @@ factor-and-solve instead; matrices here are small (at most a few hundred
 rows) and always Hermitian positive definite up to rounding. A stack of
 order at most 8 (the K x K systems of a few users) is solved by numpy's
 stacked gufuncs in one call, since per-call overhead dominates there; a
-larger order is factored slice by slice through LAPACK's Cholesky, which
-is faster per slice. At these sizes BLAS threads cost more than they save,
-so sweeps run every loaded OpenBLAS at one thread
+larger order is factored and solved slice by slice by LAPACK's Cholesky
+driver, which is faster per slice. At these sizes BLAS threads cost more
+than they save, so sweeps run every loaded OpenBLAS at one thread
 (:func:`single_blas_thread`).
 """
 
@@ -47,13 +47,15 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     stack goes through numpy's gufuncs: one ``np.linalg.cholesky`` call is
     the positive-definite test and one ``np.linalg.solve`` call (LU) the
     solve, since per-call overhead outweighs the arithmetic there. Above it
-    each slice is factored once via Cholesky and solved (LAPACK
-    ``potrf``/``potrs``, as ``scipy.linalg.cho_factor``/``cho_solve`` call
-    them). Either way a slice that fails the factorization (numerically
+    each slice goes through one call of LAPACK's ``posv``, which factors it
+    by Cholesky and solves as ``scipy.linalg.cho_factor``/``cho_solve`` do.
+    Either way a slice that fails the factorization (numerically
     semi-definite input) is retried once with a tiny trace-scaled diagonal
     jitter before :class:`NotPositiveDefiniteError` is raised; the other
     slices are solved as they are. The order alone picks the kernel, so a
-    slice solves to the same bytes in a stack of any size.
+    slice solves to the same bytes in a stack of any size. A right side
+    with any other shape, such as an extra leading axis, raises
+    ``ValueError``.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
@@ -63,7 +65,9 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"matrix is not Hermitian: max |M - M^H| = {asymmetry!r} "
             f"exceeds {HERMITIAN_TOL}"
         )
-    if rhs.shape[: matrix.ndim - 1] != matrix.shape[:-1]:
+    # The right side is one vector or one matrix per slice, nothing else.
+    same_stack = rhs.shape[: matrix.ndim - 1] == matrix.shape[:-1]
+    if rhs.ndim not in (matrix.ndim - 1, matrix.ndim) or not same_stack:
         raise ValueError(
             f"incompatible shapes {matrix.shape} and {rhs.shape} for a solve"
         )
@@ -96,47 +100,31 @@ def _positive_definite(matrix):
 
 
 def _lapack_solve(matrices, rhss):
-    """:func:`hermitian_solve` of a ``(B, n, n)`` stack, one LAPACK factor
-    and solve per slice."""
-    # The factor takes the matrix's type, the solve the common type.
-    (potrf,) = get_lapack_funcs(("potrf",), (matrices,))
-    (potrs,) = get_lapack_funcs(("potrs",), (matrices, rhss))
+    """:func:`hermitian_solve` of a ``(B, n, n)`` stack, one LAPACK ``posv``
+    (Cholesky factor and solve) per slice."""
+    (posv,) = get_lapack_funcs(("posv",), (matrices, rhss))
 
-    def factor(matrix):
-        lower, info = potrf(matrix, lower=True, clean=False)
+    def solve(matrix, rhs):
+        _, solution, info = posv(matrix, rhs, lower=True)
         if info < 0:
-            raise ValueError(f"LAPACK rejected argument {-info} of potrf")
-        return lower if info == 0 else None
+            raise ValueError(f"LAPACK rejected argument {-info} of posv")
+        return solution if info == 0 else None
 
-    # Stacking the transposes keeps potrs's Fortran order in each slice, so
+    # Stacking the transposes keeps posv's Fortran order in each slice, so
     # later products see the memory layout of a single solve.
-    return np.stack(
-        [
-            _cholesky_solve(factor, potrs, slice_matrix, slice_rhs).T
-            for slice_matrix, slice_rhs in zip(matrices, rhss)
-        ]
-    ).mT
+    return np.stack([_with_jitter(solve, m, b).T for m, b in zip(matrices, rhss)]).mT
 
 
-def _cholesky_solve(factor, potrs, matrix, rhs):
-    """One slice of :func:`_lapack_solve`: factor (with the jitter retry)
-    and solve."""
-    solution, info = potrs(_with_jitter(factor, matrix), rhs, lower=True)
-    if info != 0:
-        raise ValueError(f"LAPACK rejected argument {-info} of potrs")
-    return solution
-
-
-def _with_jitter(factor, matrix):
-    """``factor(matrix)``; where that is None (the matrix is not numerically
-    positive definite), ``factor`` of the matrix plus ``_JITTER_SCALE``
-    times its mean diagonal on the diagonal, once, before
+def _with_jitter(attempt, matrix, *args):
+    """``attempt(matrix, *args)``; where that is None (the matrix is not
+    numerically positive definite), ``attempt`` on the matrix plus
+    ``_JITTER_SCALE`` times its mean diagonal on the diagonal, once, before
     :class:`NotPositiveDefiniteError`."""
-    result = factor(matrix)
+    result = attempt(matrix, *args)
     if result is None:
         n = matrix.shape[0]
         jitter = _JITTER_SCALE * matrix.trace().real / n
-        result = factor(matrix + jitter * np.eye(n))
+        result = attempt(matrix + jitter * np.eye(n), *args)
         if result is None:
             raise NotPositiveDefiniteError(
                 "Cholesky factorization failed even after jitter retry"
@@ -157,16 +145,15 @@ def elementwise_arcsin(matrix: np.ndarray) -> np.ndarray:
     Normalized covariances have unit diagonal analytically, but rounding can
     push components slightly past 1.
     """
-    matrix = np.asarray(matrix)
-    re, im = matrix.real, matrix.imag
-    limit = 1.0 + ARCSIN_BAND
-    in_band = (np.abs(re) <= limit).all() and (np.abs(im) <= limit).all()
-    if not in_band:
+    # Real and imaginary parts interleaved, one float per component.
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
+    if not (np.abs(parts) <= 1.0 + ARCSIN_BAND).all():
         raise ArcsinDomainError(
             "entry outside [-1, 1] by more than the rounding band; "
             "input is not a normalized covariance"
         )
-    return np.arcsin(np.clip(re, -1.0, 1.0)) + 1j * np.arcsin(np.clip(im, -1.0, 1.0))
+    # ascontiguousarray makes a 0-d input 1-d; the reshape undoes that.
+    return np.arcsin(np.clip(parts, -1.0, 1.0)).view(complex).reshape(np.shape(matrix))
 
 
 def _loaded_openblas() -> list[str]:

@@ -35,12 +35,13 @@ receivers are still accumulating. Every sweep runs one BLAS thread per
 process, in the pool workers too, so ``workers`` is its only parallelism.
 """
 
+import collections
 import contextlib
 import itertools
 import logging
 import math
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -280,11 +281,12 @@ def _plan_records(plan: TrialPlan, submit, max_inflight: int) -> list[BerRecord]
 
     Each (point, kind) stops at the first batch boundary where its
     cumulative errors reach ``plan.min_bit_errors`` (if positive), else at
-    ``plan.max_trials``; a point stops with its last kind. Batch results are
-    folded strictly in batch-index order, so the records are independent of
+    ``plan.max_trials``; a point stops with its last kind. Submitted batches
+    wait in one first-in, first-out queue and are folded from its head,
+    strictly in batch-index order, so the records are independent of
     execution order; batches are dispatched with the points and kinds still
-    active as of the folded prefix, a superset of those canonically active
-    at any later boundary.
+    active after the batches folded so far, a superset of those canonically
+    active at any later boundary.
     """
     n_batches = math.ceil(plan.max_trials / BATCH_SIZE)
     grid = range(len(plan.snr_db_grid))
@@ -293,37 +295,34 @@ def _plan_records(plan: TrialPlan, submit, max_inflight: int) -> list[BerRecord]
     # Point -> its active kinds. Entries are replaced, never mutated, so the
     # copy a batch is submitted with stays as it was.
     active = dict.fromkeys(grid, plan.kinds)
-    pending = {}
-    ready = {}
-    next_batch = prefix = 0
+    # (stop, future) of each unfolded batch, in submission order.
+    pending = collections.deque()
+    next_batch = 0
     while active:
         while len(pending) < max_inflight and next_batch < n_batches:
             start = next_batch * BATCH_SIZE
             stop = min(start + BATCH_SIZE, plan.max_trials)
-            pending[submit(_batch_counts, plan, dict(active), start, stop)] = next_batch
+            pending.append((stop, submit(_batch_counts, plan, dict(active), start, stop)))
             next_batch += 1
+        boundary, future = pending.popleft()
         # A batch run in this process is done on submit: only a pool waits.
-        finished = [future for future in pending if future.done()]
-        for future in finished or wait(pending, return_when=FIRST_COMPLETED).done:
-            ready[pending.pop(future)] = future.result()
-        while prefix in ready and active:
-            counts = ready.pop(prefix)
-            prefix += 1
-            boundary = min(prefix * BATCH_SIZE, plan.max_trials)
-            capped = boundary == plan.max_trials
-            for point, kinds in list(active.items()):
-                for kind in kinds:
-                    trials[point][kind] = boundary
-                    errors[point][kind] += counts[point][kind]
-                kinds = tuple(
-                    kind
-                    for kind in kinds
-                    if not (capped or 0 < plan.min_bit_errors <= errors[point][kind])
-                )
-                if kinds:
-                    active[point] = kinds
-                else:
-                    del active[point]
+        if not future.done():
+            wait([future])
+        counts = future.result()
+        capped = boundary == plan.max_trials
+        for point, kinds in list(active.items()):
+            for kind in kinds:
+                trials[point][kind] = boundary
+                errors[point][kind] += counts[point][kind]
+            kinds = tuple(
+                kind
+                for kind in kinds
+                if not (capped or 0 < plan.min_bit_errors <= errors[point][kind])
+            )
+            if kinds:
+                active[point] = kinds
+            else:
+                del active[point]
     config = plan.config
     bits_per_trial = config.users * make_constellation(config.modulation).bits_per_symbol
     return [

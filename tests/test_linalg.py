@@ -12,7 +12,7 @@ from onebit_mimo.linalg import diagonal, elementwise_arcsin, hermitian_solve
 
 
 #: The highest order ``hermitian_solve`` hands to numpy's gufuncs; above it
-#: each slice goes through LAPACK's potrf/potrs.
+#: each slice goes through one call of LAPACK's posv.
 GUFUNC_MAX_ORDER = 8
 
 
@@ -54,6 +54,15 @@ class TestHermitianSolve:
         b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x = hermitian_solve(m, b)
         np.testing.assert_allclose(m @ x, b, atol=1e-10)
+
+    @pytest.mark.parametrize("leading", [3, 4])
+    def test_rejects_extra_rhs_axis(self, leading):
+        # A (3, 3) matrix has no stack axis, so a (leading, 3, 2) right side
+        # is not one of its solves, whatever its leading size.
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal((leading, 3, 2))
+        with pytest.raises(ValueError, match="incompatible"):
+            hermitian_solve(random_hpd(rng, 3), b)
 
     def test_rejects_non_hermitian(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -124,16 +133,21 @@ class TestStackedHermitianSolve:
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_lapack_kernel_only_above_the_cut(self, monkeypatch, n):
-        # The gufunc kernel never reaches the per-slice LAPACK solve; the
-        # LAPACK kernel runs it once per slice.
+        # The gufunc kernel never calls LAPACK's posv; the LAPACK kernel
+        # calls it once per slice.
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return cholesky_solve(*args)
+        def counting_lapack_funcs(names, arrays):
+            (posv,) = get_lapack_funcs(names, arrays)
 
-        cholesky_solve = linalg._cholesky_solve
-        monkeypatch.setattr(linalg, "_cholesky_solve", counting)
+            def counting(*args, **kwargs):
+                calls.append(args)
+                return posv(*args, **kwargs)
+
+            return (counting,)
+
+        get_lapack_funcs = linalg.get_lapack_funcs
+        monkeypatch.setattr(linalg, "get_lapack_funcs", counting_lapack_funcs)
         rng = np.random.default_rng(n)
         hermitian_solve(hpd_stack(rng, 5, n), np.ones((5, n, 2)))
         assert len(calls) == (5 if n > GUFUNC_MAX_ORDER else 0)
@@ -194,7 +208,58 @@ def test_diagonal_is_a_writable_view():
     np.testing.assert_array_equal(m[1], np.diag([3.0, 4.0, 5.0]))
 
 
+def two_part_arcsin(matrix):
+    """The arcsine of the real and the imaginary parts as two passes, joined
+    as ``a + 1j * b``: the one-pass kernel's value oracle."""
+    re, im = matrix.real, matrix.imag
+    return np.arcsin(np.clip(re, -1.0, 1.0)) + 1j * np.arcsin(np.clip(im, -1.0, 1.0))
+
+
+def in_band_stack(rng, zeros=False):
+    """A (3, 5, 5) complex stack in [-1, 1] with exact +-1 components and
+    components inside the rounding band; with ``zeros``, +-0.0 ones too."""
+    parts = rng.uniform(-1.0, 1.0, (3, 5, 5, 2))
+    flat = parts.reshape(-1)
+    flat[::7], flat[1::11] = 1.0, -1.0
+    flat[2::13], flat[3::17] = 1.0 + 5e-10, -1.0 - 5e-10
+    if zeros:
+        flat[4::5], flat[5::19] = 0.0, -0.0
+    return parts.view(complex)[..., 0]
+
+
 class TestElementwiseArcsin:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bytes_equal_two_part_arcsine_without_zeros(self, seed):
+        c = in_band_stack(np.random.default_rng(seed))
+        assert (c.view(np.float64) != 0).all()
+        assert elementwise_arcsin(c).tobytes() == two_part_arcsin(c).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_values_equal_two_part_arcsine_with_zeros(self, seed):
+        # Only the sign of a zero component may differ: ``a + 1j * b`` turns
+        # -0.0 into +0.0, the one-pass kernel keeps it.
+        c = in_band_stack(np.random.default_rng(seed), zeros=True)
+        out, reference = elementwise_arcsin(c), two_part_arcsin(c)
+        np.testing.assert_array_equal(out, reference)
+        parts, reference_parts = out.view(np.float64), reference.view(np.float64)
+        nonzero = c.view(np.float64) != 0
+        assert parts[nonzero].tobytes() == reference_parts[nonzero].tobytes()
+        np.testing.assert_array_equal(np.signbit(parts), np.signbit(c.view(np.float64)))
+
+    def test_transposed_input_equals_contiguous_input(self):
+        c = in_band_stack(np.random.default_rng(3)).mT
+        assert not c.flags.c_contiguous
+        out = elementwise_arcsin(c)
+        assert out.tobytes() == elementwise_arcsin(np.ascontiguousarray(c)).tobytes()
+
+    def test_real_input_equals_complex_input(self):
+        r = np.random.default_rng(4).uniform(-1.0, 1.0, (4, 4))
+        out = elementwise_arcsin(r)
+        assert out.dtype == complex
+        assert out.tobytes() == elementwise_arcsin(r.astype(complex)).tobytes()
+        scalar = elementwise_arcsin(0.5)
+        assert scalar.shape == () and scalar == np.arcsin(0.5)
+
     def test_identity_maps_to_half_pi(self):
         out = elementwise_arcsin(np.eye(2))
         np.testing.assert_allclose(out, (np.pi / 2) * np.eye(2), rtol=0, atol=0)

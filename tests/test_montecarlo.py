@@ -734,6 +734,48 @@ class TestPlanRecords:
             ({2: kinds}, 4_000, 4_500),
         ]
 
+    def test_out_of_order_completion_folds_the_in_process_records(self, monkeypatch):
+        # A pool whose batches finish only when the fold waits, newest first
+        # within each window of unfolded batches; the records must still be
+        # the in-process ones. The plan is the k2n16-early-stop-grid golden's,
+        # whose grid points stop at different batches.
+        plan = TrialPlan(
+            config=SystemConfig(2, 16, 1.0),
+            kinds=tuple(ReceiverKind),
+            snr_db_grid=(-10.0, 10.0, 30.0),
+            max_trials=2_500,
+            min_bit_errors=15,
+            seed=9,
+        )
+        max_inflight = 3
+        window, finished, unfolded, sizes = [], [], set(), []
+        real_wait = montecarlo.wait
+
+        class Batch(Future):
+            def result(self, timeout=None):
+                unfolded.discard(self)
+                return super().result(timeout)
+
+        def submit(fn, *args):
+            future = Batch()
+            window.append((future, fn, args))
+            unfolded.add(future)
+            sizes.append(len(unfolded))
+            return future
+
+        def newest_first_wait(futures, **kwargs):
+            for future, fn, args in reversed(window):
+                finished.append(args[2])
+                future.set_result(fn(*args))
+            window.clear()
+            return real_wait(futures, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "wait", newest_first_wait)
+        records = montecarlo._plan_records(plan, submit, max_inflight)
+        assert records == montecarlo._plan_records(plan, montecarlo._run_now, 1)
+        assert finished != sorted(finished)
+        assert max(sizes) == max_inflight
+
 
 def floor_plans(user_counts, kinds, seed, max_trials, min_bit_errors):
     """The fig2 preset's plans: QPSK at 30 dB with N = 8K, one per user count."""
