@@ -31,8 +31,9 @@ ALPHA_ONE_BIT = 0.3634
 
 def received_covariance(channel: np.ndarray, noise_power: float) -> np.ndarray:
     """Covariance of the analog receive vector for unit-power symbols."""
-    n = channel.shape[-2]
-    return channel @ channel.conj().mT + noise_power * np.eye(n)
+    covariance = channel @ channel.conj().mT
+    diagonal(covariance)[...] += noise_power
+    return covariance
 
 
 def _diag_or_raise(received_cov):
@@ -57,9 +58,12 @@ def effective_noise_covariance(received_cov, noise_power) -> np.ndarray:
     # The normalized diagonal is identically 1; pin it so rounding one ulp
     # below 1 cannot be amplified by the infinite arcsine slope there.
     diagonal(normalized)[...] = 1.0
-    noise = elementwise_arcsin(normalized) - normalized
+    # In place: elementwise_arcsin returns a fresh array.
+    noise = elementwise_arcsin(normalized)
+    noise -= normalized
     diagonal(noise)[...] += noise_power * (1.0 / power)
-    return (2.0 / np.pi) * noise
+    noise *= 2.0 / np.pi
+    return noise
 
 
 class AqnmParameters(NamedTuple):

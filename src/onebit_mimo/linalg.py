@@ -6,8 +6,11 @@ rows) and always Hermitian positive definite up to rounding. A stack of
 order at most 8 (the K x K systems of a few users) is solved by numpy's
 stacked gufuncs in one call, since per-call overhead dominates there; a
 larger order is factored and solved slice by slice by LAPACK's Cholesky
-driver, which is faster per slice. At these sizes BLAS threads cost more
-than they save, so sweeps run every loaded OpenBLAS at one thread
+routine ``?posv``, which is faster per slice. That routine is the one in the
+LAPACK numpy itself links (an OpenBLAS in numpy's wheels), bound through
+ctypes once at import; where no ``?posv`` symbol is found, every order goes
+through the gufuncs. At these sizes BLAS threads cost more than they save,
+so sweeps run every loaded OpenBLAS at one thread
 (:func:`single_blas_thread`).
 """
 
@@ -15,9 +18,10 @@ import contextlib
 import ctypes
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from numpy.linalg import _umath_linalg
 
 from .errors import ArcsinDomainError, NotPositiveDefiniteError
 
@@ -37,6 +41,82 @@ _OPENBLAS_THREAD_CALLS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+# (symbol of LAPACK's ?posv with ? for z or d, Fortran integer type), as
+# exported by numpy's ILP64 wheel build, a plain ILP64 LAPACK, an LP64 wheel
+# build and a plain LAPACK; the first pair found is used.
+_POSV_SYMBOLS = (
+    ("scipy_?posv_64_", ctypes.c_int64),
+    ("?posv_64_", ctypes.c_int64),
+    ("scipy_?posv_", ctypes.c_int32),
+    ("?posv_", ctypes.c_int32),
+)
+
+
+class _Posv(NamedTuple):
+    """LAPACK's ``zposv`` and ``dposv`` as ctypes functions, their Fortran
+    integer type, and the library file and symbol they were found as."""
+
+    complex: Callable
+    real: Callable
+    integer: type
+    library: str
+    symbol: str
+
+
+class _DlInfo(ctypes.Structure):
+    _fields_ = [
+        ("dli_fname", ctypes.c_char_p),
+        ("dli_fbase", ctypes.c_void_p),
+        ("dli_sname", ctypes.c_char_p),
+        ("dli_saddr", ctypes.c_void_p),
+    ]
+
+
+def _library_of(function, fallback):
+    """File name of the shared library that defines a ctypes ``function``
+    (``dladdr``), or ``fallback`` where that cannot be told."""
+    info = _DlInfo()
+    address = ctypes.cast(function, ctypes.c_void_p)
+    try:
+        found = ctypes.CDLL(None).dladdr(address, ctypes.byref(info))
+    except (AttributeError, OSError):
+        return fallback
+    if not found or not info.dli_fname:
+        return fallback
+    return os.path.basename(os.fsdecode(info.dli_fname))
+
+
+def _find_posv():
+    """The ``?posv`` pair that numpy's linalg extension can reach, or None.
+
+    The symbols are looked up through the extension's own handle, so they
+    come from the LAPACK it links, whatever that library's file is called.
+    """
+    try:
+        handle = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for symbol, integer in _POSV_SYMBOLS:
+        names = symbol.replace("?", "z"), symbol.replace("?", "d")
+        if all(hasattr(handle, name) for name in names):
+            routines = [getattr(handle, name) for name in names]
+            for routine in routines:
+                # UPLO, N, NRHS, A, LDA, B, LDB, INFO by address, then the
+                # hidden length of the UPLO string.
+                routine.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+                routine.restype = None
+            library = _library_of(routines[0], os.path.basename(_umath_linalg.__file__))
+            return _Posv(*routines, integer, library, symbol)
+    return None
+
+
+_POSV = _find_posv()
+
+
+def large_order_kernel() -> str:
+    """What solves orders above ``_GUFUNC_MAX_ORDER``: the LAPACK library
+    file and ``?posv`` symbol, or ``"numpy gufuncs"`` when none was found."""
+    return f"{_POSV.library} {_POSV.symbol}" if _POSV else "numpy gufuncs"
 
 
 def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -47,9 +127,12 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     stack goes through numpy's gufuncs: one ``np.linalg.cholesky`` call is
     the positive-definite test and one ``np.linalg.solve`` call (LU) the
     solve, since per-call overhead outweighs the arithmetic there. Above it
-    each slice goes through one call of LAPACK's ``posv``, which factors it
-    by Cholesky and solves as ``scipy.linalg.cho_factor``/``cho_solve`` do.
-    Either way a slice that fails the factorization (numerically
+    each slice goes through one call of LAPACK's ``?posv`` (``zposv`` or
+    ``dposv`` in double precision), which factors it by Cholesky and solves
+    as ``scipy.linalg.cho_factor``/``cho_solve`` do; the routine is the one
+    in the LAPACK numpy links (:func:`large_order_kernel` names it). Where
+    numpy's LAPACK exports no ``?posv`` symbol, every order goes through the
+    gufuncs. Either way a slice that fails the factorization (numerically
     semi-definite input) is retried once with a tiny trace-scaled diagonal
     jitter before :class:`NotPositiveDefiniteError` is raised; the other
     slices are solved as they are. The order alone picks the kernel, so a
@@ -74,7 +157,8 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n = matrix.shape[-1]
     matrices = matrix.reshape(-1, n, n)
     rhss = rhs.reshape(len(matrices), n, -1)
-    solve = _gufunc_solve if n <= _GUFUNC_MAX_ORDER else _lapack_solve
+    large = n > _GUFUNC_MAX_ORDER and _POSV is not None
+    solve = _lapack_solve if large else _gufunc_solve
     solution = solve(matrices, rhss).reshape(rhs.shape)
     if not np.isfinite(solution).all():
         raise NotPositiveDefiniteError("solve produced non-finite entries")
@@ -102,17 +186,41 @@ def _positive_definite(matrix):
 def _lapack_solve(matrices, rhss):
     """:func:`hermitian_solve` of a ``(B, n, n)`` stack, one LAPACK ``posv``
     (Cholesky factor and solve) per slice."""
-    (posv,) = get_lapack_funcs(("posv",), (matrices, rhss))
+    is_complex = np.result_type(matrices, rhss).kind == "c"
+    posv = _POSV.complex if is_complex else _POSV.real
+    dtype = complex if is_complex else float
+    # Each slice of the C-ordered transposes is its matrix in Fortran order,
+    # as posv reads it; posv overwrites them with factors and solutions.
+    factors = np.array(matrices.mT, dtype=dtype, order="C")
+    solutions = np.array(rhss.mT, dtype=dtype, order="C")
+    # N (also LDA and LDB), NRHS and INFO, in one array.
+    ints = (_POSV.integer * 3)(*rhss.shape[1:], 0)
+    n_at, count_at, info_at = (
+        ctypes.addressof(ints) + i * ctypes.sizeof(_POSV.integer) for i in range(3)
+    )
+    factor_at, factor_step = factors.ctypes.data, factors.strides[0]
+    solution_at, solution_step = solutions.ctypes.data, solutions.strides[0]
 
-    def solve(matrix, rhs):
-        _, solution, info = posv(matrix, rhs, lower=True)
+    def solve_slice(index):
+        """posv of slice ``index`` in place; None where it does not factor."""
+        posv(b"L", n_at, count_at, factor_at + index * factor_step, n_at,
+             solution_at + index * solution_step, n_at, info_at, 1)
+        info = ints[2]
         if info < 0:
             raise ValueError(f"LAPACK rejected argument {-info} of posv")
-        return solution if info == 0 else None
+        return True if info == 0 else None
 
-    # Stacking the transposes keeps posv's Fortran order in each slice, so
-    # later products see the memory layout of a single solve.
-    return np.stack([_with_jitter(solve, m, b).T for m, b in zip(matrices, rhss)]).mT
+    def rewrite_and_solve(matrix, index):
+        factors[index], solutions[index] = matrix.T, rhss[index].T
+        return solve_slice(index)
+
+    for index in range(len(factors)):
+        if solve_slice(index) is None:
+            # The failed call overwrote part of the slice; each attempt of
+            # the retry writes it again first.
+            _with_jitter(rewrite_and_solve, matrices[index], index)
+    # Per-slice Fortran order, as a single posv call returns its solution.
+    return solutions.mT
 
 
 def _with_jitter(attempt, matrix, *args):
@@ -152,8 +260,10 @@ def elementwise_arcsin(matrix: np.ndarray) -> np.ndarray:
             "entry outside [-1, 1] by more than the rounding band; "
             "input is not a normalized covariance"
         )
+    clipped = np.clip(parts, -1.0, 1.0)
+    np.arcsin(clipped, out=clipped)
     # ascontiguousarray makes a 0-d input 1-d; the reshape undoes that.
-    return np.arcsin(np.clip(parts, -1.0, 1.0)).view(complex).reshape(np.shape(matrix))
+    return clipped.view(complex).reshape(np.shape(matrix))
 
 
 def _loaded_openblas() -> list[str]:

@@ -106,7 +106,7 @@ def map_bits_to_symbols(bits, constellation: Constellation) -> np.ndarray:
         raise LengthMismatchError(
             f"bit count {count} is not a positive multiple of {width}"
         )
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
     weights = 1 << np.arange(width - 1, -1, -1)
     codes = bits.reshape(*bits.shape[:-1], -1, width) @ weights

@@ -124,7 +124,8 @@ def build_combiner(
         diagonal(m)[...] += 1.0
         matrix = hermitian_solve(m, weighted)
     elif formula is ReceiverKind.BMMSE:
-        m = x @ xh + stats.noise_cov
+        m = x @ xh
+        m += stats.noise_cov
         matrix = hermitian_solve(m, x).conj().mT
     else:
         raise ValueError(f"unknown receiver kind {kind!r}")

@@ -7,9 +7,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from .linalg import openblas_threads
+from .linalg import large_order_kernel, openblas_threads
 from .montecarlo import BerRecord, wilson_interval
 from .receivers import ReceiverKind
 from .rng import STREAM_VERSION
@@ -74,7 +73,9 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
     add ``ber_low`` and ``ber_high``, the Wilson 95% interval of the BER, and
     JSON carries a top-level ``meta`` object: seed, ``stream_version``
     (:data:`onebit_mimo.rng.STREAM_VERSION`), git describe, timestamp, the
-    numpy and scipy versions, and ``openblas_pinned``, the file names of the
+    numpy version, ``lapack`` (:func:`onebit_mimo.linalg.large_order_kernel`:
+    the library file and ``?posv`` symbol that solve orders above 8, or
+    ``"numpy gufuncs"``), and ``openblas_pinned``, the file names of the
     loaded OpenBLAS libraries that sweeps run at one thread (empty: no pin
     took place). The timestamp is excluded from any determinism guarantee.
     """
@@ -109,7 +110,7 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
                 "git_describe": _git_describe(),
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "lapack": large_order_kernel(),
                 "openblas_pinned": sorted(openblas_threads()),
             },
             "records": [_record_row(record) for record in records],

@@ -99,7 +99,15 @@ def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method)
         1, mp_context=context, initializer=kwargs["initializer"]
     ) as pool:
         pinned = pool.submit(linalg.openblas_threads).result(timeout=120)
-    assert pinned == dict.fromkeys(two_blas_threads, 1)
+    if method == "fork":
+        # A forked worker has every library its parent loaded.
+        assert pinned == dict.fromkeys(two_blas_threads, 1)
+    # A spawned worker loads only what its imports need, numpy's OpenBLAS
+    # among it; whatever it loaded runs at one thread.
+    assert set(pinned) <= set(two_blas_threads)
+    assert set(pinned.values()) == {1}
+    if linalg._POSV is not None and "openblas" in linalg._POSV.library.lower():
+        assert linalg._POSV.library in pinned
 
 
 def test_without_openblas_nothing_is_pinned(two_blas_threads, monkeypatch):

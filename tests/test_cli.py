@@ -438,6 +438,22 @@ class TestEntryPoint:
         (record,) = read_records(tmp_path / "r.csv")
         assert (record.users, record.antennas, record.trials) == (2, 4, 1000)
 
+    def test_set_up_imports_no_scipy(self):
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            "import sys\n"
+            "import onebit_mimo.cli\n"
+            "onebit_mimo.cli.parse_run_spec(['--preset', 'fig2'])\n"
+            "print(sorted({'scipy', 'scipy.linalg'} & set(sys.modules)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_usage_error(self, tmp_path):
         result = self.simulate(
             tmp_path, "--k", "4", "--n", "2", "--mod", "qpsk", "--snr-start", "0"

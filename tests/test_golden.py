@@ -29,10 +29,14 @@ as its own batches, by
 """
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from onebit_mimo import cli
 from onebit_mimo.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -70,6 +74,40 @@ def _run(argv, out: Path) -> bytes:
 def test_reproduces_golden_csv(name, tmp_path):
     written = _run(CASES[name], tmp_path / f"{name}.csv")
     assert written == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+#: Runs the simulator with every import of scipy failing.
+_WITHOUT_SCIPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from onebit_mimo.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_golden_csv_without_scipy(tmp_path):
+    # The N x N solves of this case go through LAPACK without scipy.
+    out = tmp_path / "k2n16-qpsk.csv"
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, *CASES["k2n16-qpsk"], *_COMMON,
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (GOLDEN_DIR / "k2n16-qpsk.csv").read_bytes()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,5 +1,8 @@
 """Tests for the complex Hermitian solve and elementwise arcsine kernels."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,8 +105,9 @@ def cholesky_reference(matrices, rhs):
 
 def per_slice_reference(matrices, rhs):
     """The single-matrix solve each kernel's stack replaces, byte for byte:
-    ``np.linalg.solve`` up to the gufunc cut, ``cho_solve`` above it."""
-    if np.shape(matrices)[-1] > GUFUNC_MAX_ORDER:
+    ``np.linalg.solve`` up to the gufunc cut, ``cho_solve`` above it (and
+    ``np.linalg.solve`` there too when numpy's LAPACK has no ``?posv``)."""
+    if np.shape(matrices)[-1] > GUFUNC_MAX_ORDER and linalg._POSV is not None:
         return cholesky_reference(matrices, rhs)
     return np.stack([np.linalg.solve(m, b) for m, b in zip(matrices, rhs)])
 
@@ -118,6 +122,18 @@ class TestStackedHermitianSolve:
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_bytes_equal_per_slice_cholesky(self, n):
+        self.check_per_slice_bytes(n)
+
+    @pytest.mark.parametrize("n", [9, 16, 128])
+    def test_without_posv_every_order_solves_through_the_gufuncs(self, monkeypatch, n):
+        monkeypatch.setattr(linalg, "_POSV", None)
+        assert linalg.large_order_kernel() == "numpy gufuncs"
+        # LU rounds a vector right side unlike a column of a matrix one at
+        # large orders, so only matrix right sides are compared by bytes.
+        self.check_per_slice_bytes(n, vectors=False)
+
+    @staticmethod
+    def check_per_slice_bytes(n, vectors=True):
         rng = np.random.default_rng(n)
         matrices = hpd_stack(rng, 5, n)
         rhs = rng.standard_normal((5, n, 3)) + 1j * rng.standard_normal((5, n, 3))
@@ -129,25 +145,28 @@ class TestStackedHermitianSolve:
             single = hermitian_solve(matrices[i], rhs[i])
             assert single.tobytes() == x[i].tobytes()
             vector = hermitian_solve(matrices[i], rhs[i, :, 0])
-            assert vector.tobytes() == x[i, :, 0].tobytes()
+            if vectors:
+                assert vector.tobytes() == x[i, :, 0].tobytes()
+            assert_close_relative(vector, x[i, :, 0])
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_lapack_kernel_only_above_the_cut(self, monkeypatch, n):
         # The gufunc kernel never calls LAPACK's posv; the LAPACK kernel
         # calls it once per slice.
+        if linalg._POSV is None:
+            pytest.skip("numpy's LAPACK exports no ?posv")
         calls = []
 
-        def counting_lapack_funcs(names, arrays):
-            (posv,) = get_lapack_funcs(names, arrays)
-
-            def counting(*args, **kwargs):
+        def counting(routine):
+            def call(*args):
                 calls.append(args)
-                return posv(*args, **kwargs)
+                return routine(*args)
 
-            return (counting,)
+            return call
 
-        get_lapack_funcs = linalg.get_lapack_funcs
-        monkeypatch.setattr(linalg, "get_lapack_funcs", counting_lapack_funcs)
+        posv = linalg._POSV
+        counted = posv._replace(complex=counting(posv.complex), real=counting(posv.real))
+        monkeypatch.setattr(linalg, "_POSV", counted)
         rng = np.random.default_rng(n)
         hermitian_solve(hpd_stack(rng, 5, n), np.ones((5, n, 2)))
         assert len(calls) == (5 if n > GUFUNC_MAX_ORDER else 0)
@@ -156,6 +175,10 @@ class TestStackedHermitianSolve:
         self.check_semidefinite_slice(3)
 
     def test_semidefinite_slice_above_the_cut(self):
+        self.check_semidefinite_slice(16)
+
+    def test_semidefinite_slice_without_posv(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_POSV", None)
         self.check_semidefinite_slice(16)
 
     @staticmethod
@@ -195,6 +218,16 @@ class TestStackedHermitianSolve:
         matrices[2, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_solve(matrices, np.ones((3, 4, 1)))
+
+    def test_large_order_kernel_names_a_mapped_library_and_its_symbol(self):
+        if linalg._POSV is None:
+            pytest.skip("numpy's LAPACK exports no ?posv")
+        library, symbol = linalg.large_order_kernel().split()
+        assert symbol in {name for name, _ in linalg._POSV_SYMBOLS}
+        if sys.platform.startswith("linux"):
+            with open("/proc/self/maps") as maps:
+                rows = [line.split(None, 5) for line in maps]
+            assert library in {os.path.basename(row[5].strip()) for row in rows if len(row) == 6}
 
     def test_rejects_mismatched_stack(self):
         rng = np.random.default_rng(6)

@@ -112,6 +112,22 @@ def test_non_binary_bits_rejected():
         map_bits_to_symbols([0, 2], c)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_every_non_binary_value_rejected(bad):
+    c = make_constellation("qpsk")
+    bits = np.zeros((3, 4))
+    bits[1, 2] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        map_bits_to_symbols(bits, c)
+
+
+def test_boolean_bits_map_as_integers():
+    c = make_constellation("16qam")
+    bits = np.random.default_rng(8).integers(0, 2, size=(5, 8))
+    as_bool = map_bits_to_symbols(bits.astype(bool), c)
+    assert as_bool.tobytes() == map_bits_to_symbols(bits, c).tobytes()
+
+
 def test_every_point_is_its_own_nearest():
     for name in supported_modulations():
         c = make_constellation(name)

@@ -4,9 +4,9 @@ import json
 
 import numpy as np
 import pytest
-import scipy
 
-from onebit_mimo.linalg import openblas_threads
+from onebit_mimo import linalg
+from onebit_mimo.linalg import large_order_kernel, openblas_threads
 from onebit_mimo.montecarlo import BerRecord
 from onebit_mimo.receivers import ReceiverKind
 from onebit_mimo.results import emit_results, read_records
@@ -78,7 +78,8 @@ def test_json_structure(tmp_path):
     assert "git_describe" in payload["meta"]
     assert "timestamp" in payload["meta"]
     assert payload["meta"]["numpy"] == np.__version__
-    assert payload["meta"]["scipy"] == scipy.__version__
+    assert "scipy" not in payload["meta"]
+    assert payload["meta"]["lapack"] == large_order_kernel()
     assert payload["meta"]["openblas_pinned"] == sorted(openblas_threads())
     (row,) = payload["records"]
     # Wilson 95% interval of 120 errors in 400000 bits.
@@ -104,6 +105,13 @@ def test_json_structure(tmp_path):
         b"snr_db,receiver,k,n,modulation,trials,bits,bit_errors,ber\r\n"
         b"30,bmmse,2,16,qpsk,100000,400000,120,3.00000e-4\r\n"
     )
+
+
+def test_json_names_the_gufuncs_without_posv(tmp_path, monkeypatch):
+    monkeypatch.setattr(linalg, "_POSV", None)
+    path = tmp_path / "out.json"
+    emit_results([record()], "json", path)
+    assert json.loads(path.read_text())["meta"]["lapack"] == "numpy gufuncs"
 
 
 def test_unknown_format(tmp_path):
