@@ -8,6 +8,7 @@ one plan per user count at N = 8K antennas.
 
 import argparse
 import math
+import re
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
@@ -103,7 +104,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--snr-start", type=float, metavar="DB")
     parser.add_argument("--snr-stop", type=float, metavar="DB")
     parser.add_argument("--snr-step", type=float, metavar="DB")
-    parser.add_argument("--receivers", help="comma-separated receiver names, or 'all'")
+    parser.add_argument("--receivers", type=_parse_kinds,
+                        help="comma-separated receiver names, or 'all'")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--max-trials", type=int)
     parser.add_argument("--min-bit-errors", type=int,
@@ -132,7 +134,9 @@ def _read_config_file(parser: _Parser, path) -> dict:
             if option.startswith("--")} - {"config", "help"}
     values = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        # A comment starts at a '#' that opens the line or follows whitespace,
+        # so a value such as out=run#1.csv keeps its '#'.
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         where = f"--config: {path}:{lineno}:"
@@ -239,7 +243,7 @@ def parse_run_spec(argv=None) -> RunSpec:
             )
         geometry = [(users, antennas)]
 
-    kinds = _parse_kinds(settings["receivers"]) if "receivers" in settings else settings["kinds"]
+    kinds = settings.get("receivers", settings["kinds"])
 
     seed = settings["seed"]
     if seed < 0 or seed >= 2**64:

@@ -10,14 +10,13 @@ routine ``?posv``, which is faster per slice. That routine is the one in the
 LAPACK numpy itself links (an OpenBLAS in numpy's wheels), bound through
 ctypes once at import; where no ``?posv`` symbol is found, every order goes
 through the gufuncs. At these sizes BLAS threads cost more than they save,
-so sweeps run every loaded OpenBLAS at one thread
-(:func:`single_blas_thread`).
+so sweeps run numpy's OpenBLAS at one thread (:func:`single_blas_thread`);
+its thread-count calls are bound by the same lookup as ``?posv``.
 """
 
 import contextlib
 import ctypes
 import os
-import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,21 +33,18 @@ _JITTER_SCALE = 1e-10
 # Largest matrix order solved by numpy's stacked gufuncs; larger stacks are
 # factored slice by slice through LAPACK, which is faster per slice there.
 _GUFUNC_MAX_ORDER = 8
-# (setter, getter) of the thread count, as exported by numpy's ILP64 wheel
-# build, scipy's wheel build and a plain OpenBLAS; one library exports one pair.
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-# (symbol of LAPACK's ?posv with ? for z or d, Fortran integer type), as
-# exported by numpy's ILP64 wheel build, a plain ILP64 LAPACK, an LP64 wheel
-# build and a plain LAPACK; the first pair found is used.
-_POSV_SYMBOLS = (
-    ("scipy_?posv_64_", ctypes.c_int64),
-    ("?posv_64_", ctypes.c_int64),
-    ("scipy_?posv_", ctypes.c_int32),
-    ("?posv_", ctypes.c_int32),
+# (symbol of LAPACK's ?posv with ? for z or d, its Fortran integer type,
+# setter and getter of OpenBLAS's thread count), as exported by numpy's ILP64
+# wheel build, a plain ILP64 OpenBLAS, an LP64 wheel build and a plain
+# OpenBLAS. The first ?posv pair and the first thread pair found are used.
+_BUILDS = (
+    ("scipy_?posv_64_", ctypes.c_int64,
+     "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("?posv_64_", ctypes.c_int64,
+     "openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("scipy_?posv_", ctypes.c_int32,
+     "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("?posv_", ctypes.c_int32, "openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
 
@@ -61,6 +57,15 @@ class _Posv(NamedTuple):
     integer: type
     library: str
     symbol: str
+
+
+class _Threads(NamedTuple):
+    """OpenBLAS's thread-count setter and getter as ctypes functions, and the
+    library file they were found in."""
+
+    set: Callable
+    get: Callable
+    library: str
 
 
 class _DlInfo(ctypes.Structure):
@@ -86,31 +91,39 @@ def _library_of(function, fallback):
     return os.path.basename(os.fsdecode(info.dli_fname))
 
 
-def _find_posv():
-    """The ``?posv`` pair that numpy's linalg extension can reach, or None.
+def _bind():
+    """``(posv, threads)``: the ``?posv`` pair and the OpenBLAS thread calls
+    that numpy's linalg extension can reach, each None where not found.
 
     The symbols are looked up through the extension's own handle, so they
-    come from the LAPACK it links, whatever that library's file is called.
+    come from the LAPACK and OpenBLAS it links, whatever that library's file
+    is called.
     """
     try:
         handle = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
-        return None
-    for symbol, integer in _POSV_SYMBOLS:
+        return None, None
+    fallback = os.path.basename(_umath_linalg.__file__)
+    posv = threads = None
+    for symbol, integer, setter, getter in _BUILDS:
         names = symbol.replace("?", "z"), symbol.replace("?", "d")
-        if all(hasattr(handle, name) for name in names):
+        if posv is None and all(hasattr(handle, name) for name in names):
             routines = [getattr(handle, name) for name in names]
             for routine in routines:
                 # UPLO, N, NRHS, A, LDA, B, LDB, INFO by address, then the
                 # hidden length of the UPLO string.
                 routine.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
                 routine.restype = None
-            library = _library_of(routines[0], os.path.basename(_umath_linalg.__file__))
-            return _Posv(*routines, integer, library, symbol)
-    return None
+            posv = _Posv(*routines, integer, _library_of(routines[0], fallback), symbol)
+        if threads is None and hasattr(handle, setter) and hasattr(handle, getter):
+            set_threads, get_threads = getattr(handle, setter), getattr(handle, getter)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            threads = _Threads(set_threads, get_threads, _library_of(set_threads, fallback))
+    return posv, threads
 
 
-_POSV = _find_posv()
+_POSV, _THREADS = _bind()
 
 
 def large_order_kernel() -> str:
@@ -266,62 +279,32 @@ def elementwise_arcsin(matrix: np.ndarray) -> np.ndarray:
     return clipped.view(complex).reshape(np.shape(matrix))
 
 
-def _loaded_openblas() -> list[str]:
-    """Paths of the OpenBLAS libraries mapped into this process (Linux only)."""
-    if not sys.platform.startswith("linux"):
-        return []
-    try:
-        with open("/proc/self/maps") as maps:
-            rows = [line.split(None, 5) for line in maps]
-    except OSError:
-        return []
-    paths = {row[5].strip() for row in rows if len(row) == 6}
-    return sorted(path for path in paths if "openblas" in os.path.basename(path).lower())
-
-
-def _openblas_thread_calls():
-    """``(file name, get_threads, set_threads)`` of each loaded OpenBLAS that
-    exports a thread-count setter."""
-    calls = []
-    for path in _loaded_openblas():
-        try:
-            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for setter, getter in _OPENBLAS_THREAD_CALLS:
-            if hasattr(library, setter) and hasattr(library, getter):
-                set_threads, get_threads = getattr(library, setter), getattr(library, getter)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                calls.append((os.path.basename(path), get_threads, set_threads))
-                break
-    return calls
-
-
 def openblas_threads() -> dict[str, int]:
-    """Current thread count of each loaded OpenBLAS, keyed by file name."""
-    return {name: get_threads() for name, get_threads, _ in _openblas_thread_calls()}
+    """Current thread count of numpy's OpenBLAS keyed by its file name, or
+    ``{}`` where numpy's linalg exposes no OpenBLAS thread calls."""
+    return {_THREADS.library: _THREADS.get()} if _THREADS else {}
 
 
 @contextlib.contextmanager
 def single_blas_thread():
-    """Run the body with every loaded OpenBLAS at one thread.
+    """Run the body with numpy's OpenBLAS at one thread.
 
-    Nothing changes when none is loaded or the system is not Linux. On exit,
-    also by exception, each library gets back its previous thread count.
+    Nothing changes where numpy's linalg exposes no OpenBLAS thread calls.
+    On exit, also by exception, the library gets back its previous count.
     """
-    calls = _openblas_thread_calls()
-    previous = [get_threads() for _, get_threads, _ in calls]
-    for _, _, set_threads in calls:
-        set_threads(1)
+    threads = _THREADS
+    if threads is None:
+        yield
+        return
+    previous = threads.get()
+    threads.set(1)
     try:
         yield
     finally:
-        for (_, _, set_threads), count in zip(calls, previous):
-            set_threads(count)
+        threads.set(previous)
 
 
 def pin_one_blas_thread() -> None:
-    """Set every loaded OpenBLAS to one thread for the rest of the process."""
-    for _, _, set_threads in _openblas_thread_calls():
-        set_threads(1)
+    """Set numpy's OpenBLAS to one thread for the rest of the process."""
+    if _THREADS:
+        _THREADS.set(1)

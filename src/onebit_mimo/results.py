@@ -75,9 +75,12 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
     (:data:`onebit_mimo.rng.STREAM_VERSION`), git describe, timestamp, the
     numpy version, ``lapack`` (:func:`onebit_mimo.linalg.large_order_kernel`:
     the library file and ``?posv`` symbol that solve orders above 8, or
-    ``"numpy gufuncs"``), and ``openblas_pinned``, the file names of the
-    loaded OpenBLAS libraries that sweeps run at one thread (empty: no pin
-    took place). The timestamp is excluded from any determinism guarantee.
+    ``"numpy gufuncs"``), and ``openblas_pinned``: the file name of the
+    OpenBLAS that sweeps pin to one thread, the one whose thread calls
+    :mod:`onebit_mimo.linalg` found through numpy's linalg extension, or
+    empty when that extension exposes none. It is not a list of every
+    OpenBLAS loaded in the process. The timestamp is excluded from any
+    determinism guarantee.
     """
     records = list(records)
     if not records:

@@ -217,6 +217,8 @@ class TestConfigFile:
             ("rec=zf", "unknown key"),
             ("config=other.cfg", "unknown key"),
             ("help=", "unknown key"),
+            # Inside a value '#' is no comment, and zf#bzf names no receiver.
+            ("receivers=zf#bzf", "unknown receiver 'zf#bzf'"),
         ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, line, message):
@@ -226,6 +228,13 @@ class TestConfigFile:
             parse_run_spec(["--config", str(cfg)])
         assert str(info.value).startswith(f"--config: {cfg}:2: ")
         assert message in str(info.value)
+
+    def test_comment_starts_a_line_or_follows_whitespace(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("  # comment line\npreset=fig1a\nout=run#1.csv\nseed=42  # note\n")
+        spec = parse_run_spec(["--config", str(cfg)])
+        assert spec.out_path == "run#1.csv"
+        assert spec.seed == 42
 
     def test_abbreviation_is_a_flag_only(self):
         # The same abbreviation the config file rejects as an unknown key.

@@ -1,5 +1,6 @@
 """Tests for the complex Hermitian solve and elementwise arcsine kernels."""
 
+import ctypes
 import os
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_factor, cho_solve
 
 from onebit_mimo import linalg
@@ -103,11 +105,41 @@ def cholesky_reference(matrices, rhs):
     )
 
 
+def real_cholesky_reference(matrices, rhs):
+    """Per-slice ``dpotrf`` then ``dpotrs`` of the LAPACK numpy links: the
+    real LAPACK kernel's byte oracle. scipy's ``cho_solve`` runs in the
+    OpenBLAS scipy bundles, whose real triangular solves may round the last
+    bit differently when its version differs from numpy's."""
+    handle = ctypes.CDLL(_umath_linalg.__file__)
+    factor, solve = (
+        getattr(handle, linalg._POSV.symbol.replace("?posv", name))
+        for name in ("dpotrf", "dpotrs")
+    )
+    factor.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
+    solve.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 7 + [ctypes.c_size_t]
+    factor.restype = solve.restype = None
+    solutions = []
+    for matrix, b in zip(matrices, rhs):
+        a = np.array(matrix, dtype=float, order="F")
+        x = np.array(b, dtype=float, order="F")
+        n, count, info = (linalg._POSV.integer(value) for value in (*x.shape, 0))
+        n_at, count_at, info_at = (ctypes.addressof(v) for v in (n, count, info))
+        factor(b"L", n_at, a.ctypes.data, n_at, info_at, 1)
+        assert info.value == 0
+        solve(b"L", n_at, count_at, a.ctypes.data, n_at, x.ctypes.data, n_at, info_at, 1)
+        assert info.value == 0
+        solutions.append(x)
+    return np.stack(solutions)
+
+
 def per_slice_reference(matrices, rhs):
     """The single-matrix solve each kernel's stack replaces, byte for byte:
-    ``np.linalg.solve`` up to the gufunc cut, ``cho_solve`` above it (and
-    ``np.linalg.solve`` there too when numpy's LAPACK has no ``?posv``)."""
+    ``np.linalg.solve`` up to the gufunc cut, ``cho_solve`` above it for
+    complex input and ``dpotrf``/``dpotrs`` for real (and ``np.linalg.solve``
+    there too when numpy's LAPACK has no ``?posv``)."""
     if np.shape(matrices)[-1] > GUFUNC_MAX_ORDER and linalg._POSV is not None:
+        if np.isrealobj(matrices) and np.isrealobj(rhs):
+            return real_cholesky_reference(matrices, rhs)
         return cholesky_reference(matrices, rhs)
     return np.stack([np.linalg.solve(m, b) for m, b in zip(matrices, rhs)])
 
@@ -132,13 +164,23 @@ class TestStackedHermitianSolve:
         # large orders, so only matrix right sides are compared by bytes.
         self.check_per_slice_bytes(n, vectors=False)
 
+    @pytest.mark.parametrize("n", [9, 16, 128])
+    def test_real_bytes_equal_per_slice_cholesky(self, n):
+        # Real stacks above the cut go through dposv.
+        self.check_per_slice_bytes(n, real=True)
+
     @staticmethod
-    def check_per_slice_bytes(n, vectors=True):
+    def check_per_slice_bytes(n, vectors=True, real=False):
         rng = np.random.default_rng(n)
         matrices = hpd_stack(rng, 5, n)
         rhs = rng.standard_normal((5, n, 3)) + 1j * rng.standard_normal((5, n, 3))
+        if real:
+            # The real part of a Hermitian positive-definite matrix is
+            # symmetric positive definite.
+            matrices, rhs = matrices.real.copy(), rhs.real.copy()
         x = hermitian_solve(matrices, rhs)
         assert x.shape == rhs.shape
+        assert x.dtype == rhs.dtype
         assert x.tobytes() == per_slice_reference(matrices, rhs).tobytes()
         assert_close_relative(x, cholesky_reference(matrices, rhs))
         for i in range(5):
@@ -181,11 +223,16 @@ class TestStackedHermitianSolve:
         monkeypatch.setattr(linalg, "_POSV", None)
         self.check_semidefinite_slice(16)
 
+    def test_real_semidefinite_slice_above_the_cut(self):
+        self.check_semidefinite_slice(16, real=True)
+
     @staticmethod
-    def check_semidefinite_slice(n):
+    def check_semidefinite_slice(n, real=False):
         rng = np.random.default_rng(3)
         matrices = hpd_stack(rng, 4, n)
         rhs = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
+        if real:
+            matrices, rhs = matrices.real.copy(), rhs.real.copy()
         clean = hermitian_solve(matrices, rhs)
         matrices[2] = np.diag(np.arange(n, dtype=float))
         x = hermitian_solve(matrices, rhs)
@@ -223,7 +270,7 @@ class TestStackedHermitianSolve:
         if linalg._POSV is None:
             pytest.skip("numpy's LAPACK exports no ?posv")
         library, symbol = linalg.large_order_kernel().split()
-        assert symbol in {name for name, _ in linalg._POSV_SYMBOLS}
+        assert symbol in {build[0] for build in linalg._BUILDS}
         if sys.platform.startswith("linux"):
             with open("/proc/self/maps") as maps:
                 rows = [line.split(None, 5) for line in maps]
