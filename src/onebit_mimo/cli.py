@@ -98,7 +98,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value file mirroring the flags")
-    parser.add_argument("--k", type=int, help="number of users")
+    parser.add_argument("--k", type=_checked_int(lambda v: v >= 1, ">= 1"),
+                        help="number of users")
     parser.add_argument("--n", type=int, help="number of antennas")
     parser.add_argument("--mod", choices=supported_modulations())
     parser.add_argument("--snr-start", type=float, metavar="DB")
@@ -106,16 +107,31 @@ def _build_parser() -> _Parser:
     parser.add_argument("--snr-step", type=float, metavar="DB")
     parser.add_argument("--receivers", type=_parse_kinds,
                         help="comma-separated receiver names, or 'all'")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-trials", type=int)
-    parser.add_argument("--min-bit-errors", type=int,
+    parser.add_argument("--seed", type=_checked_int(lambda v: 0 <= v < 2**64,
+                                                    "an unsigned 64-bit integer"))
+    parser.add_argument("--max-trials", type=_checked_int(lambda v: v >= 1, ">= 1"))
+    parser.add_argument("--min-bit-errors", type=_checked_int(lambda v: v >= 0, ">= 0"),
                         help="early-stop error target per point (0 disables)")
     parser.add_argument("--unquantized", action="store_true",
                         help="bypass the one-bit quantizer (baseline mode)")
-    parser.add_argument("--workers", type=int)
+    parser.add_argument("--workers", type=_checked_int(lambda v: v >= 1, ">= 1"))
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--out", metavar="PATH")
     return parser
+
+
+def _checked_int(accepts, requirement):
+    """An argparse type: the integer a value spells, refused unless
+    ``accepts`` holds for it; ``requirement`` says what that asks."""
+    def parse(text):
+        value = int(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    # argparse names a value int() cannot read an "invalid int value".
+    parse.__name__ = "int"
+    return parse
 
 
 _BOOL_TOKENS = {"true": True, "1": True, "yes": True,
@@ -235,8 +251,6 @@ def parse_run_spec(argv=None) -> RunSpec:
         if not settings.keys() >= {"k", "n", "mod"}:
             raise UsageError("--k, --n and --mod are required when no preset supplies them")
         users, antennas = settings["k"], settings["n"]
-        if users < 1:
-            raise UsageError(f"--k: must be >= 1, got {users}")
         if antennas < users:
             raise UsageError(
                 f"--n: antennas must be >= users (N >= K), got --k {users} --n {antennas}"
@@ -244,19 +258,6 @@ def parse_run_spec(argv=None) -> RunSpec:
         geometry = [(users, antennas)]
 
     kinds = settings.get("receivers", settings["kinds"])
-
-    seed = settings["seed"]
-    if seed < 0 or seed >= 2**64:
-        raise UsageError(f"--seed: must be an unsigned 64-bit integer, got {seed}")
-    max_trials = settings["max_trials"]
-    if max_trials < 1:
-        raise UsageError(f"--max-trials: must be >= 1, got {max_trials}")
-    min_bit_errors = settings["min_bit_errors"]
-    if min_bit_errors < 0:
-        raise UsageError(f"--min-bit-errors: must be >= 0, got {min_bit_errors}")
-    workers = settings["workers"]
-    if workers < 1:
-        raise UsageError(f"--workers: must be >= 1, got {workers}")
     out_format = settings["format"]
     out_path = settings.get("out", f"results.{out_format}")
     if not out_path.strip():
@@ -275,9 +276,9 @@ def parse_run_spec(argv=None) -> RunSpec:
                 config=config,
                 kinds=kinds,
                 snr_db_grid=snr_db_grid,
-                max_trials=max_trials,
-                min_bit_errors=min_bit_errors,
-                seed=seed,
+                max_trials=settings["max_trials"],
+                min_bit_errors=settings["min_bit_errors"],
+                seed=settings["seed"],
                 quantized=not settings["unquantized"],
             )
             for config in configs
@@ -286,7 +287,9 @@ def parse_run_spec(argv=None) -> RunSpec:
         # Past a valid first point: the noise power falls as the SNR rises,
         # so only the far end of the grid can underflow.
         raise UsageError(f"--snr-stop: {exc}") from exc
-    return RunSpec(plans=plans, workers=workers, out_format=out_format, out_path=out_path)
+    return RunSpec(
+        plans=plans, workers=settings["workers"], out_format=out_format, out_path=out_path
+    )
 
 
 def run_spec(spec: RunSpec):

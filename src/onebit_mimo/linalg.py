@@ -145,11 +145,12 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     as ``scipy.linalg.cho_factor``/``cho_solve`` do; the routine is the one
     in the LAPACK numpy links (:func:`large_order_kernel` names it). Where
     numpy's LAPACK exports no ``?posv`` symbol, every order goes through the
-    gufuncs. Either way a slice that fails the factorization (numerically
-    semi-definite input) is retried once with a tiny trace-scaled diagonal
-    jitter before :class:`NotPositiveDefiniteError` is raised; the other
-    slices are solved as they are. The order alone picks the kernel, so a
-    slice solves to the same bytes in a stack of any size. A right side
+    gufuncs. Either kernel reports the slices that fail the factorization
+    (numerically semi-definite input); this function retries just those,
+    once, through the same kernel with a tiny trace-scaled diagonal jitter,
+    and raises :class:`NotPositiveDefiniteError` where one still fails. The
+    other slices are solved as they are. The order alone picks the kernel,
+    so a slice solves to the same bytes in a stack of any size. A right side
     with any other shape, such as an extra leading axis, raises
     ``ValueError``.
     """
@@ -172,33 +173,47 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhss = rhs.reshape(len(matrices), n, -1)
     large = n > _GUFUNC_MAX_ORDER and _POSV is not None
     solve = _lapack_solve if large else _gufunc_solve
-    solution = solve(matrices, rhss).reshape(rhs.shape)
+    solutions, failed = solve(matrices, rhss)
+    if failed:
+        jittered = np.stack([
+            m + _JITTER_SCALE * m.trace().real / n * np.eye(n) for m in matrices[failed]
+        ])
+        retried, still_failed = solve(jittered, rhss[failed])
+        if still_failed:
+            raise NotPositiveDefiniteError(
+                "Cholesky factorization failed even after jitter retry"
+            )
+        solutions[failed] = retried
+    solution = solutions.reshape(rhs.shape)
     if not np.isfinite(solution).all():
         raise NotPositiveDefiniteError("solve produced non-finite entries")
     return solution
 
 
 def _gufunc_solve(matrices, rhss):
-    """:func:`hermitian_solve` of a ``(B, n, n)`` stack in two gufunc calls."""
+    """:func:`hermitian_solve`'s kernel for a ``(B, n, n)`` stack in two
+    gufunc calls: ``(solutions, failed)``, with ``failed`` the indices of
+    the slices that do not factor by Cholesky. Only when the stacked
+    Cholesky call fails is each slice tested alone, and an identity stands
+    in for a failed slice so that LU never sees a singular one."""
+    failed = []
     try:
         np.linalg.cholesky(matrices)
     except np.linalg.LinAlgError:
-        matrices = np.stack([_with_jitter(_positive_definite, m) for m in matrices])
-    return np.linalg.solve(matrices, rhss)
-
-
-def _positive_definite(matrix):
-    """``matrix`` if its Cholesky factorization succeeds, else None."""
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return None
-    return matrix
+        for index, matrix in enumerate(matrices):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                failed.append(index)
+        matrices = matrices.copy()
+        matrices[failed] = np.eye(matrices.shape[-1])
+    return np.linalg.solve(matrices, rhss), failed
 
 
 def _lapack_solve(matrices, rhss):
-    """:func:`hermitian_solve` of a ``(B, n, n)`` stack, one LAPACK ``posv``
-    (Cholesky factor and solve) per slice."""
+    """:func:`hermitian_solve`'s kernel for a ``(B, n, n)`` stack, one LAPACK
+    ``posv`` (Cholesky factor and solve) per slice: ``(solutions, failed)``,
+    with ``failed`` the indices of the slices that do not factor."""
     is_complex = np.result_type(matrices, rhss).kind == "c"
     posv = _POSV.complex if is_complex else _POSV.real
     dtype = complex if is_complex else float
@@ -213,44 +228,19 @@ def _lapack_solve(matrices, rhss):
     )
     factor_at, factor_step = factors.ctypes.data, factors.strides[0]
     solution_at, solution_step = solutions.ctypes.data, solutions.strides[0]
-
-    def solve_slice(index):
-        """posv of slice ``index`` in place; None where it does not factor."""
+    failed = []
+    for index in range(len(factors)):
         posv(b"L", n_at, count_at, factor_at + index * factor_step, n_at,
              solution_at + index * solution_step, n_at, info_at, 1)
         info = ints[2]
         if info < 0:
             raise ValueError(f"LAPACK rejected argument {-info} of posv")
-        return True if info == 0 else None
-
-    def rewrite_and_solve(matrix, index):
-        factors[index], solutions[index] = matrix.T, rhss[index].T
-        return solve_slice(index)
-
-    for index in range(len(factors)):
-        if solve_slice(index) is None:
-            # The failed call overwrote part of the slice; each attempt of
-            # the retry writes it again first.
-            _with_jitter(rewrite_and_solve, matrices[index], index)
+        if info > 0:
+            # posv solves only after its Cholesky step succeeds, so a failed
+            # slice's right side is left as it was.
+            failed.append(index)
     # Per-slice Fortran order, as a single posv call returns its solution.
-    return solutions.mT
-
-
-def _with_jitter(attempt, matrix, *args):
-    """``attempt(matrix, *args)``; where that is None (the matrix is not
-    numerically positive definite), ``attempt`` on the matrix plus
-    ``_JITTER_SCALE`` times its mean diagonal on the diagonal, once, before
-    :class:`NotPositiveDefiniteError`."""
-    result = attempt(matrix, *args)
-    if result is None:
-        n = matrix.shape[0]
-        jitter = _JITTER_SCALE * matrix.trace().real / n
-        result = attempt(matrix + jitter * np.eye(n), *args)
-        if result is None:
-            raise NotPositiveDefiniteError(
-                "Cholesky factorization failed even after jitter retry"
-            )
-    return result
+    return solutions.mT, failed
 
 
 def diagonal(matrix: np.ndarray) -> np.ndarray:

@@ -86,7 +86,7 @@ def _solve_or_rank_error(gram, rhs):
 
 
 def build_combiner(
-    kind: ReceiverKind,
+    kind: ReceiverKind | str,
     channel: np.ndarray,
     noise_power: float,
     stats: QuantizedStatistics | None = None,
@@ -96,8 +96,11 @@ def build_combiner(
     ``stats`` carries the received covariance and Bussgang quantities; it is
     computed on demand when omitted, and should be shared across the
     quantization-aware kinds within a trial. A kind in :data:`SAME_COMBINER`
-    gets the matrix and denominators of the kind it maps to.
+    gets the matrix and denominators of the kind it maps to. ``kind`` may be
+    given by its name, such as ``"mmse"``; an unknown name raises
+    ``ValueError``.
     """
+    kind = ReceiverKind(kind)
     channel = np.asarray(channel)
     if kind in COVARIANCE_KINDS and stats is None:
         stats = QuantizedStatistics(channel, noise_power)
@@ -123,12 +126,10 @@ def build_combiner(
         m = weighted @ x
         diagonal(m)[...] += 1.0
         matrix = hermitian_solve(m, weighted)
-    elif formula is ReceiverKind.BMMSE:
+    else:  # ReceiverKind.BMMSE
         m = x @ xh
         m += stats.noise_cov
         matrix = hermitian_solve(m, x).conj().mT
-    else:
-        raise ValueError(f"unknown receiver kind {kind!r}")
 
     denominators = np.einsum("...kn,...nk->...k", matrix, x)
     # |w_k x_k| <= |w_k| |x_k| (Cauchy-Schwarz), so the floor is relative and

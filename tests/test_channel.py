@@ -14,12 +14,23 @@ from onebit_mimo.channel import (
     one_bit_quantize,
     transmit,
 )
+from onebit_mimo.errors import UnsupportedModulationError
 
 
 class TestSystemConfig:
     def test_rejects_more_users_than_antennas(self):
         with pytest.raises(ValueError, match="antennas"):
             SystemConfig(users=4, antennas=2, noise_power=1.0)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [((0, 2, 1.0), ValueError, "users must be >= 1"),
+         ((1, 2, 1.0, "bpsk"), UnsupportedModulationError, "'bpsk'")],
+        ids=["no-users", "bpsk"],
+    )
+    def test_rejects_users_or_modulation(self, args, error, message):
+        with pytest.raises(error, match=message):
+            SystemConfig(*args)
 
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError, match="noise_power"):

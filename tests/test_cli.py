@@ -229,6 +229,28 @@ class TestConfigFile:
         assert str(info.value).startswith(f"--config: {cfg}:2: ")
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "key, value, requirement",
+        [
+            ("k", "0", ">= 1"),
+            ("seed", "-1", "an unsigned 64-bit integer"),
+            ("seed", str(2**64), "an unsigned 64-bit integer"),
+            ("max-trials", "0", ">= 1"),
+            ("min-bit-errors", "-1", ">= 0"),
+            ("workers", "0", ">= 1"),
+        ],
+    )
+    def test_out_of_range_value_as_flag_and_line(self, tmp_path, key, value, requirement):
+        message = f"argument --{key}: must be {requirement}, got {value}"
+        with pytest.raises(UsageError) as info:
+            parse_run_spec(["--preset", "fig1a", f"--{key}={value}"])
+        assert str(info.value) == message
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"preset=fig1a\n{key}={value}\n")
+        with pytest.raises(UsageError) as info:
+            parse_run_spec(["--config", str(cfg)])
+        assert str(info.value) == f"--config: {cfg}:2: {message}"
+
     def test_comment_starts_a_line_or_follows_whitespace(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("  # comment line\npreset=fig1a\nout=run#1.csv\nseed=42  # note\n")

@@ -245,6 +245,35 @@ class TestStackedHermitianSolve:
         assert x[2].tobytes() == per_slice_reference([jittered], [rhs[2]])[0].tobytes()
         assert_close_relative(x[2], cholesky_reference([jittered], [rhs[2]])[0])
 
+    @pytest.mark.parametrize("n, factorizations", [(4, 6), (16, 5)])
+    def test_retry_factors_only_the_failed_slice_again(self, monkeypatch, n, factorizations):
+        # Up to the cut: the stacked Cholesky, one per slice to find the
+        # failed one, and one for its jittered retry. Above it: one posv per
+        # slice and one for the jittered retry.
+        calls = []
+
+        def counted(routine):
+            def call(*args):
+                calls.append(args)
+                return routine(*args)
+
+            return call
+
+        if n > GUFUNC_MAX_ORDER:
+            if linalg._POSV is None:
+                pytest.skip("numpy's LAPACK exports no ?posv")
+            monkeypatch.setattr(
+                linalg, "_POSV", linalg._POSV._replace(complex=counted(linalg._POSV.complex))
+            )
+        else:
+            monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+        rng = np.random.default_rng(3)
+        matrices = hpd_stack(rng, 4, n)
+        matrices[2] = np.diag(np.arange(n, dtype=float))
+        rhs = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
+        assert np.isfinite(hermitian_solve(matrices, rhs)).all()
+        assert len(calls) == factorizations
+
     def test_indefinite_slice_raises(self):
         self.check_indefinite_slice(4)
 

@@ -1,6 +1,7 @@
 """Trial execution, sweeps, stopping rule, determinism, and the
 statistical diagnostics."""
 
+import math
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import numpy as np
@@ -524,6 +525,21 @@ class TestTrialPlan:
                 seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"min_bit_errors": -1}, "min_bit_errors must be >= 0"),
+            ({"kinds": ()}, "kinds must be nonempty"),
+            ({"kinds": (ReceiverKind.ZF, ReceiverKind.ZF)}, "kinds must be unique"),
+            ({"seed": -1}, "seed must be a nonnegative integer"),
+        ],
+        ids=["negative-error-target", "no-kinds", "duplicate-kinds", "negative-seed"],
+    )
+    def test_rejects_invalid_field(self, field, message):
+        plan = {"config": SystemConfig(2, 4, 0.1), "kinds": (ReceiverKind.ZF,),
+                "snr_db_grid": (0.0,), "max_trials": 10, "min_bit_errors": 10, "seed": 1}
+        with pytest.raises(ValueError, match=message):
+            TrialPlan(**{**plan, **field})
 
     @pytest.mark.parametrize(
         "grid", [(0.0, 4000.0), (-4000.0, 0.0), (0.0, float("nan"))],
@@ -896,6 +912,59 @@ class TestDiagnostics:
         np.testing.assert_array_equal(cov, np.array([[2.0 + 0j]]))
 
 
+def zf_qpsk_ber(snr_db, branches):
+    """Exact per-bit BER of unquantized ZF with QPSK in i.i.d. Rayleigh
+    fading: each user's post-ZF SNR is that of ``branches`` = N - K + 1
+    diversity branches (Winters, Salz and Gitlin, IEEE Trans. Commun. 1994),
+    and a QPSK bit sees half of it, so the BER is that of BPSK over that many
+    maximal-ratio-combined branches at mean SNR rho / 2 (Proakis, *Digital
+    Communications*)."""
+    g = 10.0 ** (snr_db / 10.0) / 2.0
+    mu = math.sqrt(g / (1.0 + g))
+    return ((1.0 - mu) / 2.0) ** branches * sum(
+        math.comb(branches - 1 + l, l) * ((1.0 + mu) / 2.0) ** l for l in range(branches)
+    )
+
+
+@pytest.fixture(scope="module")
+def zf_records():
+    """Unquantized ZF over 8 (K, N, SNR) cells, 20000 trials each."""
+    grids = {(2, 4): (-5.0, 0.0, 5.0, 10.0), (2, 16): (-10.0, -5.0), (4, 8): (0.0, 5.0)}
+    plans = [
+        TrialPlan(config=SystemConfig.from_snr_db(k, n, grid[0]), kinds=(ReceiverKind.ZF,),
+                  snr_db_grid=grid, max_trials=20_000, min_bit_errors=0, seed=11,
+                  quantized=False)
+        for (k, n), grid in grids.items()
+    ]
+    return ber_sweep(plans)
+
+
+class TestClosedFormBer:
+    #: The 99.9% two-sided normal quantile: eight cells at 95% would miss
+    #: one now and then by chance alone.
+    Z = 3.2905
+
+    def outside(self, records, branches_lost):
+        """The cells whose Wilson interval misses the closed form with
+        N - K + 1 - ``branches_lost`` diversity branches."""
+        misses = []
+        for record in records:
+            branches = record.antennas - record.users + 1 - branches_lost
+            exact = zf_qpsk_ber(record.snr_db, branches)
+            low, high = wilson_interval(record.bit_errors, record.bits, z=self.Z)
+            if not low <= exact <= high:
+                misses.append((record.users, record.antennas, record.snr_db, exact, low, high))
+        return misses
+
+    def test_unquantized_zf_matches_the_closed_form(self, zf_records):
+        assert [record.trials for record in zf_records] == [20_000] * 8
+        assert self.outside(zf_records, branches_lost=0) == []
+
+    def test_one_branch_too_few_misses_every_cell(self, zf_records):
+        # Negative control: N - K branches predict too high a BER everywhere.
+        assert len(self.outside(zf_records, branches_lost=1)) == len(zf_records)
+
+
 class TestWilsonInterval:
     def test_contains_point_estimate(self):
         lo, hi = wilson_interval(10, 1000)
@@ -910,6 +979,10 @@ class TestWilsonInterval:
     def test_rejects_successes_outside_the_total(self, successes):
         with pytest.raises(ValueError, match=rf"successes={successes}, total=3\b"):
             wilson_interval(successes, 3)
+
+    def test_rejects_an_empty_total(self):
+        with pytest.raises(ValueError, match="total must be positive"):
+            wilson_interval(0, 0)
 
     def test_bounds_of_the_range_are_accepted(self):
         assert wilson_interval(3, 3)[1] == 1.0

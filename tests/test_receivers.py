@@ -169,6 +169,19 @@ class TestBuildCombiner:
         with pytest.raises((DegenerateDenominatorError, RankDeficientError)):
             build_combiner(kind, h, n0)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_name_builds_what_its_kind_builds(self, kind):
+        h = rayleigh_channel(np.random.default_rng(16), 8, 2)
+        by_name = build_combiner(kind.value, h, 0.3)
+        by_kind = build_combiner(kind, h, 0.3)
+        assert by_name.kind is by_kind.kind is kind
+        assert by_name.matrix.tobytes() == by_kind.matrix.tobytes()
+        assert by_name.eq_denominators.tobytes() == by_kind.eq_denominators.tobytes()
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="nope"):
+            build_combiner("nope", np.eye(2, dtype=complex), 1.0)
+
     def test_rank_error_translation(self):
         with pytest.raises(RankDeficientError):
             _solve_or_rank_error(np.diag([1.0, -1.0]), np.eye(2))
