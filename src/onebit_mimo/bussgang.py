@@ -38,9 +38,10 @@ def received_covariance(channel: np.ndarray, noise_power: float) -> np.ndarray:
 
 def _diag_or_raise(received_cov):
     entries = diagonal(received_cov).real
-    if (entries <= 0).any():
+    # Written so that a NaN entry fails it too.
+    if not ((entries > 0) & (entries < np.inf)).all():
         raise DegenerateCovarianceError(
-            "received covariance has a non-positive diagonal entry"
+            "received covariance has a non-finite or non-positive diagonal entry"
         )
     return entries
 
@@ -95,12 +96,17 @@ class QuantizedStatistics:
     into all downstream quantities. The AQNM-MMSE and WFQ combiners read
     only its diagonal (the distortion powers); they take HH^H from the
     channel itself, so a substitution reaches them only through
-    ``diag(received_cov)``.
+    ``diag(received_cov)``. A noise power that is not finite and positive
+    raises ``ValueError``; a received covariance with a diagonal entry that
+    is not (from a NaN channel entry, say) raises
+    :class:`~onebit_mimo.errors.DegenerateCovarianceError`.
     """
 
     def __init__(self, channel, noise_power, received_cov=None):
         channel = np.asarray(channel)
         self.noise_power = float(noise_power)
+        if not 0 < self.noise_power < np.inf:
+            raise ValueError(f"noise_power must be finite and > 0, got {noise_power}")
         if received_cov is None:
             received_cov = received_covariance(channel, self.noise_power)
         self.received_cov = np.asarray(received_cov)

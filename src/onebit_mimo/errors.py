@@ -27,7 +27,7 @@ class UnknownSymbolError(OneBitMimoError):
 
 
 class DegenerateCovarianceError(OneBitMimoError):
-    """Received covariance has a non-positive diagonal entry."""
+    """Received covariance has a non-finite or non-positive diagonal entry."""
 
 
 class RankDeficientError(OneBitMimoError):

@@ -33,10 +33,16 @@ run ahead speculatively: a batch's error counts at a (point, kind) depend
 only on the seed, the trial indices and the SNR, never on which points and
 receivers are still accumulating. Every sweep runs one BLAS thread per
 process, in the pool workers too, so ``workers`` is its only parallelism.
+Each of those processes also keeps the memory its trials free, for the rest
+of the process (glibc's heap thresholds, set through ``mallopt``; nothing
+changes under another C library), so the 256 KB temporaries of a chunk are
+reused instead of faulted in as fresh pages every trial. Memory placement
+changes no result.
 """
 
 import collections
 import contextlib
+import ctypes
 import itertools
 import logging
 import math
@@ -83,6 +89,16 @@ _DEGENERATE_DRAWS = {
 }
 #: Entries (256 KB of complex128) of one stacked N x N array of a chunk.
 _CHUNK_ELEMENTS = 2**14
+#: glibc's ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+#: Blocks below this size come from the heap, not from a fresh ``mmap`` each:
+#: glibc's largest mmap threshold, 4 MiB per byte of a ``long`` (32 MiB on
+#: 64-bit), so that every chunk temporary is reused heap memory.
+_MMAP_THRESHOLD = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+#: Free bytes at the top of the heap that glibc keeps instead of handing
+#: them back to the kernel: twice the mmap threshold, the ratio of glibc's
+#: own dynamic rule, and far above the about 1.3 MB a trial at N=128 frees.
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -348,16 +364,73 @@ def _run_now(fn, *args) -> Future:
     return future
 
 
+def _bind_mallopt():
+    """glibc's ``mallopt`` as a ctypes function, or None where the C library
+    is not glibc (macOS, musl): the parameter numbers are glibc's."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return None
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+_MALLOPT = _bind_mallopt()
+_heap_retained = False
+
+
+def _retain_heap() -> None:
+    """Keep the memory a trial frees in this process, for the rest of the
+    process.
+
+    With its default, dynamic thresholds glibc hands the top of the heap
+    back to the kernel whenever more than about 512 KB of it is free, so
+    every trial at N=128 faults its 256 KB chunk temporaries in again as
+    freshly zeroed pages. This sets glibc's mmap and trim thresholds
+    (``_MMAP_THRESHOLD``, ``_TRIM_THRESHOLD``) through ``mallopt``. glibc
+    has no getter for them, and setting either one turns its dynamic
+    threshold off, so the previous behaviour cannot be restored. Nothing
+    happens where the C library is not glibc, or once the setting holds.
+    """
+    global _heap_retained
+    if _heap_retained or _MALLOPT is None:
+        return
+    _heap_retained = bool(
+        _MALLOPT(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        and _MALLOPT(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    )
+
+
+def heap_retained() -> bool:
+    """Whether a sweep has set glibc's heap thresholds in this process, so
+    that freed memory stays in it (:func:`ber_sweep`); False where the C
+    library is not glibc or before the first sweep."""
+    return _heap_retained
+
+
+def _prepare_process() -> None:
+    """Set what every process of a sweep keeps for the rest of its life: one
+    OpenBLAS thread and the retained heap. The pool workers' initializer."""
+    pin_one_blas_thread()
+    _retain_heap()
+
+
 @contextlib.contextmanager
 def _sweep_executor(workers: int):
     """Yield ``(submit, max_inflight)`` as :func:`ber_sweep` describes, with
-    one BLAS thread per process. On exit, also by exception, batches still
-    queued are cancelled instead of awaited."""
+    one BLAS thread per process and the heap retained in every process. The
+    BLAS thread count is restored on exit; the heap setting stays for the
+    rest of the process, in this one too. On exit, also by exception,
+    batches still queued are cancelled instead of awaited."""
+    _retain_heap()
     with single_blas_thread():
         if workers == 1:
             yield _run_now, 1
             return
-        executor = ProcessPoolExecutor(max_workers=workers, initializer=pin_one_blas_thread)
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=_prepare_process)
         try:
             yield executor.submit, 2 * workers
         finally:
@@ -374,6 +447,12 @@ def ber_sweep(plans: Sequence[TrialPlan], workers: int = 1) -> list[BerRecord]:
     only, so grid points share channel/bit draws (common random numbers) and
     results do not depend on ``workers``. A ``workers`` below 1 raises
     ``ValueError``.
+
+    Every process of the sweep runs numpy's OpenBLAS at one thread; this
+    process gets its previous count back afterwards. Every process also
+    keeps the memory trials free, for the rest of the process, this one
+    included (:func:`heap_retained` tells whether it holds): glibc cannot
+    restore its default heap thresholds once they are set.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -133,9 +133,10 @@ def build_combiner(
 
     denominators = np.einsum("...kn,...nk->...k", matrix, x)
     # |w_k x_k| <= |w_k| |x_k| (Cauchy-Schwarz), so the floor is relative and
-    # holds at any noise power; a zero channel column still trips it.
+    # holds at any noise power; a zero channel column still trips it, and
+    # so does a NaN, which fails every comparison.
     scale = np.sqrt(np.vecdot(matrix, matrix).real * np.vecdot(x, x, axis=-2).real)
-    if (np.abs(denominators) <= DENOMINATOR_FLOOR * scale).any():
+    if not (np.abs(denominators) > DENOMINATOR_FLOOR * scale).all():
         raise DegenerateDenominatorError(
             f"{kind} equalization denominator within {DENOMINATOR_FLOOR} of "
             "zero, relative to its Cauchy-Schwarz bound"

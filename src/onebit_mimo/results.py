@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import large_order_kernel, openblas_threads
-from .montecarlo import BerRecord, wilson_interval
+from .montecarlo import BerRecord, heap_retained, wilson_interval
 from .receivers import ReceiverKind
 from .rng import STREAM_VERSION
 
@@ -79,8 +79,11 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
     OpenBLAS that sweeps pin to one thread, the one whose thread calls
     :mod:`onebit_mimo.linalg` found through numpy's linalg extension, or
     empty when that extension exposes none. It is not a list of every
-    OpenBLAS loaded in the process. The timestamp is excluded from any
-    determinism guarantee.
+    OpenBLAS loaded in the process. ``heap_retained``
+    (:func:`onebit_mimo.montecarlo.heap_retained`) is true when a sweep has
+    set glibc's heap thresholds in this process, so that the memory trials
+    free stays in it; false where the C library is not glibc. The timestamp
+    is excluded from any determinism guarantee.
     """
     records = list(records)
     if not records:
@@ -115,6 +118,7 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
                 "numpy": np.__version__,
                 "lapack": large_order_kernel(),
                 "openblas_pinned": sorted(openblas_threads()),
+                "heap_retained": heap_retained(),
             },
             "records": [_record_row(record) for record in records],
         }

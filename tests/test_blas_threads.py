@@ -1,9 +1,14 @@
-"""One BLAS thread per simulator process: the pin inside a sweep, its
-restore, the pool workers, the no-OpenBLAS case, and the counts the pin must
-not change."""
+"""What a sweep sets in each of its processes. One BLAS thread: the pin
+inside a sweep, its restore, the pool workers, the no-OpenBLAS case, and the
+counts the pin must not change. The retained heap: the pool workers, and the
+page faults it saves."""
 
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 
@@ -74,8 +79,8 @@ def test_previous_counts_back_when_the_sweep_raises(two_blas_threads, monkeypatc
     assert linalg.openblas_threads() == two_blas_threads
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method):
+def sweep_initializer(monkeypatch):
+    """The initializer a two-worker sweep gives its pool."""
     built = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -86,6 +91,12 @@ def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
     ber_sweep([small_plan()], workers=2)
     (kwargs,) = built
+    return kwargs["initializer"]
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method):
+    initializer = sweep_initializer(monkeypatch)
     context = get_context(method)
     if method == "fork":
         # Negative control: without the initializer a forked worker keeps
@@ -93,13 +104,82 @@ def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method)
         with ProcessPoolExecutor(1, mp_context=context) as pool:
             plain = pool.submit(linalg.openblas_threads).result(timeout=120)
         assert plain == two_blas_threads
-    with ProcessPoolExecutor(
-        1, mp_context=context, initializer=kwargs["initializer"]
-    ) as pool:
+    with ProcessPoolExecutor(1, mp_context=context, initializer=initializer) as pool:
         pinned = pool.submit(linalg.openblas_threads).result(timeout=120)
     # Forked or spawned, the worker binds numpy's OpenBLAS and runs it at
     # one thread.
     assert pinned == dict.fromkeys(two_blas_threads, 1)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_workers_retain_the_heap(monkeypatch, method):
+    if montecarlo._MALLOPT is None:
+        pytest.skip("the C library is not glibc")
+    initializer = sweep_initializer(monkeypatch)
+    assert montecarlo.heap_retained()
+    # A forked worker would inherit this process's setting; clear the flag
+    # so that only the initializer can set it again.
+    monkeypatch.setattr(montecarlo, "_heap_retained", False)
+    context = get_context(method)
+    # Negative control: without the initializer no worker has the setting.
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert not pool.submit(montecarlo.heap_retained).result(timeout=120)
+    with ProcessPoolExecutor(1, mp_context=context, initializer=initializer) as pool:
+        assert pool.submit(montecarlo.heap_retained).result(timeout=120)
+
+
+# Minor page faults per trial of a K=16, N=128 run with all eight receivers,
+# measured over a second run after a first one has warmed the process up.
+_FAULTS_PER_TRIAL = """
+import resource, sys
+from onebit_mimo import linalg
+from onebit_mimo.channel import SystemConfig
+from onebit_mimo.montecarlo import TrialPlan, _batch_counts, ber_sweep
+from onebit_mimo.receivers import ReceiverKind
+
+trials = 8
+plan = TrialPlan(
+    config=SystemConfig.from_snr_db(16, 128, 30.0, "qpsk"),
+    kinds=tuple(ReceiverKind), snr_db_grid=(30.0,), max_trials=trials,
+    min_bit_errors=0, seed=5,
+)
+if sys.argv[1] == "sweep":
+    def run():
+        ber_sweep([plan])
+else:
+    linalg.pin_one_blas_thread()
+    def run():
+        _batch_counts(plan, {0: plan.kinds}, 0, trials)
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / trials)
+"""
+
+
+def faults_per_trial(how):
+    """Steady-state minor page faults per trial in a fresh interpreter that
+    runs the same trials twice, through ``ber_sweep`` (``"sweep"``) or, in a
+    process that never sweeps, through ``_batch_counts`` at one BLAS thread
+    (``"batch"``)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_TRIAL, how],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return float(result.stdout)
+
+
+def test_swept_process_faults_no_temporaries_in():
+    if montecarlo._MALLOPT is None:
+        pytest.skip("the C library is not glibc")
+    # glibc's default dynamic trim threshold hands the N x N temporaries
+    # back to the kernel after every trial (negative control) ...
+    assert faults_per_trial("batch") >= 200
+    # ... and a sweep keeps them, so a trial faults no page in.
+    assert faults_per_trial("sweep") < 2
 
 
 def test_without_openblas_nothing_is_pinned(two_blas_threads, monkeypatch):

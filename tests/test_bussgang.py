@@ -146,6 +146,11 @@ class TestAqnm:
         with pytest.raises(DegenerateCovarianceError):
             aqnm_covariance(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_diagonal_is_degenerate(self, entry):
+        with pytest.raises(DegenerateCovarianceError):
+            aqnm_covariance(np.diag([1.0, entry]))
+
 
 class TestQuantizedStatistics:
     def test_matches_free_functions(self):
@@ -171,3 +176,18 @@ class TestQuantizedStatistics:
             np.diag(stats.gain), np.sqrt(2 / (3 * np.pi)) * np.eye(4), atol=1e-15
         )
         np.testing.assert_array_equal(stats.received_cov, substitute)
+
+    @pytest.mark.parametrize(
+        "noise_power", [np.nan, np.inf, -0.5], ids=["nan", "inf", "negative"]
+    )
+    def test_rejects_noise_power_not_finite_and_positive(self, noise_power):
+        h = rayleigh_channel(np.random.default_rng(9), 4, 2)
+        with pytest.raises(ValueError, match="noise_power must be finite and > 0"):
+            QuantizedStatistics(h, noise_power)
+
+    def test_nan_channel_entry_is_degenerate(self):
+        # A NaN diagonal used to pass the positivity check.
+        h = rayleigh_channel(np.random.default_rng(9), 4, 2)
+        h[2, 1] = np.nan
+        with pytest.raises(DegenerateCovarianceError):
+            QuantizedStatistics(h, 0.5)

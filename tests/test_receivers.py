@@ -182,6 +182,18 @@ class TestBuildCombiner:
         with pytest.raises(ValueError, match="nope"):
             build_combiner("nope", np.eye(2, dtype=complex), 1.0)
 
+    def test_nan_noise_power_raises(self):
+        # NaN used to pass every check and build an all-NaN combiner.
+        h = rayleigh_channel(np.random.default_rng(17), 8, 2)
+        with pytest.raises(ValueError, match="noise_power"):
+            build_combiner("bmrc", h, float("nan"))
+
+    def test_nan_denominator_fails_the_floor(self):
+        h = rayleigh_channel(np.random.default_rng(17), 8, 2)
+        h[3, 1] = np.nan
+        with pytest.raises(DegenerateDenominatorError):
+            build_combiner(ReceiverKind.MRC, h, 1.0)
+
     def test_rank_error_translation(self):
         with pytest.raises(RankDeficientError):
             _solve_or_rank_error(np.diag([1.0, -1.0]), np.eye(2))

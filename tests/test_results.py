@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from onebit_mimo import linalg
+from onebit_mimo import linalg, montecarlo
 from onebit_mimo.linalg import large_order_kernel, openblas_threads
 from onebit_mimo.montecarlo import BerRecord
 from onebit_mimo.receivers import ReceiverKind
@@ -81,6 +81,7 @@ def test_json_structure(tmp_path):
     assert "scipy" not in payload["meta"]
     assert payload["meta"]["lapack"] == large_order_kernel()
     assert payload["meta"]["openblas_pinned"] == sorted(openblas_threads())
+    assert payload["meta"]["heap_retained"] is montecarlo.heap_retained()
     (row,) = payload["records"]
     # Wilson 95% interval of 120 errors in 400000 bits.
     assert row.pop("ber_low") == pytest.approx(2.509172525969989e-4, rel=1e-9)
@@ -112,6 +113,14 @@ def test_json_names_the_gufuncs_without_posv(tmp_path, monkeypatch):
     path = tmp_path / "out.json"
     emit_results([record()], "json", path)
     assert json.loads(path.read_text())["meta"]["lapack"] == "numpy gufuncs"
+
+
+@pytest.mark.parametrize("retained", [True, False])
+def test_json_records_whether_the_heap_is_retained(tmp_path, monkeypatch, retained):
+    monkeypatch.setattr(montecarlo, "_heap_retained", retained)
+    path = tmp_path / "out.json"
+    emit_results([record()], "json", path)
+    assert json.loads(path.read_text())["meta"]["heap_retained"] is retained
 
 
 def test_unknown_format(tmp_path):
