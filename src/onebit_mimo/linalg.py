@@ -10,11 +10,10 @@ routine ``?posv``, which is faster per slice. That routine is the one in the
 LAPACK numpy itself links (an OpenBLAS in numpy's wheels), bound through
 ctypes once at import; where no ``?posv`` symbol is found, every order goes
 through the gufuncs. At these sizes BLAS threads cost more than they save,
-so sweeps run numpy's OpenBLAS at one thread (:func:`single_blas_thread`);
+so sweeps run numpy's OpenBLAS at one thread (:func:`set_openblas_threads`);
 its thread-count calls are bound by the same lookup as ``?posv``.
 """
 
-import contextlib
 import ctypes
 import os
 from typing import Callable, NamedTuple
@@ -150,14 +149,19 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     once, through the same kernel with a tiny trace-scaled diagonal jitter,
     and raises :class:`NotPositiveDefiniteError` where one still fails. The
     other slices are solved as they are. The order alone picks the kernel,
-    so a slice solves to the same bytes in a stack of any size. A right side
-    with any other shape, such as an extra leading axis, raises
-    ``ValueError``.
+    so a slice solves to the same bytes in a stack of any size. A matrix
+    that is not Hermitian, one with a non-finite entry (which the message
+    names) and a right side with any other shape, such as an extra leading
+    axis, raise ``ValueError``.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
     asymmetry = np.abs(matrix - matrix.conj().mT).max()
     if not asymmetry <= HERMITIAN_TOL:
+        # Every non-finite entry fails the test above, so only a failed
+        # matrix pays for this scan.
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix has a non-finite entry, so it is not Hermitian")
         raise ValueError(
             f"matrix is not Hermitian: max |M - M^H| = {asymmetry!r} "
             f"exceeds {HERMITIAN_TOL}"
@@ -275,26 +279,12 @@ def openblas_threads() -> dict[str, int]:
     return {_THREADS.library: _THREADS.get()} if _THREADS else {}
 
 
-@contextlib.contextmanager
-def single_blas_thread():
-    """Run the body with numpy's OpenBLAS at one thread.
-
-    Nothing changes where numpy's linalg exposes no OpenBLAS thread calls.
-    On exit, also by exception, the library gets back its previous count.
-    """
-    threads = _THREADS
-    if threads is None:
-        yield
-        return
-    previous = threads.get()
-    threads.set(1)
-    try:
-        yield
-    finally:
-        threads.set(previous)
-
-
-def pin_one_blas_thread() -> None:
-    """Set numpy's OpenBLAS to one thread for the rest of the process."""
-    if _THREADS:
-        _THREADS.set(1)
+def set_openblas_threads(count: int) -> int | None:
+    """Set numpy's OpenBLAS to ``count`` threads and return its previous
+    count, or do nothing and return None where numpy's linalg exposes no
+    OpenBLAS thread calls."""
+    if _THREADS is None:
+        return None
+    previous = _THREADS.get()
+    _THREADS.set(count)
+    return previous

@@ -31,17 +31,16 @@ cap. Batch results are folded strictly in batch-index order, so the recorded
 counts are byte-identical for any worker count or scheduling. Workers can
 run ahead speculatively: a batch's error counts at a (point, kind) depend
 only on the seed, the trial indices and the SNR, never on which points and
-receivers are still accumulating. Every sweep runs one BLAS thread per
-process, in the pool workers too, so ``workers`` is its only parallelism.
-Each of those processes also keeps the memory its trials free, for the rest
-of the process (glibc's heap thresholds, set through ``mallopt``; nothing
-changes under another C library), so the 256 KB temporaries of a chunk are
-reused instead of faulted in as fresh pages every trial. Memory placement
-changes no result.
+receivers are still accumulating. :func:`_prepare_process` prepares every
+process of a sweep, the caller and each pool worker alike: one BLAS thread,
+so ``workers`` is the only parallelism, and the memory trials free kept for
+the rest of the process (glibc's heap thresholds, set through ``mallopt``;
+nothing changes under another C library), so the 256 KB temporaries of a
+chunk are reused instead of faulted in as fresh pages every trial. Memory
+placement changes no result.
 """
 
 import collections
-import contextlib
 import ctypes
 import itertools
 import logging
@@ -62,7 +61,7 @@ from .channel import (
     transmit,
 )
 from .errors import DegenerateDenominatorError, RankDeficientError
-from .linalg import pin_one_blas_thread, single_blas_thread
+from .linalg import set_openblas_threads
 from .modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
 from .receivers import (
     COVARIANCE_KINDS,
@@ -108,7 +107,9 @@ class TrialPlan:
     ``config.noise_power`` is replaced per grid point from the SNR value, and
     must come out finite and positive at every point;
     ``min_bit_errors = 0`` disables the early-stop target so every point
-    runs exactly ``max_trials`` trials.
+    runs exactly ``max_trials`` trials. ``kinds`` may give receivers by name
+    (``"zf"``); each becomes its :class:`ReceiverKind`, and an unknown name
+    raises ``ValueError`` here, not after the sweep.
     """
 
     config: SystemConfig
@@ -133,6 +134,7 @@ class TrialPlan:
                 self.config_at(snr_db)
             except ValueError as exc:
                 raise ValueError(f"grid point {snr_db} dB: {exc}") from None
+        object.__setattr__(self, "kinds", tuple(ReceiverKind(kind) for kind in self.kinds))
         if not self.kinds:
             raise ValueError("kinds must be nonempty")
         if len(set(self.kinds)) != len(self.kinds):
@@ -411,30 +413,13 @@ def heap_retained() -> bool:
     return _heap_retained
 
 
-def _prepare_process() -> None:
-    """Set what every process of a sweep keeps for the rest of its life: one
-    OpenBLAS thread and the retained heap. The pool workers' initializer."""
-    pin_one_blas_thread()
+def _prepare_process() -> int | None:
+    """Set what every process of a sweep keeps, the caller of
+    :func:`ber_sweep` as each pool worker: numpy's OpenBLAS at one thread
+    and the retained heap. Returns OpenBLAS's previous thread count, or None
+    where numpy exposes no OpenBLAS thread calls."""
     _retain_heap()
-
-
-@contextlib.contextmanager
-def _sweep_executor(workers: int):
-    """Yield ``(submit, max_inflight)`` as :func:`ber_sweep` describes, with
-    one BLAS thread per process and the heap retained in every process. The
-    BLAS thread count is restored on exit; the heap setting stays for the
-    rest of the process, in this one too. On exit, also by exception,
-    batches still queued are cancelled instead of awaited."""
-    _retain_heap()
-    with single_blas_thread():
-        if workers == 1:
-            yield _run_now, 1
-            return
-        executor = ProcessPoolExecutor(max_workers=workers, initializer=_prepare_process)
-        try:
-            yield executor.submit, 2 * workers
-        finally:
-            executor.shutdown(cancel_futures=True)
+    return set_openblas_threads(1)
 
 
 def ber_sweep(plans: Sequence[TrialPlan], workers: int = 1) -> list[BerRecord]:
@@ -448,16 +433,28 @@ def ber_sweep(plans: Sequence[TrialPlan], workers: int = 1) -> list[BerRecord]:
     results do not depend on ``workers``. A ``workers`` below 1 raises
     ``ValueError``.
 
-    Every process of the sweep runs numpy's OpenBLAS at one thread; this
-    process gets its previous count back afterwards. Every process also
-    keeps the memory trials free, for the rest of the process, this one
-    included (:func:`heap_retained` tells whether it holds): glibc cannot
-    restore its default heap thresholds once they are set.
+    :func:`_prepare_process` prepares this process and, as the pool's
+    initializer, each worker: numpy's OpenBLAS at one thread, and the memory
+    trials free kept for the rest of the process (:func:`heap_retained`
+    tells whether it holds; glibc cannot restore its default thresholds).
+    On exit, also by exception, queued batches are cancelled instead of
+    awaited, and this process gets its previous OpenBLAS count back.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    with _sweep_executor(workers) as (submit, max_inflight):
+    previous = _prepare_process()
+    executor = None
+    try:
+        submit, max_inflight = _run_now, 1
+        if workers > 1:
+            executor = ProcessPoolExecutor(max_workers=workers, initializer=_prepare_process)
+            submit, max_inflight = executor.submit, 2 * workers
         return [record for plan in plans for record in _plan_records(plan, submit, max_inflight)]
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
+        if previous is not None:
+            set_openblas_threads(previous)
 
 
 def _gaussian_received(channel, noise_power, samples, rng):

@@ -1,12 +1,15 @@
-"""What a sweep sets in each of its processes. One BLAS thread: the pin
-inside a sweep, its restore, the pool workers, the no-OpenBLAS case, and the
-counts the pin must not change. The retained heap: the pool workers, and the
-page faults it saves."""
+"""What a sweep sets in each of its processes, through the one preparation
+that the caller and every pool worker run. One BLAS thread: the pin inside a
+sweep, its restore, the pool workers, the no-OpenBLAS case, and the counts
+the pin must not change. The retained heap: the pool workers, and the page
+faults it saves."""
 
+import contextlib
 import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from onebit_mimo.channel import SystemConfig
 from onebit_mimo.errors import RankDeficientError
 from onebit_mimo.montecarlo import TrialPlan, _batch_counts, ber_sweep
 from onebit_mimo.receivers import ReceiverKind
+from test_cli import BrokenPool
 
 
 def small_plan(**overrides):
@@ -94,6 +98,44 @@ def sweep_initializer(monkeypatch):
     return kwargs["initializer"]
 
 
+@pytest.mark.parametrize("broken", [False, True], ids=["pool", "broken-pool"])
+def test_previous_counts_back_after_a_pool(two_blas_threads, monkeypatch, broken):
+    shutdowns = []
+
+    class RecordingPool(BrokenPool if broken else ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shutdowns.append(kwargs)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    with pytest.raises(BrokenProcessPool) if broken else contextlib.nullcontext():
+        ber_sweep([small_plan()], workers=2)
+    assert shutdowns == [{"cancel_futures": True}]
+    assert linalg.openblas_threads() == two_blas_threads
+
+
+#: The process ids :func:`record_preparation` ran in, in this process.
+PREPARED = []
+
+
+def record_preparation():
+    """Stands in for ``montecarlo._prepare_process``; a module-level function,
+    so that a spawned worker could unpickle it too."""
+    PREPARED.append(os.getpid())
+
+
+def test_one_preparation_for_the_caller_and_the_workers(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_prepare_process", record_preparation)
+    PREPARED.clear()
+    ber_sweep([small_plan(max_trials=10)])
+    assert PREPARED == [os.getpid()]
+    PREPARED.clear()
+    # Each worker runs it in its own process, so only the caller's call is
+    # recorded here.
+    assert sweep_initializer(monkeypatch) is record_preparation
+    assert PREPARED == [os.getpid()]
+
+
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method):
     initializer = sweep_initializer(monkeypatch)
@@ -147,7 +189,7 @@ if sys.argv[1] == "sweep":
     def run():
         ber_sweep([plan])
 else:
-    linalg.pin_one_blas_thread()
+    linalg.set_openblas_threads(1)
     def run():
         _batch_counts(plan, {0: plan.kinds}, 0, trials)
 run()
@@ -190,9 +232,9 @@ def test_without_openblas_nothing_is_pinned(two_blas_threads, monkeypatch):
 
     monkeypatch.setattr(linalg, "_THREADS", None)
     assert linalg.openblas_threads() == {}
-    with linalg.single_blas_thread():
-        assert actual_counts() == two_blas_threads
-    linalg.pin_one_blas_thread()
+    assert linalg.set_openblas_threads(1) is None
+    assert actual_counts() == two_blas_threads
+    assert montecarlo._prepare_process() is None
     assert actual_counts() == two_blas_threads
 
 

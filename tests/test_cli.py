@@ -16,6 +16,18 @@ from onebit_mimo.receivers import ReceiverKind
 from onebit_mimo.results import read_records
 
 
+class BrokenPool(Executor):
+    """A worker pool whose every batch fails as if its worker had died."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+
 def geometry(plan):
     return plan.config.users, plan.config.antennas, plan.config.modulation
 
@@ -405,15 +417,6 @@ class TestMain:
         assert code == 1
 
     def test_broken_worker_pool_exit_code(self, tmp_path, capsys, monkeypatch):
-        class BrokenPool(Executor):
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def submit(self, fn, /, *args, **kwargs):
-                future = Future()
-                future.set_exception(BrokenProcessPool("a worker died"))
-                return future
-
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", BrokenPool)
         code = main(
             ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",

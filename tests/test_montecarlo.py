@@ -531,9 +531,11 @@ class TestTrialPlan:
             ({"min_bit_errors": -1}, "min_bit_errors must be >= 0"),
             ({"kinds": ()}, "kinds must be nonempty"),
             ({"kinds": (ReceiverKind.ZF, ReceiverKind.ZF)}, "kinds must be unique"),
+            ({"kinds": ("zf", "nope")}, "'nope' is not a valid ReceiverKind"),
             ({"seed": -1}, "seed must be a nonnegative integer"),
         ],
-        ids=["negative-error-target", "no-kinds", "duplicate-kinds", "negative-seed"],
+        ids=["negative-error-target", "no-kinds", "duplicate-kinds", "unknown-name",
+             "negative-seed"],
     )
     def test_rejects_invalid_field(self, field, message):
         plan = {"config": SystemConfig(2, 4, 0.1), "kinds": (ReceiverKind.ZF,),
@@ -557,6 +559,21 @@ class TestTrialPlan:
                 min_bit_errors=10,
                 seed=1,
             )
+
+    def test_names_sweep_to_the_bytes_of_members(self, tmp_path):
+        # emit_results sorts records by kind.value, so a name left as a
+        # plain string would fail only after the whole sweep.
+        members = (ReceiverKind.ZF, ReceiverKind.MMSE)
+        written = []
+        for kinds in [("zf", "mmse"), members]:
+            plan = TrialPlan(config=SystemConfig(2, 4, 0.1), kinds=kinds,
+                             snr_db_grid=(0.0, 10.0), max_trials=200, min_bit_errors=0,
+                             seed=9)
+            assert all(isinstance(kind, ReceiverKind) for kind in plan.kinds)
+            path = tmp_path / f"{len(written)}.csv"
+            emit_results(ber_sweep([plan]), "csv", path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestBerRecord:
@@ -631,7 +648,7 @@ class TestBerSweep:
     def test_worker_count_below_one_raises(self, monkeypatch, workers):
         calls = []
         monkeypatch.setattr(montecarlo, "_batch_counts", lambda *args: calls.append(args))
-        monkeypatch.setattr(montecarlo, "single_blas_thread", lambda: calls.append("pin"))
+        monkeypatch.setattr(montecarlo, "_prepare_process", lambda: calls.append("prepare"))
         plan = TrialPlan(
             config=SystemConfig(2, 4, 1.0),
             kinds=(ReceiverKind.ZF,),

@@ -194,6 +194,14 @@ class TestBuildCombiner:
         with pytest.raises(DegenerateDenominatorError):
             build_combiner(ReceiverKind.MRC, h, 1.0)
 
+    @pytest.mark.parametrize("kind", [ReceiverKind.ZF, ReceiverKind.MMSE])
+    def test_nan_channel_is_named_non_finite(self, kind):
+        # A NaN makes the asymmetry nan too; the message names the NaN.
+        h = rayleigh_channel(np.random.default_rng(17), 8, 2)
+        h[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite entry, so it is not Hermitian"):
+            build_combiner(kind, h, 0.5)
+
     def test_rank_error_translation(self):
         with pytest.raises(RankDeficientError):
             _solve_or_rank_error(np.diag([1.0, -1.0]), np.eye(2))
