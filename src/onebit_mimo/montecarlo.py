@@ -11,8 +11,8 @@ over an SNR grid, Fig. 2 one plan per user count), and :func:`_plan_records`
 turns a plan into its records. The unit of work is a batch: a plan's trials
 ``[start, stop)``, ``BATCH_SIZE`` of them, run at the grid points and kinds
 still active. :func:`_batch_counts` walks a batch in stacked chunks of
-``max(1, _CHUNK_ELEMENTS // N**2)`` trials (64 at N=16, one at N=128). A
-batch takes the streams of all its trials from one
+``max(1, _CHUNK_ELEMENTS // N**2)`` trials (128 at N=16, 8 at N=64, 2 at
+N=128). A batch takes the streams of all its trials from one
 :func:`~onebit_mimo.rng.trial_streams` call, which keys them in one pass,
 and each chunk draws its trials from them into ``(B, N, K)`` channel,
 ``(B, K * bits per symbol)`` payload and ``(B, N)`` noise-direction arrays.
@@ -35,9 +35,9 @@ receivers are still accumulating. :func:`_prepare_process` prepares every
 process of a sweep, the caller and each pool worker alike: one BLAS thread,
 so ``workers`` is the only parallelism, and the memory trials free kept for
 the rest of the process (glibc's heap thresholds, set through ``mallopt``;
-nothing changes under another C library), so the 256 KB temporaries of a
-chunk are reused instead of faulted in as fresh pages every trial. Memory
-placement changes no result.
+nothing changes under another C library), so the N x N temporaries of a
+chunk (512 KB each at N=128) are reused instead of faulted in as fresh
+pages every chunk. Memory placement changes no result.
 """
 
 import collections
@@ -86,8 +86,12 @@ _DEGENERATE_DRAWS = {
     RankDeficientError: "rank-deficient",
     DegenerateDenominatorError: "zero-denominator",
 }
-#: Entries (256 KB of complex128) of one stacked N x N array of a chunk.
-_CHUNK_ELEMENTS = 2**14
+#: Entries (512 KB of complex128) of one stacked N x N array of a chunk.
+#: Measured on the ``fig2-k16n128`` benchmark: 2**15 (2 trials at N=128) ran
+#: about 1.2x the trials/s of 2**14 (one trial). 2**16 ran faster still in 4
+#: of 5 pairs, but its peak RSS was 12% above 2**14's, past the benchmark's
+#: 10% bound.
+_CHUNK_ELEMENTS = 2**15
 #: glibc's ``mallopt`` parameter numbers (``malloc.h``).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 #: Blocks below this size come from the heap, not from a fresh ``mmap`` each:
@@ -96,7 +100,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
 #: Free bytes at the top of the heap that glibc keeps instead of handing
 #: them back to the kernel: twice the mmap threshold, the ratio of glibc's
-#: own dynamic rule, and far above the about 1.3 MB a trial at N=128 frees.
+#: own dynamic rule, and far above the about 3.3 MB a chunk at N=128 frees.
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
@@ -390,7 +394,7 @@ def _retain_heap() -> None:
 
     With its default, dynamic thresholds glibc hands the top of the heap
     back to the kernel whenever more than about 512 KB of it is free, so
-    every trial at N=128 faults its 256 KB chunk temporaries in again as
+    every chunk at N=128 faults its 512 KB N x N temporaries in again as
     freshly zeroed pages. This sets glibc's mmap and trim thresholds
     (``_MMAP_THRESHOLD``, ``_TRIM_THRESHOLD``) through ``mallopt``. glibc
     has no getter for them, and setting either one turns its dynamic

@@ -13,6 +13,11 @@ one trial per leading index, so a single trial is the stack of one.
 Detection reads only a combiner's matrix and denominators, never its kind,
 so :func:`detect_pipeline` takes those arrays, and several combiners
 stacked along one more leading axis are detected in one pass.
+
+ZF, BZF, MMSE and AQNM-MMSE solve their K x K Gram-type system against the
+K x K identity and form the combiner with one stacked matmul, ``S^-1 @ X^H``
+(or ``S^-1 @ X^H D^-1``), instead of solving against the N columns of
+``X^H``: the cost of a solve grows with its right sides, and K <= N.
 """
 
 from dataclasses import dataclass
@@ -78,6 +83,12 @@ class Combiner:
     eq_denominators: np.ndarray
 
 
+def _identity(matrix):
+    """The identity as the right side of each slice of a ``(..., K, K)``
+    stack, a read-only broadcast view."""
+    return np.broadcast_to(np.eye(matrix.shape[-1]), matrix.shape)
+
+
 def _solve_or_rank_error(gram, rhs):
     try:
         return hermitian_solve(gram, rhs)
@@ -112,11 +123,12 @@ def build_combiner(
     if formula in (ReceiverKind.MRC, ReceiverKind.BMRC):
         matrix = xh
     elif formula in (ReceiverKind.ZF, ReceiverKind.BZF):
-        matrix = _solve_or_rank_error(xh @ x, xh)
+        gram = xh @ x
+        matrix = _solve_or_rank_error(gram, _identity(gram)) @ xh
     elif formula is ReceiverKind.MMSE:
         m = xh @ x
         diagonal(m)[...] += noise_power
-        matrix = hermitian_solve(m, xh)
+        matrix = hermitian_solve(m, _identity(m)) @ xh
     elif formula is ReceiverKind.AQNM_MMSE:
         # H^H (HH^H + D)^-1 with D = diag(N0 + sigma_q/kappa^2), as the K x K
         # solve (I + H^H D^-1 H)^-1 H^H D^-1 (the push-through identity).
@@ -125,7 +137,7 @@ def build_combiner(
         weighted = xh / loading[..., None, :]
         m = weighted @ x
         diagonal(m)[...] += 1.0
-        matrix = hermitian_solve(m, weighted)
+        matrix = hermitian_solve(m, _identity(m)) @ weighted
     else:  # ReceiverKind.BMMSE
         m = x @ xh
         m += stats.noise_cov

@@ -2,7 +2,7 @@
 
 The CSVs in ``tests/golden/`` were written by the per-trial engine that the
 stacked engine replaced (commit 0388145), with the arguments below. The
-K=2, N=16 case runs 1100 trials per point, so it crosses both a 64-trial
+K=2, N=16 case runs 1100 trials per point, so it crosses both a 128-trial
 chunk boundary and the 1000-trial batch boundary.
 
 ``k16n16-16qam`` is the square case, the worst-conditioned channel shape:

@@ -2,12 +2,13 @@
 statistical diagnostics."""
 
 import math
+import tracemalloc
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from onebit_mimo import montecarlo
+from onebit_mimo import linalg, montecarlo
 from onebit_mimo.bussgang import QuantizedStatistics, received_covariance
 from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, one_bit_quantize, transmit
 from onebit_mimo.errors import DegenerateDenominatorError, RankDeficientError
@@ -132,7 +133,7 @@ class TestBatchedEngine:
 
     @staticmethod
     def check_chunks_equal_single_trials(users):
-        # 150 trials at N=16 span three 64-trial chunks, the last one partial.
+        # 150 trials at N=16 span two 128-trial chunks, the last one partial.
         cfg = SystemConfig.from_snr_db(users, 16, 5.0, "16qam")
         kinds = tuple(ReceiverKind)
         totals = point_counts(cfg, kinds, 17, 50, 200)
@@ -141,8 +142,8 @@ class TestBatchedEngine:
         assert all(totals.values())
 
     def test_chunks_equal_single_trials_at_n128(self):
-        # One trial per chunk, across the index where a trial's key takes a
-        # second entropy word.
+        # Two trials per chunk, the second chunk across the index where a
+        # trial's key takes a second entropy word.
         cfg = SystemConfig.from_snr_db(2, 128, 0.0, "qpsk")
         kinds = tuple(ReceiverKind)
         start, stop = 2**32 - 2, 2**32 + 1
@@ -197,11 +198,11 @@ class TestBatchedEngine:
         assert np.concatenate(received_stacks).tobytes() == received.tobytes()
 
     def test_clean_range_builds_no_per_trial_streams(self, monkeypatch):
-        # 80 trials at N=16 are two chunks, keyed in one trial_streams call
+        # 140 trials at N=16 are two chunks, keyed in one trial_streams call
         # for the whole batch, not one per chunk or trial.
         cfg = SystemConfig.from_snr_db(2, 16, 10.0, "qpsk")
         kinds = tuple(ReceiverKind)
-        singles = [run_trial(cfg, kinds, trial_streams(29, [i])) for i in range(60, 140)]
+        singles = [run_trial(cfg, kinds, trial_streams(29, [i])) for i in range(60, 200)]
         calls = []
 
         def counting_streams(*args):
@@ -213,9 +214,9 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(montecarlo, "trial_streams", counting_streams)
         monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-        totals = point_counts(cfg, kinds, 29, 60, 140)
+        totals = point_counts(cfg, kinds, 29, 60, 200)
         assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
-        assert calls == [(29, range(60, 140))]
+        assert calls == [(29, range(60, 200))]
 
     def test_one_build_per_distinct_combiner(self, monkeypatch):
         # WFQ's counts are AQNM-MMSE's: a chunk over all eight kinds builds
@@ -477,6 +478,37 @@ class TestZeroColumnRedraw:
             "discarding zero-denominator draw at trial 37 (redraw 1) at 7 dB"
         ]
 
+    def test_second_trial_of_a_stacked_n128_chunk_is_redrawn(
+        self, zero_channels, caplog, monkeypatch
+    ):
+        # At K=16, N=128 a chunk stacks two trials, so ZF's Gram matrices go
+        # to posv as one 2-slice stack in which the second slice fails; its
+        # jitter retry leaves a zero combiner row, and the chunk is rerun
+        # trial by trial.
+        assert montecarlo._CHUNK_ELEMENTS // 128**2 == 2
+        config = SystemConfig.from_snr_db(16, 128, 30.0)
+        kinds = (ReceiverKind.ZF, *(k for k in ReceiverKind if k is not ReceiverKind.ZF))
+        stacks = []
+        lapack_solve = linalg._lapack_solve
+
+        def recording_solve(matrices, rhss):
+            solutions, failed = lapack_solve(matrices, rhss)
+            stacks.append((len(matrices), list(failed)))
+            return solutions, failed
+
+        monkeypatch.setattr(linalg, "_lapack_solve", recording_solve)
+        zero_channels.add((3, 0))
+        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
+            totals = point_counts(config, kinds, 21, 0, 4)
+        singles = [
+            run_trial(config, kinds, trial_streams(21, [i], int(i == 3))) for i in range(4)
+        ]
+        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding zero-denominator draw at trial 3 (redraw 1) at 30 dB"
+        ]
+        assert (2, [1]) in stacks
+
     def test_consecutive_zero_columns_raise(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
         with pytest.raises(DegenerateDenominatorError, match="consecutive"):
@@ -498,6 +530,35 @@ class TestZeroColumnRedraw:
         plan = grid_plan(self.CONFIG, self.KINDS, 21, (-3.0, 7.0))
         with pytest.raises(DegenerateDenominatorError, match="consecutive"):
             montecarlo._batch_counts(plan, every_point(plan), 0, 100)
+
+
+def chunk_errors_peak():
+    """Traced peak bytes of one ``_ChunkDraws.errors`` call on a chunk of
+    K=16, N=128 trials, as many as ``_batch_counts`` stacks, with all eight
+    receivers."""
+    config = SystemConfig.from_snr_db(16, 128, 30.0)
+    chunk = max(1, montecarlo._CHUNK_ELEMENTS // config.antennas**2)
+    draws = montecarlo._ChunkDraws(config, trial_streams(3, range(chunk)))
+    tracemalloc.start()
+    try:
+        draws.errors(config.noise_power, tuple(ReceiverKind), True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    # A chunk's temporaries grow with its trials; at N=128 one of 2 trials
+    # peaks at about 3.15 MiB, one of 4 at about 6.2. The bound of 14 N x N
+    # complex arrays keeps the benchmark's peak RSS within its bound.
+    BOUND = 14 * 128**2 * np.dtype(complex).itemsize
+
+    def test_n128_chunk_stays_within_its_bound(self):
+        assert chunk_errors_peak() <= self.BOUND
+
+    def test_four_trial_chunk_exceeds_the_bound(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 4 * 128**2)
+        assert chunk_errors_peak() > self.BOUND
 
 
 class TestTrialPlan:

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from onebit_mimo.bussgang import QuantizedStatistics
+from onebit_mimo import linalg
+from onebit_mimo.bussgang import QuantizedStatistics, aqnm_covariance
 from onebit_mimo.channel import noise_power_from_snr_db, one_bit_quantize
 from onebit_mimo.errors import (
     DegenerateDenominatorError,
     RankDeficientError,
     ZeroVectorError,
 )
-from onebit_mimo.linalg import hermitian_solve
+from onebit_mimo.linalg import diagonal, hermitian_solve
 from onebit_mimo.modulation import make_constellation, map_bits_to_symbols
 from onebit_mimo.receivers import (
     BUSSGANG_KINDS,
+    SAME_COMBINER,
     ReceiverKind,
     _solve_or_rank_error,
     build_combiner,
@@ -29,6 +31,28 @@ ALL_KINDS = tuple(ReceiverKind)
 
 def rayleigh_channel(rng, n, k):
     return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
+
+
+def n_column_solve(kind, channel, noise_power, stats, loaded=True):
+    """ZF, BZF, MMSE or AQNM-MMSE's matrix as the K x K system solved against
+    the N columns of ``X^H`` (or ``X^H D^-1``); ``loaded=False`` leaves out
+    MMSE's ``N0 I``."""
+    formula = SAME_COMBINER.get(kind, kind)
+    x = stats.effective_channel if kind in BUSSGANG_KINDS else channel
+    rhs = x.conj().mT
+    if formula is ReceiverKind.AQNM_MMSE:
+        aqnm = aqnm_covariance(stats.received_cov)
+        rhs = rhs / (noise_power + aqnm.sigma_q / aqnm.kappa**2)[..., None, :]
+    system = rhs @ x
+    if formula is ReceiverKind.AQNM_MMSE:
+        diagonal(system)[...] += 1.0
+    elif formula is ReceiverKind.MMSE and loaded:
+        diagonal(system)[...] += noise_power
+    return hermitian_solve(system, rhs)
+
+
+def relative_error(matrix, expected):
+    return np.abs(matrix - expected).max() / np.abs(expected).max()
 
 
 class TestBuildCombiner:
@@ -99,6 +123,27 @@ class TestBuildCombiner:
                 / np.abs(denominators).max()
             )
             assert denominator_error <= 1e-12, kind
+
+    @pytest.mark.parametrize("k, n", [(2, 16), (16, 128)], ids=["gufunc", "posv"])
+    def test_identity_solves_match_solves_against_the_n_columns(self, k, n):
+        # The K x K systems are solved against the K x K identity and then
+        # multiplied into the N columns; the oracle solves against those.
+        assert (k > linalg._GUFUNC_MAX_ORDER) == (n == 128)
+        h = rayleigh_channel(np.random.default_rng(31), 3 * n, k).reshape(3, n, k)
+        stats = QuantizedStatistics(h, 0.5)
+        for kind in (ReceiverKind.ZF, ReceiverKind.BZF, ReceiverKind.MMSE,
+                     ReceiverKind.AQNM_MMSE, ReceiverKind.WFQ):
+            matrix = build_combiner(kind, h, 0.5, stats=stats).matrix
+            assert relative_error(matrix, n_column_solve(kind, h, 0.5, stats)) <= 1e-12, kind
+
+    @pytest.mark.parametrize("k, n", [(2, 16), (16, 128)], ids=["gufunc", "posv"])
+    def test_unloaded_mmse_oracle_fails(self, k, n):
+        # Negative control: without N0 I the oracle is ZF's, not MMSE's.
+        h = rayleigh_channel(np.random.default_rng(31), 3 * n, k).reshape(3, n, k)
+        stats = QuantizedStatistics(h, 0.5)
+        matrix = build_combiner(ReceiverKind.MMSE, h, 0.5, stats=stats).matrix
+        unloaded = n_column_solve(ReceiverKind.MMSE, h, 0.5, stats, loaded=False)
+        assert relative_error(matrix, unloaded) > 1e-12
 
     def test_zf_unbiased(self):
         rng = np.random.default_rng(1)
