@@ -4,6 +4,7 @@ The SNR convention is rho = 1/N0 with unit transmit power per user, so a
 grid point at ``snr_db`` runs with noise power ``10**(-snr_db/10)``.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,12 @@ class SystemConfig:
     modulation: str = "qpsk"
 
     def __post_init__(self):
+        for name in ("users", "antennas"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # A numpy integer becomes an int, which the JSON output can write.
+            object.__setattr__(self, name, int(value))
         if self.users < 1:
             raise ValueError(f"users must be >= 1, got {self.users}")
         if self.antennas < self.users:

@@ -8,6 +8,7 @@ one plan per user count at N = 8K antennas.
 
 import argparse
 import math
+import os
 import re
 import sys
 from concurrent.futures import BrokenExecutor
@@ -100,7 +101,8 @@ def _build_parser() -> _Parser:
                         help="flat key=value file mirroring the flags")
     parser.add_argument("--k", type=_checked_int(lambda v: v >= 1, ">= 1"),
                         help="number of users")
-    parser.add_argument("--n", type=int, help="number of antennas")
+    parser.add_argument("--n", type=_checked_int(lambda v: v >= 1, ">= 1"),
+                        help="number of antennas")
     parser.add_argument("--mod", choices=supported_modulations())
     parser.add_argument("--snr-start", type=float, metavar="DB")
     parser.add_argument("--snr-stop", type=float, metavar="DB")
@@ -262,6 +264,12 @@ def parse_run_spec(argv=None) -> RunSpec:
     out_path = settings.get("out", f"results.{out_format}")
     if not out_path.strip():
         raise UsageError("--out: empty output path")
+    # Checked before the sweep, which may run for hours, and without creating
+    # or truncating anything.
+    if os.path.isdir(out_path):
+        raise UsageError(f"--out: {out_path} is a directory")
+    if not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise UsageError(f"--out: the parent of {out_path} is not an existing directory")
 
     try:
         configs = [

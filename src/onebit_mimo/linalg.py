@@ -2,16 +2,16 @@
 
 All receiver formulas written with a matrix inverse are evaluated by
 factor-and-solve instead; matrices here are small (at most a few hundred
-rows) and always Hermitian positive definite up to rounding. A stack of
-order at most 8 (the K x K systems of a few users) is solved by numpy's
-stacked gufuncs in one call, since per-call overhead dominates there; a
-larger order is factored and solved slice by slice by LAPACK's Cholesky
-routine ``?posv``, which is faster per slice. That routine is the one in the
-LAPACK numpy itself links (an OpenBLAS in numpy's wheels), bound through
-ctypes once at import; where no ``?posv`` symbol is found, every order goes
-through the gufuncs. At these sizes BLAS threads cost more than they save,
-so sweeps run numpy's OpenBLAS at one thread (:func:`set_openblas_threads`);
-its thread-count calls are bound by the same lookup as ``?posv``.
+rows) and always Hermitian positive definite up to rounding. A complex stack
+of order above 8 is factored and solved slice by slice by LAPACK's Cholesky
+routine ``zposv``, which is faster per slice there. That routine is the one
+in the LAPACK numpy itself links (an OpenBLAS in numpy's wheels), bound
+through ctypes once at import. Every other stack, the K x K systems of a few
+users and any real input, is solved by numpy's stacked gufuncs in one call,
+as is every stack where no ``zposv`` symbol is found. At these sizes BLAS
+threads cost more than they save, so sweeps run numpy's OpenBLAS at one
+thread (:func:`set_openblas_threads`); its thread-count calls are bound by
+the same lookup as ``zposv``.
 """
 
 import ctypes
@@ -29,30 +29,30 @@ HERMITIAN_TOL = 1e-10
 ARCSIN_BAND = 1e-9
 # Relative diagonal jitter for the single retry on a failed factorization.
 _JITTER_SCALE = 1e-10
-# Largest matrix order solved by numpy's stacked gufuncs; larger stacks are
-# factored slice by slice through LAPACK, which is faster per slice there.
+# Largest matrix order solved by numpy's stacked gufuncs; larger complex
+# stacks are factored slice by slice through LAPACK, which is faster per
+# slice there.
 _GUFUNC_MAX_ORDER = 8
-# (symbol of LAPACK's ?posv with ? for z or d, its Fortran integer type,
-# setter and getter of OpenBLAS's thread count), as exported by numpy's ILP64
-# wheel build, a plain ILP64 OpenBLAS, an LP64 wheel build and a plain
-# OpenBLAS. The first ?posv pair and the first thread pair found are used.
+# (symbol of LAPACK's zposv, its Fortran integer type, setter and getter of
+# OpenBLAS's thread count), as exported by numpy's ILP64 wheel build, a plain
+# ILP64 OpenBLAS, an LP64 wheel build and a plain OpenBLAS. The first zposv
+# and the first thread pair found are used.
 _BUILDS = (
-    ("scipy_?posv_64_", ctypes.c_int64,
+    ("scipy_zposv_64_", ctypes.c_int64,
      "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("?posv_64_", ctypes.c_int64,
+    ("zposv_64_", ctypes.c_int64,
      "openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("scipy_?posv_", ctypes.c_int32,
+    ("scipy_zposv_", ctypes.c_int32,
      "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("?posv_", ctypes.c_int32, "openblas_set_num_threads", "openblas_get_num_threads"),
+    ("zposv_", ctypes.c_int32, "openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
 
 class _Posv(NamedTuple):
-    """LAPACK's ``zposv`` and ``dposv`` as ctypes functions, their Fortran
-    integer type, and the library file and symbol they were found as."""
+    """LAPACK's ``zposv`` as a ctypes function, its Fortran integer type, and
+    the library file and symbol it was found as."""
 
-    complex: Callable
-    real: Callable
+    routine: Callable
     integer: type
     library: str
     symbol: str
@@ -91,7 +91,7 @@ def _library_of(function, fallback):
 
 
 def _bind():
-    """``(posv, threads)``: the ``?posv`` pair and the OpenBLAS thread calls
+    """``(posv, threads)``: LAPACK's ``zposv`` and the OpenBLAS thread calls
     that numpy's linalg extension can reach, each None where not found.
 
     The symbols are looked up through the extension's own handle, so they
@@ -105,15 +105,13 @@ def _bind():
     fallback = os.path.basename(_umath_linalg.__file__)
     posv = threads = None
     for symbol, integer, setter, getter in _BUILDS:
-        names = symbol.replace("?", "z"), symbol.replace("?", "d")
-        if posv is None and all(hasattr(handle, name) for name in names):
-            routines = [getattr(handle, name) for name in names]
-            for routine in routines:
-                # UPLO, N, NRHS, A, LDA, B, LDB, INFO by address, then the
-                # hidden length of the UPLO string.
-                routine.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
-                routine.restype = None
-            posv = _Posv(*routines, integer, _library_of(routines[0], fallback), symbol)
+        if posv is None and hasattr(handle, symbol):
+            routine = getattr(handle, symbol)
+            # UPLO, N, NRHS, A, LDA, B, LDB, INFO by address, then the hidden
+            # length of the UPLO string.
+            routine.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+            routine.restype = None
+            posv = _Posv(routine, integer, _library_of(routine, fallback), symbol)
         if threads is None and hasattr(handle, setter) and hasattr(handle, getter):
             set_threads, get_threads = getattr(handle, setter), getattr(handle, getter)
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
@@ -126,8 +124,8 @@ _POSV, _THREADS = _bind()
 
 
 def large_order_kernel() -> str:
-    """What solves orders above ``_GUFUNC_MAX_ORDER``: the LAPACK library
-    file and ``?posv`` symbol, or ``"numpy gufuncs"`` when none was found."""
+    """What solves complex orders above 8: the LAPACK library file and
+    ``zposv`` symbol, or ``"numpy gufuncs"`` when none was found."""
     return f"{_POSV.library} {_POSV.symbol}" if _POSV else "numpy gufuncs"
 
 
@@ -135,24 +133,24 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for a stack of Hermitian positive-definite
     ``(..., n, n)`` matrices and ``(..., n, m)`` or ``(..., n)`` right sides.
 
-    The kernel follows the order n. Up to ``_GUFUNC_MAX_ORDER`` the whole
-    stack goes through numpy's gufuncs: one ``np.linalg.cholesky`` call is
-    the positive-definite test and one ``np.linalg.solve`` call (LU) the
-    solve, since per-call overhead outweighs the arithmetic there. Above it
-    each slice goes through one call of LAPACK's ``?posv`` (``zposv`` or
-    ``dposv`` in double precision), which factors it by Cholesky and solves
-    as ``scipy.linalg.cho_factor``/``cho_solve`` do; the routine is the one
-    in the LAPACK numpy links (:func:`large_order_kernel` names it). Where
-    numpy's LAPACK exports no ``?posv`` symbol, every order goes through the
-    gufuncs. Either kernel reports the slices that fail the factorization
+    A complex stack of order above ``_GUFUNC_MAX_ORDER`` goes slice by slice
+    through one call each of LAPACK's ``zposv``, which factors by Cholesky
+    and solves as ``scipy.linalg.cho_factor``/``cho_solve`` do; the routine
+    is the one in the LAPACK numpy links (:func:`large_order_kernel` names
+    it). Every other stack goes through numpy's gufuncs: one
+    ``np.linalg.cholesky`` call is the positive-definite test and one
+    ``np.linalg.solve`` call (LU) the solve. Those are small orders, where
+    per-call overhead outweighs the arithmetic, real input of any order,
+    which keeps its dtype, and every order where numpy's LAPACK exports no
+    ``zposv``. Either kernel reports the slices that fail the factorization
     (numerically semi-definite input); this function retries just those,
     once, through the same kernel with a tiny trace-scaled diagonal jitter,
     and raises :class:`NotPositiveDefiniteError` where one still fails. The
-    other slices are solved as they are. The order alone picks the kernel,
-    so a slice solves to the same bytes in a stack of any size. A matrix
-    that is not Hermitian, one with a non-finite entry (which the message
-    names) and a right side with any other shape, such as an extra leading
-    axis, raise ``ValueError``.
+    other slices are solved as they are. The order and dtype alone pick the
+    kernel, so a slice solves to the same bytes in a stack of any size. A
+    matrix that is not Hermitian, one with a non-finite entry (which the
+    message names) and a right side with any other shape, such as an extra
+    leading axis, raise ``ValueError``.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
@@ -175,7 +173,7 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n = matrix.shape[-1]
     matrices = matrix.reshape(-1, n, n)
     rhss = rhs.reshape(len(matrices), n, -1)
-    large = n > _GUFUNC_MAX_ORDER and _POSV is not None
+    large = n > _GUFUNC_MAX_ORDER and _POSV and np.result_type(matrices, rhss).kind == "c"
     solve = _lapack_solve if large else _gufunc_solve
     solutions, failed = solve(matrices, rhss)
     if failed:
@@ -215,16 +213,14 @@ def _gufunc_solve(matrices, rhss):
 
 
 def _lapack_solve(matrices, rhss):
-    """:func:`hermitian_solve`'s kernel for a ``(B, n, n)`` stack, one LAPACK
-    ``posv`` (Cholesky factor and solve) per slice: ``(solutions, failed)``,
-    with ``failed`` the indices of the slices that do not factor."""
-    is_complex = np.result_type(matrices, rhss).kind == "c"
-    posv = _POSV.complex if is_complex else _POSV.real
-    dtype = complex if is_complex else float
+    """:func:`hermitian_solve`'s kernel for a complex ``(B, n, n)`` stack,
+    one LAPACK ``zposv`` (Cholesky factor and solve) per slice:
+    ``(solutions, failed)``, with ``failed`` the indices of the slices that
+    do not factor."""
     # Each slice of the C-ordered transposes is its matrix in Fortran order,
-    # as posv reads it; posv overwrites them with factors and solutions.
-    factors = np.array(matrices.mT, dtype=dtype, order="C")
-    solutions = np.array(rhss.mT, dtype=dtype, order="C")
+    # as zposv reads it; zposv overwrites them with factors and solutions.
+    factors = np.array(matrices.mT, dtype=complex, order="C")
+    solutions = np.array(rhss.mT, dtype=complex, order="C")
     # N (also LDA and LDB), NRHS and INFO, in one array.
     ints = (_POSV.integer * 3)(*rhss.shape[1:], 0)
     n_at, count_at, info_at = (
@@ -234,16 +230,16 @@ def _lapack_solve(matrices, rhss):
     solution_at, solution_step = solutions.ctypes.data, solutions.strides[0]
     failed = []
     for index in range(len(factors)):
-        posv(b"L", n_at, count_at, factor_at + index * factor_step, n_at,
-             solution_at + index * solution_step, n_at, info_at, 1)
+        _POSV.routine(b"L", n_at, count_at, factor_at + index * factor_step, n_at,
+                      solution_at + index * solution_step, n_at, info_at, 1)
         info = ints[2]
         if info < 0:
-            raise ValueError(f"LAPACK rejected argument {-info} of posv")
+            raise ValueError(f"LAPACK rejected argument {-info} of zposv")
         if info > 0:
-            # posv solves only after its Cholesky step succeeds, so a failed
+            # zposv solves only after its Cholesky step succeeds, so a failed
             # slice's right side is left as it was.
             failed.append(index)
-    # Per-slice Fortran order, as a single posv call returns its solution.
+    # Per-slice Fortran order, as a single zposv call returns its solution.
     return solutions.mT, failed
 
 

@@ -45,6 +45,7 @@ import ctypes
 import itertools
 import logging
 import math
+import numbers
 from collections.abc import Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -112,8 +113,9 @@ class TrialPlan:
     must come out finite and positive at every point;
     ``min_bit_errors = 0`` disables the early-stop target so every point
     runs exactly ``max_trials`` trials. ``kinds`` may give receivers by name
-    (``"zf"``); each becomes its :class:`ReceiverKind`, and an unknown name
-    raises ``ValueError`` here, not after the sweep.
+    (``"zf"``); each becomes its :class:`ReceiverKind`. An unknown name, a
+    ``max_trials``, ``min_bit_errors`` or ``seed`` that is not an integer, and
+    a repeated grid point raise ``ValueError`` here, not during the sweep.
     """
 
     config: SystemConfig
@@ -125,6 +127,12 @@ class TrialPlan:
     quantized: bool = True
 
     def __post_init__(self):
+        for name in ("max_trials", "min_bit_errors", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # A numpy integer becomes an int, which the JSON output can write.
+            object.__setattr__(self, name, int(value))
         if self.max_trials < 1:
             raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
         if self.min_bit_errors < 0:
@@ -138,6 +146,8 @@ class TrialPlan:
                 self.config_at(snr_db)
             except ValueError as exc:
                 raise ValueError(f"grid point {snr_db} dB: {exc}") from None
+        if len(set(self.snr_db_grid)) != len(self.snr_db_grid):
+            raise ValueError("snr_db_grid points must be unique")
         object.__setattr__(self, "kinds", tuple(ReceiverKind(kind) for kind in self.kinds))
         if not self.kinds:
             raise ValueError("kinds must be nonempty")

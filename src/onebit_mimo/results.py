@@ -36,14 +36,20 @@ def _sorted(records):
 
 
 def _git_describe() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
+    """``git describe`` of the checkout that tracks this file, else
+    ``"unknown"``: a copy in another repository's ignored or untracked
+    directory, such as a virtual environment, does not name that commit."""
+    here = Path(__file__).resolve()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=here.parent, capture_output=True, text=True, timeout=5
         )
+
+    try:
+        if git("ls-files", "--error-unmatch", here.name).returncode != 0:
+            return "unknown"
+        out = git("describe", "--always", "--dirty")
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
@@ -69,44 +75,35 @@ def _record_row(record: BerRecord) -> dict:
 def emit_results(records, out_format: str, path, seed=None) -> None:
     """Write records to ``path``, sorted by (receiver, snr_db).
 
-    CSV output is byte-deterministic for identical records. JSON records
-    add ``ber_low`` and ``ber_high``, the Wilson 95% interval of the BER, and
-    JSON carries a top-level ``meta`` object: seed, ``stream_version``
-    (:data:`onebit_mimo.rng.STREAM_VERSION`), git describe, timestamp, the
-    numpy version, ``lapack`` (:func:`onebit_mimo.linalg.large_order_kernel`:
-    the library file and ``?posv`` symbol that solve orders above 8, or
-    ``"numpy gufuncs"``), and ``openblas_pinned``: the file name of the
-    OpenBLAS that sweeps pin to one thread, the one whose thread calls
-    :mod:`onebit_mimo.linalg` found through numpy's linalg extension, or
-    empty when that extension exposes none. It is not a list of every
-    OpenBLAS loaded in the process. ``heap_retained``
-    (:func:`onebit_mimo.montecarlo.heap_retained`) is true when a sweep has
-    set glibc's heap thresholds in this process, so that the memory trials
-    free stays in it; false where the C library is not glibc. The timestamp
-    is excluded from any determinism guarantee.
+    CSV writes the :data:`CSV_HEADER` columns of each record's
+    :func:`_record_row`, with ``snr_db`` and ``ber`` formatted, and is
+    byte-deterministic for identical records. JSON writes every key of the row,
+    so ``ber_low`` and ``ber_high``, the Wilson 95% interval of the BER, reach
+    JSON only. JSON carries a top-level ``meta`` object: seed,
+    ``stream_version`` (:data:`onebit_mimo.rng.STREAM_VERSION`), git describe,
+    timestamp, the numpy version, ``lapack``
+    (:func:`onebit_mimo.linalg.large_order_kernel`: the library file and
+    ``zposv`` symbol that solve complex orders above 8, or ``"numpy
+    gufuncs"``), and ``openblas_pinned``: the file name of the OpenBLAS that
+    sweeps pin to one thread, the one whose thread calls
+    :mod:`onebit_mimo.linalg` found through numpy's linalg extension, or empty
+    when that extension exposes none. It is not a list of every OpenBLAS loaded
+    in the process. ``heap_retained``
+    (:func:`onebit_mimo.montecarlo.heap_retained`) is true when a sweep has set
+    glibc's heap thresholds in this process, so that the memory trials free
+    stays in it; false where the C library is not glibc. The timestamp is
+    excluded from any determinism guarantee.
     """
-    records = list(records)
-    if not records:
+    rows = [_record_row(record) for record in _sorted(records)]
+    if not rows:
         raise ValueError("refusing to emit an empty record list")
-    records = _sorted(records)
-    path = Path(path)
     if out_format == "csv":
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_HEADER)
-            for record in records:
+            writer = csv.DictWriter(handle, CSV_HEADER, extrasaction="ignore")
+            writer.writeheader()
+            for row in rows:
                 writer.writerow(
-                    [
-                        _format_snr(record.snr_db),
-                        record.kind.value,
-                        record.users,
-                        record.antennas,
-                        record.modulation,
-                        record.trials,
-                        record.bits,
-                        record.bit_errors,
-                        _format_ber(record.ber),
-                    ]
+                    {**row, "snr_db": _format_snr(row["snr_db"]), "ber": _format_ber(row["ber"])}
                 )
     elif out_format == "json":
         payload = {
@@ -120,7 +117,7 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
                 "openblas_pinned": sorted(openblas_threads()),
                 "heap_retained": heap_retained(),
             },
-            "records": [_record_row(record) for record in records],
+            "records": rows,
         }
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2)

@@ -243,7 +243,7 @@ def test_only_numpys_openblas_is_reported():
     # calls; the pin and its report name numpy's alone.
     pytest.importorskip("scipy.linalg")
     if linalg._POSV is None or linalg._THREADS is None:
-        pytest.skip("numpy's linalg exposes no OpenBLAS ?posv and thread calls")
+        pytest.skip("numpy's linalg exposes no OpenBLAS zposv and thread calls")
     library, _ = linalg.large_order_kernel().split()
     assert list(linalg.openblas_threads()) == [library]
 

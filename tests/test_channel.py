@@ -25,8 +25,10 @@ class TestSystemConfig:
     @pytest.mark.parametrize(
         "args, error, message",
         [((0, 2, 1.0), ValueError, "users must be >= 1"),
-         ((1, 2, 1.0, "bpsk"), UnsupportedModulationError, "'bpsk'")],
-        ids=["no-users", "bpsk"],
+         ((1, 2, 1.0, "bpsk"), UnsupportedModulationError, "'bpsk'"),
+         ((2.5, 4, 1.0), ValueError, "users must be an integer, got 2.5"),
+         ((2, 4.0, 1.0), ValueError, "antennas must be an integer, got 4.0")],
+        ids=["no-users", "bpsk", "float-users", "float-antennas"],
     )
     def test_rejects_users_or_modulation(self, args, error, message):
         with pytest.raises(error, match=message):

@@ -245,6 +245,7 @@ class TestConfigFile:
         "key, value, requirement",
         [
             ("k", "0", ">= 1"),
+            ("n", "0", ">= 1"),
             ("seed", "-1", "an unsigned 64-bit integer"),
             ("seed", str(2**64), "an unsigned 64-bit integer"),
             ("max-trials", "0", ">= 1"),
@@ -408,13 +409,44 @@ class TestMain:
         (plan,) = parse_run_spec(argv).plans
         assert [r.snr_db for r in read_records(out)] == list(plan.snr_db_grid)
 
-    def test_io_error_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "missing-dir" / "r.csv"
+    @pytest.mark.parametrize(
+        "out, message",
+        [("", "is a directory"), ("missing-dir/r.csv", "is not an existing directory")],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_out_is_refused_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, out, message
+    ):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran")
+
+        monkeypatch.setattr(cli, "ber_sweep", no_sweep)
+        out = os.path.join(tmp_path, out)
+        code = main(["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "0",
+                     "--max-trials", "3000", "--min-bit-errors", "0", "--out", out])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("simulate: error: --out: ") and line.endswith(message)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_io_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The output directory vanishes during the sweep, after the check
+        # before it passed.
+        directory = tmp_path / "gone"
+        directory.mkdir()
+
+        def sweep_then_remove(*args, **kwargs):
+            records = montecarlo.ber_sweep(*args, **kwargs)
+            directory.rmdir()
+            return records
+
+        monkeypatch.setattr(cli, "ber_sweep", sweep_then_remove)
         code = main(
             ["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",
-             "--receivers", "zf", "--max-trials", "1000", "--out", str(out)]
+             "--receivers", "zf", "--max-trials", "1000", "--out", str(directory / "r.csv")]
         )
         assert code == 1
+        assert "[Errno 2]" in capsys.readouterr().err
 
     def test_broken_worker_pool_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", BrokenPool)

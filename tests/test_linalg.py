@@ -1,6 +1,5 @@
 """Tests for the complex Hermitian solve and elementwise arcsine kernels."""
 
-import ctypes
 import os
 import sys
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_factor, cho_solve
 
 from onebit_mimo import linalg
@@ -17,7 +15,7 @@ from onebit_mimo.linalg import diagonal, elementwise_arcsin, hermitian_solve
 
 
 #: The highest order ``hermitian_solve`` hands to numpy's gufuncs; above it
-#: each slice goes through one call of LAPACK's posv.
+#: each slice of a complex stack goes through one call of LAPACK's zposv.
 GUFUNC_MAX_ORDER = 8
 
 
@@ -105,43 +103,31 @@ def cholesky_reference(matrices, rhs):
     )
 
 
-def real_cholesky_reference(matrices, rhs):
-    """Per-slice ``dpotrf`` then ``dpotrs`` of the LAPACK numpy links: the
-    real LAPACK kernel's byte oracle. scipy's ``cho_solve`` runs in the
-    OpenBLAS scipy bundles, whose real triangular solves may round the last
-    bit differently when its version differs from numpy's."""
-    handle = ctypes.CDLL(_umath_linalg.__file__)
-    factor, solve = (
-        getattr(handle, linalg._POSV.symbol.replace("?posv", name))
-        for name in ("dpotrf", "dpotrs")
-    )
-    factor.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
-    solve.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 7 + [ctypes.c_size_t]
-    factor.restype = solve.restype = None
-    solutions = []
-    for matrix, b in zip(matrices, rhs):
-        a = np.array(matrix, dtype=float, order="F")
-        x = np.array(b, dtype=float, order="F")
-        n, count, info = (linalg._POSV.integer(value) for value in (*x.shape, 0))
-        n_at, count_at, info_at = (ctypes.addressof(v) for v in (n, count, info))
-        factor(b"L", n_at, a.ctypes.data, n_at, info_at, 1)
-        assert info.value == 0
-        solve(b"L", n_at, count_at, a.ctypes.data, n_at, x.ctypes.data, n_at, info_at, 1)
-        assert info.value == 0
-        solutions.append(x)
-    return np.stack(solutions)
-
-
 def per_slice_reference(matrices, rhs):
     """The single-matrix solve each kernel's stack replaces, byte for byte:
-    ``np.linalg.solve`` up to the gufunc cut, ``cho_solve`` above it for
-    complex input and ``dpotrf``/``dpotrs`` for real (and ``np.linalg.solve``
-    there too when numpy's LAPACK has no ``?posv``)."""
-    if np.shape(matrices)[-1] > GUFUNC_MAX_ORDER and linalg._POSV is not None:
-        if np.isrealobj(matrices) and np.isrealobj(rhs):
-            return real_cholesky_reference(matrices, rhs)
+    ``cho_solve`` for complex input above the gufunc cut, and
+    ``np.linalg.solve`` for the rest: smaller orders, real input of any order,
+    and every order when numpy's LAPACK has no ``zposv``."""
+    large = np.shape(matrices)[-1] > GUFUNC_MAX_ORDER and linalg._POSV is not None
+    if large and (np.iscomplexobj(matrices) or np.iscomplexobj(rhs)):
         return cholesky_reference(matrices, rhs)
     return np.stack([np.linalg.solve(m, b) for m, b in zip(matrices, rhs)])
+
+
+def counted_posv(monkeypatch):
+    """Patch ``linalg._POSV`` so that each call of its routine is recorded;
+    returns the list the calls go to."""
+    if linalg._POSV is None:
+        pytest.skip("numpy's LAPACK exports no zposv")
+    calls = []
+    routine = linalg._POSV.routine
+
+    def call(*args):
+        calls.append(args)
+        return routine(*args)
+
+    monkeypatch.setattr(linalg, "_POSV", linalg._POSV._replace(routine=call))
+    return calls
 
 
 def assert_close_relative(actual, expected, tolerance=1e-12):
@@ -166,8 +152,9 @@ class TestStackedHermitianSolve:
 
     @pytest.mark.parametrize("n", [9, 16, 128])
     def test_real_bytes_equal_per_slice_cholesky(self, n):
-        # Real stacks above the cut go through dposv.
-        self.check_per_slice_bytes(n, real=True)
+        # Real stacks above the cut go through the gufuncs and stay float64;
+        # LU rounds a vector right side unlike a matrix column there.
+        self.check_per_slice_bytes(n, vectors=False, real=True)
 
     @staticmethod
     def check_per_slice_bytes(n, vectors=True, real=False):
@@ -193,25 +180,25 @@ class TestStackedHermitianSolve:
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_lapack_kernel_only_above_the_cut(self, monkeypatch, n):
-        # The gufunc kernel never calls LAPACK's posv; the LAPACK kernel
-        # calls it once per slice.
-        if linalg._POSV is None:
-            pytest.skip("numpy's LAPACK exports no ?posv")
-        calls = []
-
-        def counting(routine):
-            def call(*args):
-                calls.append(args)
-                return routine(*args)
-
-            return call
-
-        posv = linalg._POSV
-        counted = posv._replace(complex=counting(posv.complex), real=counting(posv.real))
-        monkeypatch.setattr(linalg, "_POSV", counted)
+        # The gufunc kernel never calls LAPACK's zposv; the LAPACK kernel
+        # calls it once per slice. A complex matrix with a real right side
+        # is a complex system.
+        calls = counted_posv(monkeypatch)
         rng = np.random.default_rng(n)
         hermitian_solve(hpd_stack(rng, 5, n), np.ones((5, n, 2)))
         assert len(calls) == (5 if n > GUFUNC_MAX_ORDER else 0)
+
+    @pytest.mark.parametrize("n", [9, 16, 128])
+    def test_real_input_never_calls_posv(self, monkeypatch, n):
+        calls = counted_posv(monkeypatch)
+        matrices = hpd_stack(np.random.default_rng(n), 5, n)
+        x = hermitian_solve(matrices.real.copy(), np.ones((5, n, 2)))
+        assert x.dtype == np.float64
+        assert calls == []
+        # Negative control: the complex stack of the same order calls it
+        # once per slice.
+        hermitian_solve(matrices, np.ones((5, n, 2)))
+        assert len(calls) == 5
 
     def test_semidefinite_slice_gets_jitter_others_unchanged(self):
         self.check_semidefinite_slice(3)
@@ -237,6 +224,7 @@ class TestStackedHermitianSolve:
         matrices[2] = np.diag(np.arange(n, dtype=float))
         x = hermitian_solve(matrices, rhs)
         assert np.isfinite(x).all()
+        assert x.dtype == rhs.dtype
         for i in (0, 1, 3):
             assert x[i].tobytes() == clean[i].tobytes()
         # The jittered slice equals a solve of the jittered matrix itself.
@@ -248,25 +236,19 @@ class TestStackedHermitianSolve:
     @pytest.mark.parametrize("n, factorizations", [(4, 6), (16, 5)])
     def test_retry_factors_only_the_failed_slice_again(self, monkeypatch, n, factorizations):
         # Up to the cut: the stacked Cholesky, one per slice to find the
-        # failed one, and one for its jittered retry. Above it: one posv per
-        # slice and one for the jittered retry.
-        calls = []
-
-        def counted(routine):
-            def call(*args):
-                calls.append(args)
-                return routine(*args)
-
-            return call
-
+        # failed one, and one for its jittered retry. Above it: one zposv
+        # per slice and one for the jittered retry.
         if n > GUFUNC_MAX_ORDER:
-            if linalg._POSV is None:
-                pytest.skip("numpy's LAPACK exports no ?posv")
-            monkeypatch.setattr(
-                linalg, "_POSV", linalg._POSV._replace(complex=counted(linalg._POSV.complex))
-            )
+            calls = counted_posv(monkeypatch)
         else:
-            monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+            calls = []
+            cholesky = np.linalg.cholesky
+
+            def counted(*args):
+                calls.append(args)
+                return cholesky(*args)
+
+            monkeypatch.setattr(np.linalg, "cholesky", counted)
         rng = np.random.default_rng(3)
         matrices = hpd_stack(rng, 4, n)
         matrices[2] = np.diag(np.arange(n, dtype=float))
@@ -297,7 +279,7 @@ class TestStackedHermitianSolve:
 
     def test_large_order_kernel_names_a_mapped_library_and_its_symbol(self):
         if linalg._POSV is None:
-            pytest.skip("numpy's LAPACK exports no ?posv")
+            pytest.skip("numpy's LAPACK exports no zposv")
         library, symbol = linalg.large_order_kernel().split()
         assert symbol in {build[0] for build in linalg._BUILDS}
         if sys.platform.startswith("linux"):

@@ -1,6 +1,7 @@
 """Trial execution, sweeps, stopping rule, determinism, and the
 statistical diagnostics."""
 
+import json
 import math
 import tracemalloc
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
@@ -8,7 +9,7 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from onebit_mimo import linalg, montecarlo
+from onebit_mimo import linalg, montecarlo, receivers
 from onebit_mimo.bussgang import QuantizedStatistics, received_covariance
 from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, one_bit_quantize, transmit
 from onebit_mimo.errors import DegenerateDenominatorError, RankDeficientError
@@ -234,6 +235,22 @@ class TestBatchedEngine:
         assert len(built) == 7
         assert ReceiverKind.WFQ not in built
         assert totals[ReceiverKind.WFQ] == totals[ReceiverKind.AQNM_MMSE] > 0
+
+    @pytest.mark.parametrize("users, antennas", [(2, 16), (16, 128)])
+    def test_every_solve_is_complex(self, monkeypatch, users, antennas):
+        # Every receiver solves a complex system, so real input reaches the
+        # solver from no receiver.
+        matrices = []
+
+        def spy(matrix, rhs):
+            matrices.append(matrix)
+            return linalg.hermitian_solve(matrix, rhs)
+
+        monkeypatch.setattr(receivers, "hermitian_solve", spy)
+        cfg = SystemConfig.from_snr_db(users, antennas, 10.0, "qpsk")
+        point_counts(cfg, tuple(ReceiverKind), 31, 0, 2)
+        assert len(matrices) == 5
+        assert all(np.iscomplexobj(matrix) for matrix in matrices)
 
 
 class TestStackedDetection:
@@ -594,15 +611,37 @@ class TestTrialPlan:
             ({"kinds": (ReceiverKind.ZF, ReceiverKind.ZF)}, "kinds must be unique"),
             ({"kinds": ("zf", "nope")}, "'nope' is not a valid ReceiverKind"),
             ({"seed": -1}, "seed must be a nonnegative integer"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"max_trials": 2.5}, "max_trials must be an integer, got 2.5"),
+            ({"min_bit_errors": 0.5}, "min_bit_errors must be an integer, got 0.5"),
+            ({"snr_db_grid": (0.0, 10.0, 0.0)}, "snr_db_grid points must be unique"),
         ],
         ids=["negative-error-target", "no-kinds", "duplicate-kinds", "unknown-name",
-             "negative-seed"],
+             "negative-seed", "float-seed", "float-trial-cap", "float-error-target",
+             "repeated-grid-point"],
     )
     def test_rejects_invalid_field(self, field, message):
         plan = {"config": SystemConfig(2, 4, 0.1), "kinds": (ReceiverKind.ZF,),
                 "snr_db_grid": (0.0,), "max_trials": 10, "min_bit_errors": 10, "seed": 1}
         with pytest.raises(ValueError, match=message):
             TrialPlan(**{**plan, **field})
+
+    def test_numpy_integers_sweep_as_ints(self, tmp_path):
+        # Integer fields are tested as numbers.Integral, not as int, and
+        # stored as int, so that the JSON output can write the records.
+        plans = [
+            TrialPlan(config=SystemConfig(integer(2), integer(4), 0.1), kinds=("zf",),
+                      snr_db_grid=(0.0,), max_trials=integer(300),
+                      min_bit_errors=integer(0), seed=integer(9))
+            for integer in (int, np.int64)
+        ]
+        assert plans[0] == plans[1]
+        written = []
+        for plan in plans:
+            path = tmp_path / f"{len(written)}.json"
+            emit_results(ber_sweep([plan]), "json", path)
+            written.append(json.loads(path.read_text())["records"])
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize(
         "grid", [(0.0, 4000.0), (-4000.0, 0.0), (0.0, float("nan"))],

@@ -1,11 +1,13 @@
 """CSV/JSON emission format and parse-back round trip."""
 
 import json
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
-from onebit_mimo import linalg, montecarlo
+from onebit_mimo import linalg, montecarlo, results
 from onebit_mimo.linalg import large_order_kernel, openblas_threads
 from onebit_mimo.montecarlo import BerRecord
 from onebit_mimo.receivers import ReceiverKind
@@ -108,6 +110,26 @@ def test_json_structure(tmp_path):
     )
 
 
+def test_both_formats_write_the_one_record_row(tmp_path, monkeypatch):
+    # A key added to the row reaches JSON only; a CSV column's value comes
+    # from the same row.
+    records = [record(), record(kind=ReceiverKind.ZF, bit_errors=7)]
+    before = tmp_path / "before.csv"
+    emit_results(records, "csv", before)
+    record_row = results._record_row
+    monkeypatch.setattr(results, "_record_row", lambda r: {**record_row(r), "extra": 1})
+    after = tmp_path / "after.csv"
+    emit_results(records, "csv", after)
+    assert after.read_bytes() == before.read_bytes()
+    emit_results(records, "json", tmp_path / "out.json")
+    rows = json.loads((tmp_path / "out.json").read_text())["records"]
+    assert [row["extra"] for row in rows] == [1, 1]
+
+    monkeypatch.setattr(results, "_record_row", lambda r: {**record_row(r), "k": 99})
+    emit_results(records, "csv", after)
+    assert [row.users for row in read_records(after)] == [99, 99]
+
+
 def test_json_names_the_gufuncs_without_posv(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "_POSV", None)
     path = tmp_path / "out.json"
@@ -133,3 +155,31 @@ def test_read_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_records(path)
+
+
+def git(repo, *args):
+    """``git -C repo args`` with a fixed identity; its stripped stdout."""
+    command = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args]
+    return subprocess.run(command, check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+@pytest.mark.parametrize("tracked", [False, True], ids=["ignored-copy", "tracked-copy"])
+def test_git_describe_names_only_the_checkout_tracking_the_package(
+    tmp_path, monkeypatch, tracked
+):
+    # A copy of the package in another repository's ignored directory, as in
+    # a virtual environment inside a project, must not report that project's
+    # commit; the same copy committed there does.
+    repo = tmp_path / "project"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("venv/\n")
+    package = repo / ("pkg" if tracked else "venv") / "onebit_mimo"
+    package.mkdir(parents=True)
+    shutil.copy(results.__file__, package / "results.py")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "project")
+    monkeypatch.setattr(results, "__file__", str(package / "results.py"))
+    expected = git(repo, "describe", "--always", "--dirty") if tracked else "unknown"
+    assert results._git_describe() == expected
