@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .linalg import diagonal, elementwise_arcsin
+from .linalg import diagonal, elementwise_arcsin, pieces
 
 # Inverse signal-to-quantization-noise ratio of a one-bit quantizer, kept at
 # the commonly quoted rounded value rather than 1 - 2/pi.
@@ -78,42 +78,90 @@ class AqnmParameters(NamedTuple):
 
 def aqnm_covariance(received_cov) -> AqnmParameters:
     """AQNM parameters: alpha, kappa = 1 - alpha, and the diagonal of the
-    distortion covariance, alpha * kappa * diag(received_cov)."""
+    distortion covariance, alpha * kappa * diag(received_cov).
+
+    Given the :class:`QuantizedStatistics` of a draw in place of its
+    covariance, it reads their power diagonal, so that the N x N covariance
+    need not be formed."""
+    if isinstance(received_cov, QuantizedStatistics):
+        power = received_cov.power
+    else:
+        power = _diag_or_raise(received_cov)
     alpha = ALPHA_ONE_BIT
     kappa = 1.0 - alpha
-    return AqnmParameters(alpha, kappa, alpha * kappa * _diag_or_raise(received_cov))
+    return AqnmParameters(alpha, kappa, alpha * kappa * power)
 
 
 class QuantizedStatistics:
     """Per-channel-draw statistics shared by the quantization-aware receivers.
 
-    For one draw or a stack, the received covariance, Bussgang gain (the
-    ``(..., N)`` diagonal sqrt(2/pi) * diag(received_cov)^(-1/2)) and
-    effective channel A = diag(gain) @ channel are computed eagerly; the
-    effective noise covariance is computed on first access and cached, since
-    only the quantization-aware MMSE combiner needs it. Pass ``received_cov`` to
-    substitute an approximate covariance (e.g. its large-user-count limit)
-    into all downstream quantities. The AQNM-MMSE and WFQ combiners read
-    only its diagonal (the distortion powers); they take HH^H from the
-    channel itself, so a substitution reaches them only through
-    ``diag(received_cov)``. A noise power that is not finite and positive
-    raises ``ValueError``; a received covariance with a diagonal entry that
-    is not (from a NaN channel entry, say) raises
-    :class:`~onebit_mimo.errors.DegenerateCovarianceError`.
+    For one draw or a stack, the ``(..., N)`` power diagonal of the received
+    covariance, the Bussgang gain (sqrt(2/pi) / sqrt(power)) and the
+    effective channel A = diag(gain) @ channel are computed at construction.
+    The covariance of the quantizer output, the effective noise covariance
+    and the received covariance itself are computed on first access and
+    cached. Pass ``received_cov`` to substitute an approximate covariance
+    (e.g. its large-user-count limit) into all downstream quantities. The
+    AQNM-MMSE and WFQ combiners read only the power diagonal (the
+    distortion powers); they take HH^H from the channel itself, so a
+    substitution reaches them only through ``diag(received_cov)``. A noise
+    power that is not finite and positive raises ``ValueError``; a received
+    covariance with a diagonal entry that is not (from a NaN channel entry,
+    say) raises :class:`~onebit_mimo.errors.DegenerateCovarianceError`.
     """
 
     def __init__(self, channel, noise_power, received_cov=None):
-        channel = np.asarray(channel)
+        self._channel = np.asarray(channel)
         self.noise_power = float(noise_power)
         if not 0 < self.noise_power < np.inf:
             raise ValueError(f"noise_power must be finite and > 0, got {noise_power}")
         if received_cov is None:
-            received_cov = received_covariance(channel, self.noise_power)
-        self.received_cov = np.asarray(received_cov)
-        power = _diag_or_raise(self.received_cov)
-        self.gain = np.sqrt(2.0 / np.pi) / np.sqrt(power)
-        self.effective_channel = self.gain[..., :, None] * channel
+            # Formed once to read the power diagonal off, then overwritten by
+            # output_cov; received_cov forms its own.
+            self._covariance = received_covariance(self._channel, self.noise_power)
+            self.power = _diag_or_raise(self._covariance)
+        else:
+            self._covariance = None
+            self.received_cov = np.asarray(received_cov)
+            self.power = _diag_or_raise(self.received_cov)
+        self.gain = np.sqrt(2.0 / np.pi) / np.sqrt(self.power)
+        self.effective_channel = self.gain[..., :, None] * self._channel
+
+    @cached_property
+    def received_cov(self) -> np.ndarray:
+        return received_covariance(self._channel, self.noise_power)
 
     @cached_property
     def noise_cov(self) -> np.ndarray:
         return effective_noise_covariance(self.received_cov, self.noise_power)
+
+    @cached_property
+    def output_cov(self) -> np.ndarray:
+        """Covariance of the quantizer output, A A^H + noise_cov: the matrix
+        the quantization-aware MMSE combiner solves with.
+
+        For the draw's own received covariance this is the arcsine law,
+        (2/pi) * arcsin(C) with C the normalized received covariance (Van
+        Vleck and Middleton, Proc. IEEE 1966), built over the covariance
+        formed at construction, in place and one piece of the stack at a
+        time. A substituted covariance adds a term to that law, so there it
+        is A A^H + noise_cov as written.
+        """
+        if self._covariance is None:
+            a = self.effective_channel
+            covariance = a @ a.conj().mT
+            covariance += self.noise_cov
+            return covariance
+        covariance = self._covariance.astype(complex, copy=False)
+        self._covariance = None
+        n = covariance.shape[-1]
+        slices = covariance.reshape(-1, n, n)
+        inv_sqrt = (1.0 / np.sqrt(self.power)).reshape(-1, n)
+        for part in pieces(len(slices), n):
+            piece, scale = slices[part], inv_sqrt[part]
+            # As effective_noise_covariance normalizes and pins C.
+            piece *= scale[:, :, None] * scale[:, None, :]
+            diagonal(piece)[...] = 1.0
+            piece[...] = elementwise_arcsin(piece)
+            piece *= 2.0 / np.pi
+        return covariance

@@ -12,6 +12,12 @@ as is every stack where no ``zposv`` symbol is found. At these sizes BLAS
 threads cost more than they save, so sweeps run numpy's OpenBLAS at one
 thread (:func:`set_openblas_threads`); its thread-count calls are bound by
 the same lookup as ``zposv``.
+
+The steps over a whole ``(B, n, n)`` stack, the Hermitian check here and the
+arcsine of the Bussgang statistics, run in pieces of at most
+``PIECE_ENTRIES`` entries (:func:`pieces`), and ``zposv`` factors each slice
+in one reused ``n x n`` workspace, so the temporaries of a stack are one
+piece's, however many slices it has.
 """
 
 import ctypes
@@ -27,6 +33,10 @@ from .errors import ArcsinDomainError, NotPositiveDefiniteError
 HERMITIAN_TOL = 1e-10
 # Band around [-1, 1] tolerated before clamping arcsine arguments.
 ARCSIN_BAND = 1e-9
+# Entries (512 KiB of complex128) of the largest piece of a stack that one
+# elementwise step works on, so that a piece and its temporaries stay inside
+# a core's 2 MiB L2 cache.
+PIECE_ENTRIES = 2**15
 # Relative diagonal jitter for the single retry on a failed factorization.
 _JITTER_SCALE = 1e-10
 # Largest matrix order solved by numpy's stacked gufuncs; larger complex
@@ -154,7 +164,11 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
-    asymmetry = np.abs(matrix - matrix.conj().mT).max()
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
+        raise ValueError(f"matrix of shape {matrix.shape} is not a stack of square matrices")
+    n = matrix.shape[-1]
+    matrices = matrix.reshape(-1, n, n)
+    asymmetry = _asymmetry(matrices)
     if not asymmetry <= HERMITIAN_TOL:
         # Every non-finite entry fails the test above, so only a failed
         # matrix pays for this scan.
@@ -170,8 +184,6 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"incompatible shapes {matrix.shape} and {rhs.shape} for a solve"
         )
-    n = matrix.shape[-1]
-    matrices = matrix.reshape(-1, n, n)
     rhss = rhs.reshape(len(matrices), n, -1)
     large = n > _GUFUNC_MAX_ORDER and _POSV and np.result_type(matrices, rhss).kind == "c"
     solve = _lapack_solve if large else _gufunc_solve
@@ -190,6 +202,29 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(solution).all():
         raise NotPositiveDefiniteError("solve produced non-finite entries")
     return solution
+
+
+def pieces(count: int, order: int) -> list[slice]:
+    """Consecutive ranges that cover a stack of ``count`` matrices of order
+    ``order``, each of at most :data:`PIECE_ENTRIES` entries, or of one
+    matrix where one alone has more."""
+    step = max(1, PIECE_ENTRIES // max(1, order * order))
+    return [slice(first, first + step) for first in range(0, count, step)]
+
+
+def _asymmetry(matrices):
+    """``max |M - M^H|`` over a ``(B, n, n)`` stack, one piece at a time:
+    the value ``np.abs(M - M.conj().mT).max()`` gives, NaN included."""
+    peaks = []
+    for part in pieces(*matrices.shape[:2]):
+        piece = matrices[part]
+        # A fresh array for real input too, where ndarray.conj() would be the
+        # caller's own array.
+        difference = np.conjugate(piece.mT, order="C")
+        difference -= piece
+        peaks.append(np.abs(difference).max())
+    # np.max, not max(): a NaN in any piece is the result.
+    return np.max(peaks)
 
 
 def _gufunc_solve(matrices, rhss):
@@ -217,20 +252,22 @@ def _lapack_solve(matrices, rhss):
     one LAPACK ``zposv`` (Cholesky factor and solve) per slice:
     ``(solutions, failed)``, with ``failed`` the indices of the slices that
     do not factor."""
-    # Each slice of the C-ordered transposes is its matrix in Fortran order,
-    # as zposv reads it; zposv overwrites them with factors and solutions.
-    factors = np.array(matrices.mT, dtype=complex, order="C")
+    # A C-ordered transpose is its matrix in Fortran order, as zposv reads
+    # it. Each slice is copied into one workspace, which zposv overwrites
+    # with its factor; the right sides are overwritten with the solutions.
+    factor = np.empty(matrices.shape[1:], dtype=complex)
     solutions = np.array(rhss.mT, dtype=complex, order="C")
     # N (also LDA and LDB), NRHS and INFO, in one array.
     ints = (_POSV.integer * 3)(*rhss.shape[1:], 0)
     n_at, count_at, info_at = (
         ctypes.addressof(ints) + i * ctypes.sizeof(_POSV.integer) for i in range(3)
     )
-    factor_at, factor_step = factors.ctypes.data, factors.strides[0]
+    factor_at = factor.ctypes.data
     solution_at, solution_step = solutions.ctypes.data, solutions.strides[0]
     failed = []
-    for index in range(len(factors)):
-        _POSV.routine(b"L", n_at, count_at, factor_at + index * factor_step, n_at,
+    for index, matrix in enumerate(matrices):
+        np.copyto(factor, matrix.mT)
+        _POSV.routine(b"L", n_at, count_at, factor_at, n_at,
                       solution_at + index * solution_step, n_at, info_at, 1)
         info = ints[2]
         if info < 0:
@@ -256,17 +293,21 @@ def elementwise_arcsin(matrix: np.ndarray) -> np.ndarray:
     Normalized covariances have unit diagonal analytically, but rounding can
     push components slightly past 1.
     """
-    # Real and imaginary parts interleaved, one float per component.
-    parts = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
-    if not (np.abs(parts) <= 1.0 + ARCSIN_BAND).all():
+    # Real and imaginary parts interleaved, one float per component, in the
+    # one copy that is clipped and then overwritten with the result.
+    parts = np.array(matrix, dtype=complex, order="C", ndmin=1).view(np.float64)
+    # The test |x| <= 1 + band without an |x| array; a NaN fails it, since
+    # max and min return any NaN they meet.
+    bound = 1.0 + ARCSIN_BAND
+    if not (parts.max(initial=0.0) <= bound and parts.min(initial=0.0) >= -bound):
         raise ArcsinDomainError(
             "entry outside [-1, 1] by more than the rounding band; "
             "input is not a normalized covariance"
         )
-    clipped = np.clip(parts, -1.0, 1.0)
-    np.arcsin(clipped, out=clipped)
-    # ascontiguousarray makes a 0-d input 1-d; the reshape undoes that.
-    return clipped.view(complex).reshape(np.shape(matrix))
+    np.clip(parts, -1.0, 1.0, out=parts)
+    np.arcsin(parts, out=parts)
+    # ndmin makes a 0-d input 1-d; the reshape undoes that.
+    return parts.view(complex).reshape(np.shape(matrix))
 
 
 def openblas_threads() -> dict[str, int]:

@@ -11,7 +11,7 @@ over an SNR grid, Fig. 2 one plan per user count), and :func:`_plan_records`
 turns a plan into its records. The unit of work is a batch: a plan's trials
 ``[start, stop)``, ``BATCH_SIZE`` of them, run at the grid points and kinds
 still active. :func:`_batch_counts` walks a batch in stacked chunks of
-``max(1, _CHUNK_ELEMENTS // N**2)`` trials (128 at N=16, 8 at N=64, 2 at
+``max(1, _CHUNK_ELEMENTS // N**2)`` trials (512 at N=16, 32 at N=64, 8 at
 N=128). A batch takes the streams of all its trials from one
 :func:`~onebit_mimo.rng.trial_streams` call, which keys them in one pass,
 and each chunk draws its trials from them into ``(B, N, K)`` channel,
@@ -20,9 +20,11 @@ The draws, ``H @ x`` and the combiners that do not depend on the noise power
 (MRC, ZF) are computed once per chunk; the receive vector, quantizer,
 Bussgang statistics and the other combiners once per (chunk, grid point),
 one point after another, with the floating-point operations of a point
-evaluated alone. Detection runs once per (chunk, point) too, on the
-``(C, B, K, N)`` stack of the C distinct combiners (7 for all eight kinds,
-see :data:`~onebit_mimo.receivers.SAME_COMBINER`). :func:`run_trial` is a
+evaluated alone. The statistics hold the chunk's one stacked N x N array,
+over which BMMSE's matrix is built, and are freed before detection.
+Detection runs once per (chunk, point) too, on the ``(C, B, K, N)`` stack
+of the C distinct combiners (7 for all eight kinds, see
+:data:`~onebit_mimo.receivers.SAME_COMBINER`). :func:`run_trial` is a
 chunk of one at one point, which redraws a degenerate trial from its
 streams at the next ``redraw``.
 
@@ -35,9 +37,9 @@ receivers are still accumulating. :func:`_prepare_process` prepares every
 process of a sweep, the caller and each pool worker alike: one BLAS thread,
 so ``workers`` is the only parallelism, and the memory trials free kept for
 the rest of the process (glibc's heap thresholds, set through ``mallopt``;
-nothing changes under another C library), so the N x N temporaries of a
-chunk (512 KB each at N=128) are reused instead of faulted in as fresh
-pages every chunk. Memory placement changes no result.
+nothing changes under another C library), so the N x N memory of a chunk
+(2 MiB at N=128) is reused instead of faulted in as fresh pages every
+chunk. Memory placement changes no result.
 """
 
 import collections
@@ -87,12 +89,15 @@ _DEGENERATE_DRAWS = {
     RankDeficientError: "rank-deficient",
     DegenerateDenominatorError: "zero-denominator",
 }
-#: Entries (512 KB of complex128) of one stacked N x N array of a chunk.
-#: Measured on the ``fig2-k16n128`` benchmark: 2**15 (2 trials at N=128) ran
-#: about 1.2x the trials/s of 2**14 (one trial). 2**16 ran faster still in 4
-#: of 5 pairs, but its peak RSS was 12% above 2**14's, past the benchmark's
-#: 10% bound.
-_CHUNK_ELEMENTS = 2**15
+#: Entries (2 MiB of complex128) of one stacked N x N array of a chunk: 8
+#: trials at N=128, 32 at N=64 and 512 at N=16. A chunk holds one such
+#: array, the received covariance that BMMSE's matrix is built over, and the
+#: N x N steps over it work in pieces of ``linalg.PIECE_ENTRIES`` entries.
+#: At K=16, N=128, 8 trials per chunk ran about 1.25x the trials/s of 2
+#: (``_batch_counts``, all receivers), and the traced peak of such a chunk
+#: stays under 3 N x N arrays per trial, which keeps the benchmark's peak
+#: RSS within its bound.
+_CHUNK_ELEMENTS = 2**17
 #: glibc's ``mallopt`` parameter numbers (``malloc.h``).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 #: Blocks below this size come from the heap, not from a fresh ``mmap`` each:
@@ -101,7 +106,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
 #: Free bytes at the top of the heap that glibc keeps instead of handing
 #: them back to the kernel: twice the mmap threshold, the ratio of glibc's
-#: own dynamic rule, and far above the about 3.3 MB a chunk at N=128 frees.
+#: own dynamic rule, and far above the about 5.2 MiB a chunk at N=128 frees.
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
@@ -222,6 +227,8 @@ class _ChunkDraws:
                 if kind in NOISE_INDEPENDENT_KINDS:
                     self._noise_independent[kind] = combiner
             combiners.append(combiner)
+        # The statistics hold BMMSE's N x N matrix: free it before detection.
+        del stats
         # One detection pass over the (C, B, K, N) stack of the C distinct
         # combiners; row c of the counts is combiners[c]'s.
         detected = detect_pipeline(

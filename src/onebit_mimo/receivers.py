@@ -132,16 +132,14 @@ def build_combiner(
     elif formula is ReceiverKind.AQNM_MMSE:
         # H^H (HH^H + D)^-1 with D = diag(N0 + sigma_q/kappa^2), as the K x K
         # solve (I + H^H D^-1 H)^-1 H^H D^-1 (the push-through identity).
-        aqnm = aqnm_covariance(stats.received_cov)
+        aqnm = aqnm_covariance(stats)
         loading = noise_power + aqnm.sigma_q / aqnm.kappa**2
         weighted = xh / loading[..., None, :]
         m = weighted @ x
         diagonal(m)[...] += 1.0
         matrix = hermitian_solve(m, _identity(m)) @ weighted
-    else:  # ReceiverKind.BMMSE
-        m = x @ xh
-        m += stats.noise_cov
-        matrix = hermitian_solve(m, x).conj().mT
+    else:  # ReceiverKind.BMMSE: A^H (A A^H + noise_cov)^-1
+        matrix = hermitian_solve(stats.output_cov, x).conj().mT
 
     denominators = np.einsum("...kn,...nk->...k", matrix, x)
     # |w_k x_k| <= |w_k| |x_k| (Cauchy-Schwarz), so the floor is relative and

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,6 +73,23 @@ def _record_row(record: BerRecord) -> dict:
     }
 
 
+def _replace_file(path, write, newline=None) -> None:
+    """Write a text file through ``write(handle)`` and move it to ``path`` in
+    one rename, so that an error while writing leaves whatever was at
+    ``path`` whole. The file is written beside ``path``, with the mode a
+    plain ``open`` gives, and removed if the write fails."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(temporary, "x", newline=newline)
+    try:
+        with handle:
+            write(handle)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def emit_results(records, out_format: str, path, seed=None) -> None:
     """Write records to ``path``, sorted by (receiver, snr_db).
 
@@ -93,18 +111,24 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
     glibc's heap thresholds in this process, so that the memory trials free
     stays in it; false where the C library is not glibc. The timestamp is
     excluded from any determinism guarantee.
+
+    The file is written beside ``path`` and renamed over it when complete, so
+    a write that fails leaves the file that was at ``path`` as it was.
     """
     rows = [_record_row(record) for record in _sorted(records)]
     if not rows:
         raise ValueError("refusing to emit an empty record list")
     if out_format == "csv":
-        with open(path, "w", newline="") as handle:
+
+        def write(handle):
             writer = csv.DictWriter(handle, CSV_HEADER, extrasaction="ignore")
             writer.writeheader()
             for row in rows:
                 writer.writerow(
                     {**row, "snr_db": _format_snr(row["snr_db"]), "ber": _format_ber(row["ber"])}
                 )
+
+        _replace_file(path, write, newline="")
     elif out_format == "json":
         payload = {
             "meta": {
@@ -119,9 +143,12 @@ def emit_results(records, out_format: str, path, seed=None) -> None:
             },
             "records": rows,
         }
-        with open(path, "w") as handle:
+
+        def write(handle):
             json.dump(payload, handle, indent=2)
             handle.write("\n")
+
+        _replace_file(path, write)
     else:
         raise ValueError(f"unknown output format {out_format!r}")
 

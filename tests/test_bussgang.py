@@ -12,6 +12,7 @@ from onebit_mimo.bussgang import (
     received_covariance,
 )
 from onebit_mimo.errors import DegenerateCovarianceError
+from onebit_mimo.linalg import PIECE_ENTRIES, elementwise_arcsin
 
 
 def rayleigh_channel(rng, n, k):
@@ -146,6 +147,16 @@ class TestAqnm:
         with pytest.raises(DegenerateCovarianceError):
             aqnm_covariance(np.diag([1.0, 0.0]))
 
+    def test_statistics_give_the_covariance_parameters(self):
+        # The power diagonal of the statistics, without the covariance.
+        h = rayleigh_channel(np.random.default_rng(12), 6, 3)
+        stats = QuantizedStatistics(h, 0.2)
+        params = aqnm_covariance(stats)
+        expected = aqnm_covariance(received_covariance(h, 0.2))
+        assert params[:2] == expected[:2]
+        assert params.sigma_q.tobytes() == expected.sigma_q.tobytes()
+        assert "received_cov" not in vars(stats)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_diagonal_is_degenerate(self, entry):
         with pytest.raises(DegenerateCovarianceError):
@@ -191,3 +202,51 @@ class TestQuantizedStatistics:
         h[2, 1] = np.nan
         with pytest.raises(DegenerateCovarianceError):
             QuantizedStatistics(h, 0.5)
+
+
+def written_output_covariance(stats):
+    """A A^H + noise_cov as written, from the received covariance."""
+    a = stats.effective_channel
+    return a @ a.conj().mT + effective_noise_covariance(stats.received_cov, stats.noise_power)
+
+
+class TestOutputCovariance:
+    @pytest.mark.parametrize("users, antennas", [(2, 16), (4, 64), (16, 128)])
+    @pytest.mark.parametrize("noise_power", [10.0, 1.0, 1e-3])
+    def test_arcsine_law_equals_the_written_form(self, users, antennas, noise_power):
+        # One slice more than a piece holds, so the stack is built in two.
+        slices = PIECE_ENTRIES // antennas**2 + 1
+        rng = np.random.default_rng(users)
+        h = np.stack([rayleigh_channel(rng, antennas, users) for _ in range(slices)])
+        stats = QuantizedStatistics(h, noise_power)
+        law = stats.output_cov
+        expected = written_output_covariance(stats)
+        assert np.abs(law - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_received_cov_is_not_overwritten(self):
+        rng = np.random.default_rng(10)
+        h = rayleigh_channel(rng, 16, 2)
+        expected = received_covariance(h, 0.3)
+        late = QuantizedStatistics(h, 0.3)
+        late.output_cov
+        early = QuantizedStatistics(h, 0.3)
+        received = early.received_cov.copy()
+        early.output_cov
+        for stats in (late, early):
+            assert stats.received_cov.tobytes() == expected.tobytes()
+        assert received.tobytes() == expected.tobytes()
+        assert early.output_cov.tobytes() == late.output_cov.tobytes()
+
+    def test_substitute_keeps_the_written_form(self):
+        # Negative control: under criterion 4's (K + N0) I the arcsine law
+        # misses A A^H + noise_cov, so that case must not use it.
+        rng = np.random.default_rng(11)
+        k, n, n0 = 4, 32, 0.1
+        h = rayleigh_channel(rng, n, k)
+        substitute = (k + n0) * np.eye(n)
+        stats = QuantizedStatistics(h, n0, received_cov=substitute)
+        expected = written_output_covariance(stats)
+        np.testing.assert_array_equal(stats.output_cov, expected)
+        normalized = substitute / (k + n0)
+        law = (2 / np.pi) * elementwise_arcsin(normalized)
+        assert np.abs(law - expected).max() > 1e-3

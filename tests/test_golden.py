@@ -29,6 +29,7 @@ as its own batches, by
 """
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -74,6 +75,39 @@ def _run(argv, out: Path) -> bytes:
 def test_reproduces_golden_csv(name, tmp_path):
     written = _run(CASES[name], tmp_path / f"{name}.csv")
     assert written == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+#: Prints each workload of ``perfbench/run.py`` as the simulator arguments
+#: of its golden run, full and tiny, with ``OUT`` for the output path. The
+#: interpreter runs with ``-B``, so perfbench/ gets no bytecode cache.
+_BENCH_ARGV = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run
+print(json.dumps({
+    f"{name}{'-tiny' if tiny else ''}": workload.argv(run.GOLDEN_SEED, "OUT", tiny)
+    for name, workload in run.WORKLOADS.items() for tiny in (False, True)
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def bench_argv():
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", _BENCH_ARGV, str(BENCH_GOLDEN_DIR.parent)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_GOLDEN_DIR.glob("*.csv")), ids=lambda p: p.stem)
+def test_reproduces_benchmark_golden_csv(path, bench_argv, tmp_path):
+    # The benchmark's warm-up compares its golden run with these files; this
+    # runs the same arguments, worker count included, in Tier-1.
+    out = tmp_path / path.name
+    argv = [str(out) if arg == "OUT" else arg for arg in bench_argv[path.stem]]
+    assert main(argv) == 0
+    assert out.read_bytes() == path.read_bytes()
 
 
 #: Runs the simulator with every import of scipy failing.

@@ -1,5 +1,6 @@
 """Tests for the complex Hermitian solve and elementwise arcsine kernels."""
 
+import ctypes
 import os
 import sys
 
@@ -293,6 +294,84 @@ class TestStackedHermitianSolve:
             hermitian_solve(hpd_stack(rng, 2, 3), np.ones((3, 3, 1)))
 
 
+def stacked_copy_lapack_solve(matrices, rhss):
+    """``linalg._lapack_solve`` as it was before it reused one workspace: it
+    copied the whole stack to Fortran order first. Its byte oracle."""
+    posv = linalg._POSV
+    factors = np.array(matrices.mT, dtype=complex, order="C")
+    solutions = np.array(rhss.mT, dtype=complex, order="C")
+    ints = (posv.integer * 3)(*rhss.shape[1:], 0)
+    n_at, count_at, info_at = (
+        ctypes.addressof(ints) + i * ctypes.sizeof(posv.integer) for i in range(3)
+    )
+    failed = []
+    for index in range(len(factors)):
+        posv.routine(b"L", n_at, count_at, factors.ctypes.data + index * factors.strides[0],
+                     n_at, solutions.ctypes.data + index * solutions.strides[0], n_at,
+                     info_at, 1)
+        if ints[2] > 0:
+            failed.append(index)
+    return solutions.mT, failed
+
+
+class TestLapackWorkspace:
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("fails", [False, True], ids=["clean", "one-slice-fails"])
+    def test_bytes_equal_the_stacked_copy(self, n, fails):
+        if linalg._POSV is None:
+            pytest.skip("numpy's LAPACK exports no zposv")
+        rng = np.random.default_rng(n)
+        matrices = hpd_stack(rng, 4, n)
+        if fails:
+            matrices[2] = -matrices[2]
+        rhs = rng.standard_normal((4, n, 3)) + 1j * rng.standard_normal((4, n, 3))
+        before = matrices.copy()
+        solutions, failed = linalg._lapack_solve(matrices, rhs)
+        expected, expected_failed = stacked_copy_lapack_solve(matrices, rhs)
+        assert solutions.tobytes() == expected.tobytes()
+        assert failed == expected_failed == ([2] if fails else [])
+        assert matrices.tobytes() == before.tobytes()
+
+
+def non_hermitian_stack(rng, slices, n, real):
+    """A ``(slices, n, n)`` stack far from Hermitian, its largest asymmetry
+    in the last slice."""
+    stack = rng.standard_normal((slices, n, n))
+    if not real:
+        stack = stack + 1j * rng.standard_normal((slices, n, n))
+    stack[-1, 0, n - 1] += 100.0
+    return stack
+
+
+class TestHermitianScan:
+    # At n=128 a piece is two slices, so stacks of 2, 4 and 9 slices are
+    # scanned in 1, 2 and 5 pieces, the last one partial.
+    N = 128
+
+    @pytest.mark.parametrize("slices", [2, 4, 9])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_piecewise_value_equals_the_whole_stack(self, slices, real):
+        assert len(linalg.pieces(slices, self.N)) == {2: 1, 4: 2, 9: 5}[slices]
+        stack = non_hermitian_stack(np.random.default_rng(slices), slices, self.N, real)
+        before = stack.copy()
+        expected = np.abs(stack - stack.conj().mT).max()
+        assert linalg._asymmetry(stack).tobytes() == expected.tobytes()
+        assert stack.tobytes() == before.tobytes()
+
+    def test_nan_in_the_last_piece_is_non_finite(self):
+        matrices = hpd_stack(np.random.default_rng(8), 9, self.N)
+        matrices[-1, 5, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_solve(matrices, np.ones((9, self.N, 1)))
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_real_identity_is_left_unmodified(self, n):
+        identity = np.eye(n)
+        rhs = np.arange(n) * (1.0 + 1j)
+        np.testing.assert_allclose(hermitian_solve(identity, rhs), rhs, atol=1e-14)
+        assert identity.tobytes() == np.eye(n).tobytes()
+
+
 def test_diagonal_is_a_writable_view():
     m = np.zeros((2, 3, 3))
     diagonal(m)[...] += np.arange(6.0).reshape(2, 3)
@@ -375,6 +454,26 @@ class TestElementwiseArcsin:
     def test_rejects_nan(self):
         with pytest.raises(ArcsinDomainError):
             elementwise_arcsin(np.array([[np.nan]]))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [0.5 + 0.5j, 1.0 + 1e-9j, -1.0 - 1e-9, 1 + 1e-9 + 1j,
+         1.0 + 1.01e-9, -1.0 - 1.01e-9, 0.3 + 1.01e-9j + 1j, 0.3 - 1.01e-9j - 1j,
+         0.2 + 1j * np.nan, np.nan + 0.2j, np.inf, -np.inf * 1j],
+    )
+    def test_domain_decision_of_the_absolute_value_test(self, entry):
+        # The test it replaced: every component within 1 + ARCSIN_BAND of 0
+        # in absolute value, which a NaN fails. The entry sits among in-band
+        # ones, inside the band too, which clipping would change in place.
+        matrix = np.array([[0.1 - 0.2j, 1.0 + 5e-10], [entry, -5e-10j - 1j]])
+        before = matrix.copy()
+        parts = matrix.view(np.float64)
+        if (np.abs(parts) <= 1.0 + linalg.ARCSIN_BAND).all():
+            elementwise_arcsin(matrix)
+        else:
+            with pytest.raises(ArcsinDomainError):
+                elementwise_arcsin(matrix)
+        assert matrix.tobytes() == before.tobytes()
 
     @settings(deadline=None)
     @given(

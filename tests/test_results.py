@@ -1,7 +1,10 @@
 """CSV/JSON emission format and parse-back round trip."""
 
+import csv
 import json
+import os
 import shutil
+import stat
 import subprocess
 
 import numpy as np
@@ -128,6 +131,57 @@ def test_both_formats_write_the_one_record_row(tmp_path, monkeypatch):
     monkeypatch.setattr(results, "_record_row", lambda r: {**record_row(r), "k": 99})
     emit_results(records, "csv", after)
     assert [row.users for row in read_records(after)] == [99, 99]
+
+
+def failing_csv_writerow(monkeypatch):
+    """Make ``csv.DictWriter.writerow`` write its first row and then raise."""
+    writerow = csv.DictWriter.writerow
+    written = []
+
+    def partial(self, row):
+        if written:
+            raise OSError("disk full")
+        written.append(row)
+        return writerow(self, row)
+
+    monkeypatch.setattr(csv.DictWriter, "writerow", partial)
+
+
+def failing_json_dump(monkeypatch):
+    """Make ``json.dump`` write the start of its output and then raise."""
+
+    def partial(payload, handle, **kwargs):
+        handle.write('{\n  "meta": ')
+        raise TypeError("Object of type int64 is not JSON serializable")
+
+    monkeypatch.setattr(json, "dump", partial)
+
+
+@pytest.mark.parametrize(
+    "out_format, fail",
+    [("csv", failing_csv_writerow), ("json", failing_json_dump)],
+    ids=["csv", "json"],
+)
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, out_format, fail):
+    path = tmp_path / f"out.{out_format}"
+    records = [record(), record(kind=ReceiverKind.ZF, bit_errors=7)]
+    emit_results(records, out_format, path)
+    previous = path.read_bytes()
+    fail(monkeypatch)
+    with pytest.raises((OSError, TypeError)):
+        emit_results([record(bit_errors=3), *records[1:]], out_format, path)
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_written_file_has_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w"):
+        pass
+    path = tmp_path / "out.csv"
+    emit_results([record()], "csv", path)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain.csv"]
 
 
 def test_json_names_the_gufuncs_without_posv(tmp_path, monkeypatch):

@@ -7,14 +7,20 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
-from onebit_mimo import montecarlo
+import numpy as np
+
+from onebit_mimo import bussgang, montecarlo
 from onebit_mimo.channel import SystemConfig
-from onebit_mimo.receivers import ReceiverKind
+from onebit_mimo.receivers import ReceiverKind, build_combiner
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 #: Targets a clean in-process run does not reach: ``run_trial`` runs only for
-#: a redrawn (degenerate) trial, and ``wait`` only with a worker pool.
-UNREACHED_IN_PROCESS = {"montecarlo.run_trial", "montecarlo.wait"}
+#: a redrawn (degenerate) trial, ``wait`` only with a worker pool, and
+#: ``effective_noise_covariance`` only for a substituted received covariance,
+#: since BMMSE's matrix is otherwise built by the arcsine law.
+UNREACHED_IN_PROCESS = {
+    "montecarlo.run_trial", "montecarlo.wait", "bussgang.effective_noise_covariance",
+}
 
 
 def trace_targets():
@@ -64,3 +70,10 @@ def test_every_trace_target_is_reached(monkeypatch):
     montecarlo._batch_counts(plan, dict.fromkeys(range(2), plan.kinds), 0, 3)
     unreached = {f"{module}.{name}" for module, name, _ in trace_targets()} - set(calls)
     assert unreached == UNREACHED_IN_PROCESS
+    # A BMMSE build on a substituted covariance reaches the one target that
+    # only such a build reaches.
+    h = np.eye(4, 2, dtype=complex)
+    stats = bussgang.QuantizedStatistics(h, 0.5, received_cov=2.5 * np.eye(4))
+    build_combiner(ReceiverKind.BMMSE, h, 0.5, stats=stats)
+    assert calls["bussgang.effective_noise_covariance"] == 1
+
