@@ -30,6 +30,7 @@ from onebit_mimo.receivers import (
     build_combiner,
     detect_pipeline,
 )
+from shared import rayleigh_channel
 
 SEED = 42
 WORKERS = 2
@@ -38,10 +39,6 @@ WORKERS = 2
 def _report(number: int, description: str, passed: bool) -> bool:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {number}: {description}")
     return passed
-
-
-def rayleigh_channel(rng, n, k):
-    return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
 
 
 @pytest.fixture(scope="module")

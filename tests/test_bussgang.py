@@ -13,10 +13,7 @@ from onebit_mimo.bussgang import (
 )
 from onebit_mimo.errors import DegenerateCovarianceError
 from onebit_mimo.linalg import PIECE_ENTRIES, elementwise_arcsin
-
-
-def rayleigh_channel(rng, n, k):
-    return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
+from shared import rayleigh_channel
 
 
 class TestReceivedCovariance:

@@ -1,9 +1,13 @@
 """Golden-CSV oracle for the trial engine.
 
-The CSVs in ``tests/golden/`` were written by the per-trial engine that the
-stacked engine replaced (commit 0388145), with the arguments below. The
-K=2, N=16 case runs 1100 trials per point, so it crosses both a 128-trial
-chunk boundary and the 1000-trial batch boundary.
+Each CSV in ``tests/golden/`` has one row in ``GOLDEN``: the ``simulate``
+arguments that wrote it, without ``--workers`` and ``--out``. Every row is
+reproduced byte for byte at 1 and at 2 workers.
+
+The first five rows were written by the per-trial engine that the stacked
+engine replaced (commit 0388145). ``k2n16-qpsk`` runs 1100 trials per
+point, so it crosses a 512-trial chunk boundary and the 1000-trial batch
+boundary (512 + 488, then 100).
 
 ``k16n16-16qam`` is the square case, the worst-conditioned channel shape:
 it was written by the stacked engine at commit a810467, before AQNM-MMSE
@@ -12,20 +16,13 @@ and WFQ moved from N x N to K x K solves.
 ``fig2-early-stop`` goes through a preset, several plans and the early-stop
 rule: K = 2 and 4 run to the 2000-trial cap, K >= 6 stop at 1000 trials on
 the error target. It was written at commit e93e291, while the fig2 sweep
-was still a separate function, by
-
-    simulate --preset fig2 --receivers mrc,bmrc --max-trials 2000 \
-        --min-bit-errors 60 --seed 6 --out fig2-early-stop.csv
+was still a separate function.
 
 ``k2n16-early-stop-grid`` is one plan whose grid points stop at different
 batches: at -10 dB every kind stops at 1000 trials, at 10 dB MRC stops at
 1000, BMRC at 2000 and the rest at the 2500-trial cap, a partial last
 batch. It was written at commit 06959fd, while every grid point still ran
-as its own batches, by
-
-    simulate --k 2 --n 16 --mod qpsk --snr-start -10 --snr-stop 30 \
-        --snr-step 20 --receivers all --max-trials 2500 --min-bit-errors 15 \
-        --seed 9 --out k2n16-early-stop-grid.csv
+as its own batches.
 """
 
 import csv
@@ -43,38 +40,58 @@ from onebit_mimo.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 #: The benchmark's golden CSVs, read here and never written.
 BENCH_GOLDEN_DIR = Path(__file__).parents[1] / "perfbench" / "golden"
-_COMMON = ["--receivers", "all", "--min-bit-errors", "0", "--format", "csv"]
-CASES = {
-    "k2n16-qpsk": ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "-10",
-                   "--snr-stop", "30", "--snr-step", "10", "--max-trials", "1100",
-                   "--seed", "3"],
-    "k4n32-8psk": ["--k", "4", "--n", "32", "--mod", "8psk", "--snr-start", "0",
-                   "--snr-stop", "20", "--snr-step", "20", "--max-trials", "300",
-                   "--seed", "4"],
-    "k4n32-16qam": ["--k", "4", "--n", "32", "--mod", "16qam", "--snr-start", "0",
-                    "--snr-stop", "20", "--snr-step", "20", "--max-trials", "300",
-                    "--seed", "4"],
-    "k2n16-unquantized": ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "-10",
-                          "--snr-stop", "30", "--snr-step", "20", "--unquantized",
-                          "--max-trials", "300", "--seed", "6"],
-    "k16n128": ["--k", "16", "--n", "128", "--mod", "qpsk", "--snr-start", "0",
-                "--snr-stop", "30", "--snr-step", "30", "--max-trials", "40",
-                "--seed", "8"],
-    "k16n16-16qam": ["--k", "16", "--n", "16", "--mod", "16qam", "--snr-start", "0",
-                     "--snr-stop", "40", "--snr-step", "20", "--max-trials", "300",
-                     "--seed", "12"],
+#: Each golden's ``simulate`` arguments, by the golden's file stem.
+GOLDEN = {
+    name: argv.split()
+    for name, argv in {
+        "k2n16-qpsk": "--k 2 --n 16 --mod qpsk --snr-start -10 --snr-stop 30 --snr-step 10"
+        " --max-trials 1100 --seed 3 --receivers all --min-bit-errors 0 --format csv",
+        "k4n32-8psk": "--k 4 --n 32 --mod 8psk --snr-start 0 --snr-stop 20 --snr-step 20"
+        " --max-trials 300 --seed 4 --receivers all --min-bit-errors 0 --format csv",
+        "k4n32-16qam": "--k 4 --n 32 --mod 16qam --snr-start 0 --snr-stop 20 --snr-step 20"
+        " --max-trials 300 --seed 4 --receivers all --min-bit-errors 0 --format csv",
+        "k2n16-unquantized": "--k 2 --n 16 --mod qpsk --snr-start -10 --snr-stop 30"
+        " --snr-step 20 --unquantized --max-trials 300 --seed 6 --receivers all"
+        " --min-bit-errors 0 --format csv",
+        "k16n128": "--k 16 --n 128 --mod qpsk --snr-start 0 --snr-stop 30 --snr-step 30"
+        " --max-trials 40 --seed 8 --receivers all --min-bit-errors 0 --format csv",
+        "k16n16-16qam": "--k 16 --n 16 --mod 16qam --snr-start 0 --snr-stop 40 --snr-step 20"
+        " --max-trials 300 --seed 12 --receivers all --min-bit-errors 0 --format csv",
+        "fig2-early-stop": "--preset fig2 --receivers mrc,bmrc --max-trials 2000"
+        " --min-bit-errors 60 --seed 6",
+        "k2n16-early-stop-grid": "--k 2 --n 16 --mod qpsk --snr-start -10 --snr-stop 30"
+        " --snr-step 20 --receivers all --max-trials 2500 --min-bit-errors 15 --seed 9",
+    }.items()
 }
 
 
-def _run(argv, out: Path) -> bytes:
-    assert main([*argv, *_COMMON, "--out", str(out)]) == 0
-    return out.read_bytes()
+def test_every_golden_has_a_row():
+    assert sorted(GOLDEN) == sorted(path.stem for path in GOLDEN_DIR.glob("*.csv"))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_reproduces_golden_csv(name, tmp_path):
-    written = _run(CASES[name], tmp_path / f"{name}.csv")
-    assert written == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+@pytest.mark.parametrize(
+    "name, workers",
+    # A row at 1 worker keeps the golden's name as its id.
+    [pytest.param(name, "1", id=name) for name in sorted(GOLDEN)]
+    + [pytest.param(name, "2", id=f"{name}-2-workers") for name in sorted(GOLDEN)],
+)
+def test_reproduces_golden_csv(name, workers, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main([*GOLDEN[name], "--workers", workers, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+def test_grid_points_stopping_at_different_batches():
+    # The spread the golden exists for: a point that stops at the first
+    # batch, a point whose slowest kind runs to the cap, and a point whose
+    # kinds stop at three different batches.
+    trials = {}
+    with open(GOLDEN_DIR / "k2n16-early-stop-grid.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            trials.setdefault(float(row["snr_db"]), {})[row["receiver"]] = int(row["trials"])
+    assert set(trials[-10.0].values()) == {1000}
+    assert max(trials[30.0].values()) == 2500
+    assert set(trials[10.0].values()) == {1000, 2000, 2500}
 
 
 #: Prints each workload of ``perfbench/run.py`` as the simulator arguments
@@ -135,8 +152,7 @@ def test_golden_csv_without_scipy(tmp_path):
     out = tmp_path / "k2n16-qpsk.csv"
     src = str(Path(cli.__file__).parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY, *CASES["k2n16-qpsk"], *_COMMON,
-         "--out", str(out)],
+        [sys.executable, "-c", _WITHOUT_SCIPY, *GOLDEN["k2n16-qpsk"], "--out", str(out)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=300,
     )
@@ -144,49 +160,14 @@ def test_golden_csv_without_scipy(tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "k2n16-qpsk.csv").read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_fig2_preset_with_early_stop(workers, tmp_path):
-    out = tmp_path / "fig2.csv"
-    argv = ["--preset", "fig2", "--receivers", "mrc,bmrc", "--max-trials", "2000",
-            "--min-bit-errors", "60", "--seed", "6", "--workers", workers]
-    assert main([*argv, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN_DIR / "fig2-early-stop.csv").read_bytes()
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_grid_points_stopping_at_different_batches(workers, tmp_path):
-    golden = GOLDEN_DIR / "k2n16-early-stop-grid.csv"
-    with open(golden, newline="") as handle:
-        trials = {}
-        for row in csv.DictReader(handle):
-            trials.setdefault(float(row["snr_db"]), {})[row["receiver"]] = int(row["trials"])
-    # The spread the golden exists for: a point that stops at the first
-    # batch, a point whose slowest kind runs to the cap, and a point whose
-    # kinds stop at three different batches.
-    assert set(trials[-10.0].values()) == {1000}
-    assert max(trials[30.0].values()) == 2500
-    assert set(trials[10.0].values()) == {1000, 2000, 2500}
-
-    out = tmp_path / "grid.csv"
-    argv = ["--k", "2", "--n", "16", "--mod", "qpsk", "--snr-start", "-10",
-            "--snr-stop", "30", "--snr-step", "20", "--receivers", "all",
-            "--max-trials", "2500", "--min-bit-errors", "15", "--seed", "9",
-            "--workers", workers]
-    assert main([*argv, "--out", str(out)]) == 0
-    assert out.read_bytes() == golden.read_bytes()
-
-
-def test_two_workers_match_one(tmp_path):
-    argv = CASES["k2n16-qpsk"]
-    two = _run([*argv, "--workers", "2"], tmp_path / "two.csv")
-    assert two == _run([*argv, "--workers", "1"], tmp_path / "one.csv")
-    assert two == (GOLDEN_DIR / "k2n16-qpsk.csv").read_bytes()
-
-
 @pytest.mark.parametrize(
     "path",
-    # The cases that run every receiver; fig2 runs neither WFQ nor AQNM-MMSE.
-    sorted([*(GOLDEN_DIR / f"{name}.csv" for name in CASES), *BENCH_GOLDEN_DIR.glob("*.csv")]),
+    # The rows that run every receiver; fig2 runs neither WFQ nor AQNM-MMSE.
+    sorted([
+        *(GOLDEN_DIR / f"{name}.csv" for name, argv in GOLDEN.items()
+          if argv[argv.index("--receivers") + 1] == "all"),
+        *BENCH_GOLDEN_DIR.glob("*.csv"),
+    ]),
     ids=lambda path: f"{path.parents[1].name}-{path.stem}",
 )
 def test_wfq_rows_are_aqnm_mmse_rows(path):

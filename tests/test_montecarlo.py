@@ -33,16 +33,7 @@ from onebit_mimo.receivers import (
 )
 from onebit_mimo.results import emit_results
 from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, trial_keys, trial_streams
-
-
-def seed_sequence_stream(seed, index, purpose, redraw=0):
-    """One trial's stream of one purpose, built from its own SeedSequence."""
-    key = np.random.SeedSequence((seed, index, purpose, redraw))
-    return np.random.Generator(np.random.Philox(key))
-
-
-def rayleigh_channel(rng, n, k):
-    return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
+from shared import rayleigh_channel, seed_sequence_stream
 
 
 def grid_plan(config, kinds, seed, grid, quantized=True):
@@ -74,9 +65,35 @@ def oracle_counts(plan, start, stop, redrawn=frozenset()):
     return totals
 
 
+def point_oracle(config, kinds, seed, start, stop, redrawn=frozenset()):
+    """``oracle_counts`` at the one grid point of ``config``'s SNR."""
+    plan = grid_plan(config, kinds, seed, (config.snr_db,))
+    return oracle_counts(plan, start, stop, redrawn)[0]
+
+
 def every_point(plan):
     """The ``points`` argument of ``_batch_counts``: every kind at every point."""
     return dict.fromkeys(range(len(plan.snr_db_grid)), plan.kinds)
+
+
+def recorded_chunks(monkeypatch):
+    """The trial count of each chunk drawn from here on, in order."""
+    lengths = []
+    init = montecarlo._ChunkDraws.__init__
+
+    def recording(draws, config, streams):
+        init(draws, config, streams)
+        lengths.append(len(draws.channel))
+
+    monkeypatch.setattr(montecarlo._ChunkDraws, "__init__", recording)
+    return lengths
+
+
+def two_chunk_range(start, antennas):
+    """A trial range from ``start`` over one full chunk and a partial one,
+    and the chunk size."""
+    chunk = montecarlo._CHUNK_ELEMENTS // antennas**2
+    return range(start, start + chunk + chunk // 8), chunk
 
 
 class TestRunTrial:
@@ -123,34 +140,39 @@ class TestRunTrial:
 
 
 class TestBatchedEngine:
-    def test_chunks_equal_single_trials(self):
-        self.check_chunks_equal_single_trials(2)
+    def test_chunks_equal_single_trials(self, monkeypatch):
+        self.check_chunks_equal_single_trials(monkeypatch, 2)
 
     @pytest.mark.parametrize("users", [8, 9], ids=["gufunc-solves", "lapack-solves"])
-    def test_chunks_equal_single_trials_either_side_of_the_solve_cut(self, users):
+    def test_chunks_equal_single_trials_either_side_of_the_solve_cut(self, monkeypatch, users):
         # The K x K solves take numpy's stacked kernel up to order 8 and the
         # per-slice LAPACK one above; BMMSE's 16 x 16 solve takes LAPACK.
-        self.check_chunks_equal_single_trials(users)
+        self.check_chunks_equal_single_trials(monkeypatch, users)
 
     @staticmethod
-    def check_chunks_equal_single_trials(users):
-        # 150 trials at N=16 span two 128-trial chunks, the last one partial.
+    def check_chunks_equal_single_trials(monkeypatch, users):
+        # One full chunk at N=16 and a partial one.
         cfg = SystemConfig.from_snr_db(users, 16, 5.0, "16qam")
         kinds = tuple(ReceiverKind)
-        totals = point_counts(cfg, kinds, 17, 50, 200)
-        singles = [run_trial(cfg, kinds, trial_streams(17, [i])) for i in range(50, 200)]
-        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+        trials, chunk = two_chunk_range(50, cfg.antennas)
+        oracle = point_oracle(cfg, kinds, 17, trials.start, trials.stop)
+        chunks = recorded_chunks(monkeypatch)
+        totals = point_counts(cfg, kinds, 17, trials.start, trials.stop)
+        assert chunks == [chunk, len(trials) - chunk]
+        assert totals == oracle
         assert all(totals.values())
 
-    def test_chunks_equal_single_trials_at_n128(self):
-        # Two trials per chunk, the second chunk across the index where a
-        # trial's key takes a second entropy word.
+    def test_chunks_equal_single_trials_at_n128(self, monkeypatch):
+        # A chunk boundary at the index where a trial's key takes a second
+        # entropy word, and a partial chunk after it.
         cfg = SystemConfig.from_snr_db(2, 128, 0.0, "qpsk")
         kinds = tuple(ReceiverKind)
-        start, stop = 2**32 - 2, 2**32 + 1
-        totals = point_counts(cfg, kinds, 17, start, stop)
-        singles = [run_trial(cfg, kinds, trial_streams(17, [i])) for i in range(start, stop)]
-        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+        chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
+        start, stop = 2**32 - chunk, 2**32 + chunk // 2
+        oracle = point_oracle(cfg, kinds, 17, start, stop)
+        chunks = recorded_chunks(monkeypatch)
+        assert point_counts(cfg, kinds, 17, start, stop) == oracle
+        assert chunks == [chunk, chunk // 2]
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_bulk_keyed_draws_equal_trial_streams(self, monkeypatch, chunk):
@@ -199,11 +221,13 @@ class TestBatchedEngine:
         assert np.concatenate(received_stacks).tobytes() == received.tobytes()
 
     def test_clean_range_builds_no_per_trial_streams(self, monkeypatch):
-        # 140 trials at N=16 are two chunks, keyed in one trial_streams call
-        # for the whole batch, not one per chunk or trial.
+        # Two chunks at N=16, keyed in one trial_streams call for the whole
+        # batch, not one per chunk or trial.
         cfg = SystemConfig.from_snr_db(2, 16, 10.0, "qpsk")
         kinds = tuple(ReceiverKind)
-        singles = [run_trial(cfg, kinds, trial_streams(29, [i])) for i in range(60, 200)]
+        trials, chunk = two_chunk_range(60, cfg.antennas)
+        oracle = point_oracle(cfg, kinds, 29, trials.start, trials.stop)
+        chunks = recorded_chunks(monkeypatch)
         calls = []
 
         def counting_streams(*args):
@@ -215,9 +239,10 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(montecarlo, "trial_streams", counting_streams)
         monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-        totals = point_counts(cfg, kinds, 29, 60, 200)
-        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
-        assert calls == [(29, range(60, 200))]
+        totals = point_counts(cfg, kinds, 29, trials.start, trials.stop)
+        assert chunks == [chunk, len(trials) - chunk]
+        assert totals == oracle
+        assert calls == [(29, trials)]
 
     def test_one_build_per_distinct_combiner(self, monkeypatch):
         # WFQ's counts are AQNM-MMSE's: a chunk over all eight kinds builds
@@ -421,54 +446,62 @@ def zero_channels(monkeypatch):
     return targets
 
 
-class TestRankDeficientRedraw:
-    # One user, so a zero column is a zero channel: ZF's Gram matrix is 0,
-    # the jitter retry cannot rescue it, and ZF runs first.
-    CONFIG = SystemConfig.from_snr_db(1, 4, 7.0)
-    KINDS = (ReceiverKind.ZF, ReceiverKind.MMSE, ReceiverKind.BMMSE)
+class RedrawChecks:
+    """The checks every degenerate draw gets, for the fault a subclass names:
+    the draws of its ``CONFIG`` with a zero last channel column raise
+    ``ERROR`` and are logged as ``WORD`` draws on the ``GRID``."""
 
     def test_redraw_in_the_middle_of_a_chunk(self, zero_channels, caplog):
         zero_channels.add((37, 0))
-        assert montecarlo._CHUNK_ELEMENTS // 4**2 >= 100  # one chunk
+        assert montecarlo._CHUNK_ELEMENTS // self.CONFIG.antennas**2 >= 100  # one chunk
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
             totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
-        singles = [
-            run_trial(self.CONFIG, self.KINDS, trial_streams(21, [i], int(i == 37)))
-            for i in range(100)
-        ]
-        assert totals == {kind: sum(t[kind] for t in singles) for kind in self.KINDS}
+        assert totals == point_oracle(self.CONFIG, self.KINDS, 21, 0, 100, redrawn={37})
         assert [r.getMessage() for r in caplog.records] == [
-            "discarding rank-deficient draw at trial 37 (redraw 1) at 7 dB"
+            f"discarding {self.WORD} draw at trial 37 (redraw 1) at {self.CONFIG.snr_db:g} dB"
         ]
 
-    def test_consecutive_rank_deficient_draws_raise(self, zero_channels):
+    def test_consecutive_draws_raise(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
-        with pytest.raises(RankDeficientError, match="consecutive"):
+        with pytest.raises(self.ERROR, match="consecutive"):
             point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
 
     def test_each_grid_point_redraws_the_trial(self, zero_channels, caplog):
         zero_channels.add((37, 0))
-        plan = grid_plan(self.CONFIG, self.KINDS, 21, (7.0, 20.0))
+        plan = grid_plan(self.CONFIG, self.KINDS, 21, self.GRID)
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
             totals = montecarlo._batch_counts(plan, every_point(plan), 0, 100)
         assert totals == oracle_counts(plan, 0, 100, redrawn={37})
         assert [r.getMessage() for r in caplog.records] == [
-            "discarding rank-deficient draw at trial 37 (redraw 1) at 7 dB",
-            "discarding rank-deficient draw at trial 37 (redraw 1) at 20 dB",
+            f"discarding {self.WORD} draw at trial 37 (redraw 1) at {snr_db:g} dB"
+            for snr_db in self.GRID
         ]
 
     def test_consecutive_draws_raise_on_a_grid(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
-        plan = grid_plan(self.CONFIG, self.KINDS, 21, (7.0, 20.0))
-        with pytest.raises(RankDeficientError, match="consecutive"):
+        plan = grid_plan(self.CONFIG, self.KINDS, 21, self.GRID)
+        with pytest.raises(self.ERROR, match="consecutive"):
             montecarlo._batch_counts(plan, every_point(plan), 0, 100)
 
 
-class TestZeroColumnRedraw:
+class TestRankDeficientRedraw(RedrawChecks):
+    # One user, so a zero column is a zero channel: ZF's Gram matrix is 0,
+    # the jitter retry cannot rescue it, and ZF runs first.
+    CONFIG = SystemConfig.from_snr_db(1, 4, 7.0)
+    KINDS = (ReceiverKind.ZF, ReceiverKind.MMSE, ReceiverKind.BMMSE)
+    GRID = (7.0, 20.0)
+    ERROR = RankDeficientError
+    WORD = "rank-deficient"
+
+
+class TestZeroColumnRedraw(RedrawChecks):
     # Two users, one of them with a zero channel column: every kind's
     # equalization denominator for that user is zero.
     CONFIG = SystemConfig.from_snr_db(2, 16, 7.0)
     KINDS = tuple(ReceiverKind)
+    GRID = (-3.0, 7.0)
+    ERROR = DegenerateDenominatorError
+    WORD = "zero-denominator"
 
     def test_healthy_draws_at_minus_150_db_are_kept(self, zero_channels, caplog):
         # The denominators scale with 1/N0; healthy draws are no redraws at
@@ -481,19 +514,6 @@ class TestZeroColumnRedraw:
             "discarding zero-denominator draw at trial 37 (redraw 1) at -150 dB"
         ]
         assert all(0.4 <= errors / (100 * 4) <= 0.6 for errors in totals.values())
-
-    def test_zero_column_is_redrawn(self, zero_channels, caplog):
-        zero_channels.add((37, 0))
-        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
-        singles = [
-            run_trial(self.CONFIG, self.KINDS, trial_streams(21, [i], int(i == 37)))
-            for i in range(100)
-        ]
-        assert totals == {kind: sum(t[kind] for t in singles) for kind in self.KINDS}
-        assert [r.getMessage() for r in caplog.records] == [
-            "discarding zero-denominator draw at trial 37 (redraw 1) at 7 dB"
-        ]
 
     def test_second_trial_of_a_stacked_n128_chunk_is_redrawn(
         self, zero_channels, caplog, monkeypatch
@@ -518,36 +538,11 @@ class TestZeroColumnRedraw:
         zero_channels.add((1, 0))
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
             totals = point_counts(config, kinds, 21, 0, chunk)
-        singles = [
-            run_trial(config, kinds, trial_streams(21, [i], int(i == 1))) for i in range(chunk)
-        ]
-        assert totals == {kind: sum(t[kind] for t in singles) for kind in kinds}
+        assert totals == point_oracle(config, kinds, 21, 0, chunk, redrawn={1})
         assert [r.getMessage() for r in caplog.records] == [
             "discarding zero-denominator draw at trial 1 (redraw 1) at 30 dB"
         ]
         assert (chunk, [1]) in stacks
-
-    def test_consecutive_zero_columns_raise(self, zero_channels):
-        zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
-        with pytest.raises(DegenerateDenominatorError, match="consecutive"):
-            point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
-
-    def test_each_grid_point_redraws_the_trial(self, zero_channels, caplog):
-        zero_channels.add((37, 0))
-        plan = grid_plan(self.CONFIG, self.KINDS, 21, (-3.0, 7.0))
-        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = montecarlo._batch_counts(plan, every_point(plan), 0, 100)
-        assert totals == oracle_counts(plan, 0, 100, redrawn={37})
-        assert [r.getMessage() for r in caplog.records] == [
-            "discarding zero-denominator draw at trial 37 (redraw 1) at -3 dB",
-            "discarding zero-denominator draw at trial 37 (redraw 1) at 7 dB",
-        ]
-
-    def test_consecutive_draws_raise_on_a_grid(self, zero_channels):
-        zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
-        plan = grid_plan(self.CONFIG, self.KINDS, 21, (-3.0, 7.0))
-        with pytest.raises(DegenerateDenominatorError, match="consecutive"):
-            montecarlo._batch_counts(plan, every_point(plan), 0, 100)
 
 
 def chunk_errors_peak():

@@ -25,12 +25,9 @@ from onebit_mimo.receivers import (
     equalize,
     rescale,
 )
+from shared import rayleigh_channel
 
 ALL_KINDS = tuple(ReceiverKind)
-
-
-def rayleigh_channel(rng, n, k):
-    return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
 
 
 def n_column_solve(kind, channel, noise_power, stats, loaded=True):
@@ -164,27 +161,6 @@ class TestBuildCombiner:
         mmse = build_combiner(ReceiverKind.MMSE, h, 1e-12).matrix
         zf = build_combiner(ReceiverKind.ZF, h, 1e-12).matrix
         assert np.abs(mmse - zf).max() <= 1e-6
-
-    def test_large_user_count_covariance_substitution(self):
-        # Substituting (K + N0)*I for the received covariance must reproduce
-        # the closed-form approximate receivers exactly.
-        rng = np.random.default_rng(4)
-        k, n, n0 = 8, 64, 0.01
-        h = rayleigh_channel(rng, n, k)
-        gamma = 2 / (np.pi * (k + n0))
-        stats = QuantizedStatistics(h, n0, received_cov=(k + n0) * np.eye(n))
-        references = {
-            ReceiverKind.BMRC: np.sqrt(gamma) * h.conj().T,
-            ReceiverKind.BZF: np.sqrt(1 / gamma)
-            * hermitian_solve(h.conj().T @ h, h.conj().T),
-            ReceiverKind.BMMSE: np.sqrt(1 / gamma)
-            * hermitian_solve(
-                h @ h.conj().T + (1 - gamma * k) / gamma * np.eye(n), h
-            ).conj().T,
-        }
-        for kind, reference in references.items():
-            w = build_combiner(kind, h, n0, stats=stats).matrix
-            assert np.abs(w - reference).max() <= 1e-12, kind
 
     def test_denominators_use_matching_reference(self):
         rng = np.random.default_rng(5)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from onebit_mimo import rng
 from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, trial_keys, trial_streams
+from shared import seed_sequence_stream
 
 U64_MAX = 2**64 - 1
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, U64_MAX)
@@ -37,12 +38,6 @@ def seed_sequence_keys(seed, indices, redraw):
         ],
         dtype=np.uint64,
     ).reshape(3, len(indices), 2)
-
-
-def seed_sequence_stream(seed, index, purpose, redraw):
-    """The stream of one trial and purpose, built from its own SeedSequence."""
-    key = np.random.SeedSequence((seed, index, purpose, redraw))
-    return np.random.Generator(np.random.Philox(key))
 
 
 def keys_match(seed, indices, redraw):
