@@ -319,9 +319,16 @@ def openblas_threads() -> dict[str, int]:
 def set_openblas_threads(count: int) -> int | None:
     """Set numpy's OpenBLAS to ``count`` threads and return its previous
     count, or do nothing and return None where numpy's linalg exposes no
-    OpenBLAS thread calls."""
+    OpenBLAS thread calls.
+
+    OpenBLAS is called only where its count differs from ``count``. In a
+    forked child, whose thread pool OpenBLAS's fork handler shut down, the
+    set call starts that pool again even at an unchanged count, and its
+    server thread then spins beside the child's work; a child that inherits
+    its parent's count of one therefore keeps no thread beyond its own."""
     if _THREADS is None:
         return None
     previous = _THREADS.get()
-    _THREADS.set(count)
+    if previous != count:
+        _THREADS.set(count)
     return previous

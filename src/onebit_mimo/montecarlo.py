@@ -39,7 +39,11 @@ so ``workers`` is the only parallelism, and the memory trials free kept for
 the rest of the process (glibc's heap thresholds, set through ``mallopt``;
 nothing changes under another C library), so the N x N memory of a chunk
 (2 MiB at N=128) is reused instead of faulted in as fresh pages every
-chunk. Memory placement changes no result.
+chunk. Each step is taken only where it is not already in place: a forked
+worker inherits both from the caller, so its preparation calls neither
+OpenBLAS, whose thread pool a call would start again in the child, nor
+``mallopt``; a spawned worker takes both steps. Memory placement changes
+no result.
 """
 
 import collections
@@ -437,8 +441,10 @@ def heap_retained() -> bool:
 def _prepare_process() -> int | None:
     """Set what every process of a sweep keeps, the caller of
     :func:`ber_sweep` as each pool worker: numpy's OpenBLAS at one thread
-    and the retained heap. Returns OpenBLAS's previous thread count, or None
-    where numpy exposes no OpenBLAS thread calls."""
+    and the retained heap. Each is set only where it does not hold yet, so
+    in a worker forked from a prepared caller this calls nothing. Returns
+    OpenBLAS's previous thread count, or None where numpy exposes no
+    OpenBLAS thread calls."""
     _retain_heap()
     return set_openblas_threads(1)
 
@@ -458,6 +464,9 @@ def ber_sweep(plans: Sequence[TrialPlan], workers: int = 1) -> list[BerRecord]:
     initializer, each worker: numpy's OpenBLAS at one thread, and the memory
     trials free kept for the rest of the process (:func:`heap_retained`
     tells whether it holds; glibc cannot restore its default thresholds).
+    A forked worker inherits both from this process and so makes no call
+    into OpenBLAS, whose thread pool stays shut down in it; a spawned
+    worker sets both.
     On exit, also by exception, queued batches are cancelled instead of
     awaited, and this process gets its previous OpenBLAS count back.
     """

@@ -2,8 +2,9 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s`` to see them
 as they complete).
 
-The two Monte Carlo sweeps here are the expensive part (several minutes);
-they are computed once per session and shared across criteria.
+The two Monte Carlo sweeps here are the expensive part (about 12 s and 3.5 s
+on 2 cores under ``pytest --durations``); they are computed once per session
+and shared across criteria.
 """
 
 import numpy as np

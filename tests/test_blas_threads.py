@@ -1,8 +1,9 @@
 """What a sweep sets in each of its processes, through the one preparation
 that the caller and every pool worker run. One BLAS thread: the pin inside a
-sweep, its restore, the pool workers, the no-OpenBLAS case, and the counts
-the pin must not change. The retained heap: the pool workers, and the page
-faults it saves."""
+sweep, its restore, the pool workers, the thread pool a forked worker must
+not start again, the calls made only to change the count, the no-OpenBLAS
+case, and the counts the pin must not change. The retained heap: the pool
+workers, and the page faults it saves."""
 
 import contextlib
 import os
@@ -152,6 +153,48 @@ def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method)
     # Forked or spawned, the worker binds numpy's OpenBLAS and runs it at
     # one thread.
     assert pinned == dict.fromkeys(two_blas_threads, 1)
+
+
+def worker_threads():
+    """numpy's OpenBLAS thread count and the number of OS threads of the
+    process that calls this."""
+    return linalg.openblas_threads(), len(os.listdir("/proc/self/task"))
+
+
+def pin_directly():
+    """Calls OpenBLAS's setter for one thread, whatever its count."""
+    linalg._THREADS.set(1)
+
+
+def test_forked_worker_starts_no_blas_thread(two_blas_threads, monkeypatch):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count a process's threads in")
+    initializer = sweep_initializer(monkeypatch)
+    montecarlo._prepare_process()
+    pinned = dict.fromkeys(two_blas_threads, 1)
+    context = get_context("fork")
+    # Negative control: OpenBLAS's fork handler shut its thread pool down in
+    # the child, and a set call, even to the inherited count, starts it again.
+    with ProcessPoolExecutor(1, mp_context=context, initializer=pin_directly) as pool:
+        assert pool.submit(worker_threads).result(timeout=120) == (pinned, 2)
+    # The worker inherits the caller's one thread, so its preparation calls
+    # nothing and the worker runs on its own thread alone.
+    with ProcessPoolExecutor(1, mp_context=context, initializer=initializer) as pool:
+        assert pool.submit(worker_threads).result(timeout=120) == (pinned, 1)
+
+
+def test_openblas_is_called_only_to_change_its_count(monkeypatch):
+    # Starts at two threads; each set call's count is the current one.
+    calls = []
+    stub = linalg._Threads(set=calls.append, get=lambda: (calls or [2])[-1], library="libstub.so")
+    monkeypatch.setattr(linalg, "_THREADS", stub)
+    assert linalg.set_openblas_threads(2) == 2
+    assert calls == []
+    assert linalg.set_openblas_threads(1) == 2
+    assert calls == [1]
+    # A sweep in a process already at one thread neither pins nor restores.
+    ber_sweep([small_plan(max_trials=10)])
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
