@@ -198,8 +198,6 @@ def _parse_kinds(text: str) -> tuple[ReceiverKind, ...]:
 
 
 def _snr_grid(start, stop, step) -> tuple[float, ...]:
-    if start is None:
-        raise UsageError("--snr-start is required without a preset SNR grid")
     if stop is None:
         stop = start
     for flag, db in (("start", start), ("stop", stop), ("step", step)):
@@ -244,6 +242,12 @@ def parse_run_spec(argv=None) -> RunSpec:
 
     if preset and not given.keys() & {"snr_start", "snr_stop", "snr_step"}:
         snr_db_grid = preset["snr_db_grid"]
+    elif settings.get("snr_start") is None:
+        raise UsageError(
+            "--snr-start is required to change the preset's SNR grid"
+            if preset
+            else "--snr-start is required without a preset SNR grid"
+        )
     else:
         snr_db_grid = _snr_grid(
             settings.get("snr_start"), settings.get("snr_stop"), settings["snr_step"]

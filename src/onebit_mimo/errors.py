@@ -6,7 +6,8 @@ class OneBitMimoError(Exception):
 
 
 class NotPositiveDefiniteError(OneBitMimoError):
-    """A Hermitian factorization failed even after the jitter retry."""
+    """A Hermitian system did not factor by Cholesky, or its solve was not
+    finite."""
 
 
 class ArcsinDomainError(OneBitMimoError):
@@ -31,7 +32,7 @@ class DegenerateCovarianceError(OneBitMimoError):
 
 
 class RankDeficientError(OneBitMimoError):
-    """Channel Gram matrix could not be factorized (rank-deficient draw)."""
+    """A combiner's Hermitian system did not factor (rank-deficient draw)."""
 
 
 class DegenerateDenominatorError(OneBitMimoError):

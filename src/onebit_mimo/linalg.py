@@ -2,16 +2,17 @@
 
 All receiver formulas written with a matrix inverse are evaluated by
 factor-and-solve instead; matrices here are small (at most a few hundred
-rows) and always Hermitian positive definite up to rounding. A complex stack
-of order above 8 is factored and solved slice by slice by LAPACK's Cholesky
-routine ``zposv``, which is faster per slice there. That routine is the one
-in the LAPACK numpy itself links (an OpenBLAS in numpy's wheels), bound
-through ctypes once at import. Every other stack, the K x K systems of a few
-users and any real input, is solved by numpy's stacked gufuncs in one call,
-as is every stack where no ``zposv`` symbol is found. At these sizes BLAS
-threads cost more than they save, so sweeps run numpy's OpenBLAS at one
-thread (:func:`set_openblas_threads`); its thread-count calls are bound by
-the same lookup as ``zposv``.
+rows) and Hermitian positive definite, except on a degenerate draw, where
+the solve raises. A complex stack of order above 8 is factored and solved
+slice by slice by LAPACK's Cholesky routine ``zposv``, which is faster per
+slice there. That routine is the one in the LAPACK numpy itself links (an
+OpenBLAS in numpy's wheels), bound through ctypes once at import. Every
+other stack, the K x K systems of a few users and any real input, is solved
+by numpy's stacked gufuncs in one call, as is every stack where no
+``zposv`` symbol is found. At these sizes BLAS threads cost more than they
+save, so sweeps run numpy's OpenBLAS at one thread
+(:func:`set_openblas_threads`); its thread-count calls are bound by the same
+lookup as ``zposv``.
 
 The steps over a whole ``(B, n, n)`` stack, the Hermitian check here and the
 arcsine of the Bussgang statistics, run in pieces of at most
@@ -37,8 +38,6 @@ ARCSIN_BAND = 1e-9
 # elementwise step works on, so that a piece and its temporaries stay inside
 # a core's 2 MiB L2 cache.
 PIECE_ENTRIES = 2**15
-# Relative diagonal jitter for the single retry on a failed factorization.
-_JITTER_SCALE = 1e-10
 # Largest matrix order solved by numpy's stacked gufuncs; larger complex
 # stacks are factored slice by slice through LAPACK, which is faster per
 # slice there.
@@ -152,12 +151,12 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``np.linalg.solve`` call (LU) the solve. Those are small orders, where
     per-call overhead outweighs the arithmetic, real input of any order,
     which keeps its dtype, and every order where numpy's LAPACK exports no
-    ``zposv``. Either kernel reports the slices that fail the factorization
-    (numerically semi-definite input); this function retries just those,
-    once, through the same kernel with a tiny trace-scaled diagonal jitter,
-    and raises :class:`NotPositiveDefiniteError` where one still fails. The
-    other slices are solved as they are. The order and dtype alone pick the
-    kernel, so a slice solves to the same bytes in a stack of any size. A
+    ``zposv``. Either kernel solves every slice or raises
+    :class:`NotPositiveDefiniteError` where a slice does not factor
+    (numerically semi-definite or indefinite input), as does a solution
+    with a non-finite entry. Nothing is retried, so the caller decides what
+    such a system means. The order and dtype alone pick the kernel, so a
+    slice solves to the same bytes in a stack of any size. A
     matrix that is not Hermitian, one with a non-finite entry (which the
     message names) and a right side with any other shape, such as an extra
     leading axis, raise ``ValueError``.
@@ -187,18 +186,7 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhss = rhs.reshape(len(matrices), n, -1)
     large = n > _GUFUNC_MAX_ORDER and _POSV and np.result_type(matrices, rhss).kind == "c"
     solve = _lapack_solve if large else _gufunc_solve
-    solutions, failed = solve(matrices, rhss)
-    if failed:
-        jittered = np.stack([
-            m + _JITTER_SCALE * m.trace().real / n * np.eye(n) for m in matrices[failed]
-        ])
-        retried, still_failed = solve(jittered, rhss[failed])
-        if still_failed:
-            raise NotPositiveDefiniteError(
-                "Cholesky factorization failed even after jitter retry"
-            )
-        solutions[failed] = retried
-    solution = solutions.reshape(rhs.shape)
+    solution = solve(matrices, rhss).reshape(rhs.shape)
     if not np.isfinite(solution).all():
         raise NotPositiveDefiniteError("solve produced non-finite entries")
     return solution
@@ -229,29 +217,21 @@ def _asymmetry(matrices):
 
 def _gufunc_solve(matrices, rhss):
     """:func:`hermitian_solve`'s kernel for a ``(B, n, n)`` stack in two
-    gufunc calls: ``(solutions, failed)``, with ``failed`` the indices of
-    the slices that do not factor by Cholesky. Only when the stacked
-    Cholesky call fails is each slice tested alone, and an identity stands
-    in for a failed slice so that LU never sees a singular one."""
-    failed = []
+    gufunc calls: the solutions, or :class:`NotPositiveDefiniteError` where
+    a slice does not factor by Cholesky, or by LU (a singular slice whose
+    Cholesky pivots round above zero)."""
     try:
         np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError:
-        for index, matrix in enumerate(matrices):
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                failed.append(index)
-        matrices = matrices.copy()
-        matrices[failed] = np.eye(matrices.shape[-1])
-    return np.linalg.solve(matrices, rhss), failed
+        return np.linalg.solve(matrices, rhss)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"a slice does not factor: {exc}") from exc
 
 
 def _lapack_solve(matrices, rhss):
     """:func:`hermitian_solve`'s kernel for a complex ``(B, n, n)`` stack,
-    one LAPACK ``zposv`` (Cholesky factor and solve) per slice:
-    ``(solutions, failed)``, with ``failed`` the indices of the slices that
-    do not factor."""
+    one LAPACK ``zposv`` (Cholesky factor and solve) per slice: the
+    solutions, or :class:`NotPositiveDefiniteError` at the first slice that
+    does not factor."""
     # A C-ordered transpose is its matrix in Fortran order, as zposv reads
     # it. Each slice is copied into one workspace, which zposv overwrites
     # with its factor; the right sides are overwritten with the solutions.
@@ -264,7 +244,6 @@ def _lapack_solve(matrices, rhss):
     )
     factor_at = factor.ctypes.data
     solution_at, solution_step = solutions.ctypes.data, solutions.strides[0]
-    failed = []
     for index, matrix in enumerate(matrices):
         np.copyto(factor, matrix.mT)
         _POSV.routine(b"L", n_at, count_at, factor_at, n_at,
@@ -273,11 +252,9 @@ def _lapack_solve(matrices, rhss):
         if info < 0:
             raise ValueError(f"LAPACK rejected argument {-info} of zposv")
         if info > 0:
-            # zposv solves only after its Cholesky step succeeds, so a failed
-            # slice's right side is left as it was.
-            failed.append(index)
+            raise NotPositiveDefiniteError(f"slice {index} does not factor by Cholesky")
     # Per-slice Fortran order, as a single zposv call returns its solution.
-    return solutions.mT, failed
+    return solutions.mT
 
 
 def diagonal(matrix: np.ndarray) -> np.ndarray:

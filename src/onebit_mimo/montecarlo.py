@@ -87,8 +87,8 @@ BATCH_SIZE = 1000
 #: Redraw attempts for (probability-zero) degenerate channel draws.
 _MAX_REDRAWS = 8
 #: Errors that mark a channel draw on which some receiver is undefined (a
-#: rank-deficient Gram matrix, or a user with a zero channel column), each
-#: with the word the redraw warning uses for it.
+#: combiner system that does not factor, or a user with a zero channel
+#: column), each with the word the redraw warning uses for it.
 _DEGENERATE_DRAWS = {
     RankDeficientError: "rank-deficient",
     DegenerateDenominatorError: "zero-denominator",

@@ -89,11 +89,13 @@ def _identity(matrix):
     return np.broadcast_to(np.eye(matrix.shape[-1]), matrix.shape)
 
 
-def _solve_or_rank_error(gram, rhs):
+def _solve_or_rank_error(system, rhs):
+    """``hermitian_solve(system, rhs)``, with a system that does not factor
+    raised as the rank-deficient draw it is."""
     try:
-        return hermitian_solve(gram, rhs)
+        return hermitian_solve(system, rhs)
     except NotPositiveDefiniteError as exc:
-        raise RankDeficientError("channel Gram matrix is rank deficient") from exc
+        raise RankDeficientError("combiner system does not factor (rank-deficient draw)") from exc
 
 
 def build_combiner(
@@ -109,7 +111,9 @@ def build_combiner(
     quantization-aware kinds within a trial. A kind in :data:`SAME_COMBINER`
     gets the matrix and denominators of the kind it maps to. ``kind`` may be
     given by its name, such as ``"mmse"``; an unknown name raises
-    ``ValueError``.
+    ``ValueError``. A draw whose combiner system does not factor raises
+    :class:`RankDeficientError`, and one with a denominator under the floor
+    :class:`DegenerateDenominatorError`.
     """
     kind = ReceiverKind(kind)
     channel = np.asarray(channel)
@@ -128,7 +132,7 @@ def build_combiner(
     elif formula is ReceiverKind.MMSE:
         m = xh @ x
         diagonal(m)[...] += noise_power
-        matrix = hermitian_solve(m, _identity(m)) @ xh
+        matrix = _solve_or_rank_error(m, _identity(m)) @ xh
     elif formula is ReceiverKind.AQNM_MMSE:
         # H^H (HH^H + D)^-1 with D = diag(N0 + sigma_q/kappa^2), as the K x K
         # solve (I + H^H D^-1 H)^-1 H^H D^-1 (the push-through identity).
@@ -137,9 +141,9 @@ def build_combiner(
         weighted = xh / loading[..., None, :]
         m = weighted @ x
         diagonal(m)[...] += 1.0
-        matrix = hermitian_solve(m, _identity(m)) @ weighted
+        matrix = _solve_or_rank_error(m, _identity(m)) @ weighted
     else:  # ReceiverKind.BMMSE: A^H (A A^H + noise_cov)^-1
-        matrix = hermitian_solve(stats.output_cov, x).conj().mT
+        matrix = _solve_or_rank_error(stats.output_cov, x).conj().mT
 
     denominators = np.einsum("...kn,...nk->...k", matrix, x)
     # |w_k x_k| <= |w_k| |x_k| (Cauchy-Schwarz), so the floor is relative and

@@ -95,6 +95,19 @@ class TestParseRunSpec:
         )
         assert spec.plans[0].snr_db_grid == (25.0, 30.0, 35.0)
 
+    @pytest.mark.parametrize(
+        "args, need",
+        [
+            (["--preset", "fig1a", "--snr-step", "10"], "to change the preset's SNR grid"),
+            (["--preset", "fig1a", "--snr-stop", "20"], "to change the preset's SNR grid"),
+            (["--k", "2", "--n", "4", "--mod", "qpsk"], "without a preset SNR grid"),
+        ],
+        ids=["preset-step", "preset-stop", "manual"],
+    )
+    def test_grid_without_a_start_says_why_one_is_needed(self, args, need):
+        with pytest.raises(UsageError, match=f"^--snr-start is required {need}$"):
+            parse_run_spec(args)
+
     def test_antennas_must_cover_users(self):
         with pytest.raises(UsageError, match="N >= K"):
             parse_run_spec(["--k", "4", "--n", "2", "--mod", "qpsk", "--snr-start", "0"])

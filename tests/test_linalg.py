@@ -82,12 +82,14 @@ class TestHermitianSolve:
         with pytest.raises(NotPositiveDefiniteError):
             hermitian_solve(-np.eye(3), np.eye(3))
 
-    def test_jitter_rescues_semidefinite(self):
-        # Exactly semi-definite: plain Cholesky fails, the jittered retry
-        # succeeds and returns finite values.
-        m = np.diag([1.0, 0.0])
-        x = hermitian_solve(m, np.array([[1.0], [0.0]]))
-        assert np.isfinite(x).all()
+    def test_singular_matrix_that_cholesky_passes_raises(self):
+        # Cholesky's last pivot, 2 - (2 / sqrt(2))**2, rounds above zero,
+        # but LU's, 2 - 2 * (2 / 2), is exactly zero: the same typed error,
+        # not numpy's LinAlgError.
+        m = np.array([[2.0, 2.0], [2.0, 2.0]])
+        np.linalg.cholesky(m)
+        with pytest.raises(NotPositiveDefiniteError, match="Singular"):
+            hermitian_solve(m, np.eye(2))
 
 
 def hpd_stack(rng, batch, n):
@@ -201,75 +203,28 @@ class TestStackedHermitianSolve:
         hermitian_solve(matrices, np.ones((5, n, 2)))
         assert len(calls) == 5
 
-    def test_semidefinite_slice_gets_jitter_others_unchanged(self):
-        self.check_semidefinite_slice(3)
-
-    def test_semidefinite_slice_above_the_cut(self):
-        self.check_semidefinite_slice(16)
-
-    def test_semidefinite_slice_without_posv(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_POSV", None)
-        self.check_semidefinite_slice(16)
-
-    def test_real_semidefinite_slice_above_the_cut(self):
-        self.check_semidefinite_slice(16, real=True)
-
-    @staticmethod
-    def check_semidefinite_slice(n, real=False):
+    @pytest.mark.parametrize("slice_kind", ["semidefinite", "indefinite"])
+    @pytest.mark.parametrize(
+        "path, n", [("gufuncs", 4), ("zposv", 16), ("no-zposv", 16), ("real", 16)]
+    )
+    def test_slice_that_does_not_factor_raises(self, monkeypatch, slice_kind, path, n):
+        # On every kernel, one slice that does not factor fails the stack.
+        if path == "zposv" and linalg._POSV is None:
+            pytest.skip("numpy's LAPACK exports no zposv")
+        if path == "no-zposv":
+            monkeypatch.setattr(linalg, "_POSV", None)
         rng = np.random.default_rng(3)
         matrices = hpd_stack(rng, 4, n)
         rhs = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
-        if real:
+        if path == "real":
             matrices, rhs = matrices.real.copy(), rhs.real.copy()
-        clean = hermitian_solve(matrices, rhs)
-        matrices[2] = np.diag(np.arange(n, dtype=float))
-        x = hermitian_solve(matrices, rhs)
-        assert np.isfinite(x).all()
-        assert x.dtype == rhs.dtype
-        for i in (0, 1, 3):
-            assert x[i].tobytes() == clean[i].tobytes()
-        # The jittered slice equals a solve of the jittered matrix itself.
-        jitter = 1e-10 * matrices[2].trace().real / n
-        jittered = matrices[2] + jitter * np.eye(n)
-        assert x[2].tobytes() == per_slice_reference([jittered], [rhs[2]])[0].tobytes()
-        assert_close_relative(x[2], cholesky_reference([jittered], [rhs[2]])[0])
-
-    @pytest.mark.parametrize("n, factorizations", [(4, 6), (16, 5)])
-    def test_retry_factors_only_the_failed_slice_again(self, monkeypatch, n, factorizations):
-        # Up to the cut: the stacked Cholesky, one per slice to find the
-        # failed one, and one for its jittered retry. Above it: one zposv
-        # per slice and one for the jittered retry.
-        if n > GUFUNC_MAX_ORDER:
-            calls = counted_posv(monkeypatch)
-        else:
-            calls = []
-            cholesky = np.linalg.cholesky
-
-            def counted(*args):
-                calls.append(args)
-                return cholesky(*args)
-
-            monkeypatch.setattr(np.linalg, "cholesky", counted)
-        rng = np.random.default_rng(3)
-        matrices = hpd_stack(rng, 4, n)
-        matrices[2] = np.diag(np.arange(n, dtype=float))
-        rhs = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
         assert np.isfinite(hermitian_solve(matrices, rhs)).all()
-        assert len(calls) == factorizations
-
-    def test_indefinite_slice_raises(self):
-        self.check_indefinite_slice(4)
-
-    def test_indefinite_slice_above_the_cut_raises(self):
-        self.check_indefinite_slice(16)
-
-    @staticmethod
-    def check_indefinite_slice(n):
-        rng = np.random.default_rng(4)
-        matrices = hpd_stack(rng, 3, n)
-        matrices[1] = -matrices[1]
+        if slice_kind == "semidefinite":
+            matrices[2] = np.diag(np.arange(n, dtype=float))
+        else:
+            matrices[2] = -matrices[2]
         with pytest.raises(NotPositiveDefiniteError):
-            hermitian_solve(matrices, np.ones((3, n, 1)))
+            hermitian_solve(matrices, rhs)
 
     def test_non_hermitian_slice_raises(self):
         rng = np.random.default_rng(5)
@@ -296,7 +251,8 @@ class TestStackedHermitianSolve:
 
 def stacked_copy_lapack_solve(matrices, rhss):
     """``linalg._lapack_solve`` as it was before it reused one workspace: it
-    copied the whole stack to Fortran order first. Its byte oracle."""
+    copied the whole stack to Fortran order first. Its byte oracle on a
+    stack whose every slice factors."""
     posv = linalg._POSV
     factors = np.array(matrices.mT, dtype=complex, order="C")
     solutions = np.array(rhss.mT, dtype=complex, order="C")
@@ -304,14 +260,12 @@ def stacked_copy_lapack_solve(matrices, rhss):
     n_at, count_at, info_at = (
         ctypes.addressof(ints) + i * ctypes.sizeof(posv.integer) for i in range(3)
     )
-    failed = []
     for index in range(len(factors)):
         posv.routine(b"L", n_at, count_at, factors.ctypes.data + index * factors.strides[0],
                      n_at, solutions.ctypes.data + index * solutions.strides[0], n_at,
                      info_at, 1)
-        if ints[2] > 0:
-            failed.append(index)
-    return solutions.mT, failed
+        assert ints[2] == 0
+    return solutions.mT
 
 
 class TestLapackWorkspace:
@@ -326,10 +280,12 @@ class TestLapackWorkspace:
             matrices[2] = -matrices[2]
         rhs = rng.standard_normal((4, n, 3)) + 1j * rng.standard_normal((4, n, 3))
         before = matrices.copy()
-        solutions, failed = linalg._lapack_solve(matrices, rhs)
-        expected, expected_failed = stacked_copy_lapack_solve(matrices, rhs)
-        assert solutions.tobytes() == expected.tobytes()
-        assert failed == expected_failed == ([2] if fails else [])
+        if fails:
+            with pytest.raises(NotPositiveDefiniteError, match="slice 2 "):
+                linalg._lapack_solve(matrices, rhs)
+        else:
+            solutions = linalg._lapack_solve(matrices, rhs)
+            assert solutions.tobytes() == stacked_copy_lapack_solve(matrices, rhs).tobytes()
         assert matrices.tobytes() == before.tobytes()
 
 

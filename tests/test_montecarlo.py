@@ -12,7 +12,11 @@ import pytest
 from onebit_mimo import linalg, montecarlo, receivers
 from onebit_mimo.bussgang import QuantizedStatistics, received_covariance
 from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, one_bit_quantize, transmit
-from onebit_mimo.errors import DegenerateDenominatorError, RankDeficientError
+from onebit_mimo.errors import (
+    DegenerateDenominatorError,
+    NotPositiveDefiniteError,
+    RankDeficientError,
+)
 from onebit_mimo.montecarlo import (
     BATCH_SIZE,
     BerRecord,
@@ -419,10 +423,17 @@ def _key(rng):
     return tuple(rng.bit_generator.state["state"]["key"].tolist())
 
 
-@pytest.fixture
-def zero_channels(monkeypatch):
-    """Give the draws of the (trial, redraw) pairs added to the returned set
-    a zero last channel column (for one user, an all-zero channel).
+def zero_last_column(h):
+    h[:, -1] = 0
+
+
+def copy_first_column(h):
+    h[:, -1] = h[:, 0]
+
+
+def faulty_channels(monkeypatch, fault):
+    """Apply ``fault`` to the channel draws of the (trial, redraw) pairs
+    added to the returned set.
 
     A draw is marked by the key of its channel stream, which a batch and a
     redrawn trial both take from ``trial_streams``."""
@@ -438,12 +449,19 @@ def zero_channels(monkeypatch):
     def channel(config, rng):
         h = draw_channel(config, rng)
         if _key(rng) in marked:
-            h[:, -1] = 0
+            fault(h)
         return h
 
     monkeypatch.setattr(montecarlo, "trial_streams", streams)
     monkeypatch.setattr(montecarlo, "draw_channel", channel)
     return targets
+
+
+@pytest.fixture
+def zero_channels(monkeypatch):
+    """Marked draws get a zero last channel column (for one user, an
+    all-zero channel)."""
+    return faulty_channels(monkeypatch, zero_last_column)
 
 
 class RedrawChecks:
@@ -486,12 +504,34 @@ class RedrawChecks:
 
 class TestRankDeficientRedraw(RedrawChecks):
     # One user, so a zero column is a zero channel: ZF's Gram matrix is 0,
-    # the jitter retry cannot rescue it, and ZF runs first.
+    # which does not factor, and ZF runs first.
     CONFIG = SystemConfig.from_snr_db(1, 4, 7.0)
     KINDS = (ReceiverKind.ZF, ReceiverKind.MMSE, ReceiverKind.BMMSE)
     GRID = (7.0, 20.0)
     ERROR = RankDeficientError
     WORD = "rank-deficient"
+
+
+class TestCopiedColumnRedraw:
+    """Two equal channel columns make ZF's Gram matrix singular; where
+    Cholesky fails on it, the draw is redrawn as rank-deficient rather than
+    regularised into a combiner."""
+
+    CONFIG = SystemConfig.from_snr_db(2, 16, 7.0)
+    KINDS = (ReceiverKind.ZF,)
+
+    def test_gram_that_does_not_factor_is_redrawn(self, monkeypatch, caplog):
+        h = draw_channel(self.CONFIG, next(trial_streams(21, [37])[CHANNEL]))
+        copy_first_column(h)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(h.conj().T @ h)
+        faulty_channels(monkeypatch, copy_first_column).add((37, 0))
+        with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
+            totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
+        assert totals == point_oracle(self.CONFIG, self.KINDS, 21, 0, 100, redrawn={37})
+        assert [r.getMessage() for r in caplog.records] == [
+            "discarding rank-deficient draw at trial 37 (redraw 1) at 7 dB"
+        ]
 
 
 class TestZeroColumnRedraw(RedrawChecks):
@@ -519,9 +559,9 @@ class TestZeroColumnRedraw(RedrawChecks):
         self, zero_channels, caplog, monkeypatch
     ):
         # At K=16, N=128 a chunk stacks several trials, so ZF's Gram matrices
-        # go to posv as one stack in which the second slice fails; its jitter
-        # retry leaves a zero combiner row, and the chunk is rerun trial by
-        # trial.
+        # go to posv as one stack in which the second slice fails; ZF runs
+        # first, so the chunk is rerun trial by trial and that trial is
+        # redrawn as rank-deficient.
         chunk = montecarlo._CHUNK_ELEMENTS // 128**2
         assert chunk >= 2
         config = SystemConfig.from_snr_db(16, 128, 30.0)
@@ -530,9 +570,17 @@ class TestZeroColumnRedraw(RedrawChecks):
         lapack_solve = linalg._lapack_solve
 
         def recording_solve(matrices, rhss):
-            solutions, failed = lapack_solve(matrices, rhss)
-            stacks.append((len(matrices), list(failed)))
-            return solutions, failed
+            try:
+                return lapack_solve(matrices, rhss)
+            except NotPositiveDefiniteError:
+                failed = []
+                for index, matrix in enumerate(matrices):
+                    try:
+                        np.linalg.cholesky(matrix)
+                    except np.linalg.LinAlgError:
+                        failed.append(index)
+                stacks.append((len(matrices), failed))
+                raise
 
         monkeypatch.setattr(linalg, "_lapack_solve", recording_solve)
         zero_channels.add((1, 0))
@@ -540,7 +588,7 @@ class TestZeroColumnRedraw(RedrawChecks):
             totals = point_counts(config, kinds, 21, 0, chunk)
         assert totals == point_oracle(config, kinds, 21, 0, chunk, redrawn={1})
         assert [r.getMessage() for r in caplog.records] == [
-            "discarding zero-denominator draw at trial 1 (redraw 1) at 30 dB"
+            "discarding rank-deficient draw at trial 1 (redraw 1) at 30 dB"
         ]
         assert (chunk, [1]) in stacks
 
