@@ -20,7 +20,7 @@ from .channel import (
     one_bit_quantize,
     transmit,
 )
-from .linalg import elementwise_arcsin, hermitian_solve
+from .linalg import elementwise_arcsin
 from .modulation import (
     Constellation,
     make_constellation,

@@ -7,6 +7,7 @@ one plan per user count at N = 8K antennas.
 """
 
 import argparse
+import decimal
 import math
 import os
 import re
@@ -218,7 +219,12 @@ def _snr_grid(start, stop, step) -> tuple[float, ...]:
             f"--snr-step: {step} dB steps from {start} to {stop} dB make {points} "
             f"grid points, more than {_MAX_GRID_POINTS}"
         )
-    return tuple(start + i * step for i in range(points))
+    # Point i is the float nearest the decimal start + i * step, so 0 to 1
+    # dB in 0.1 dB steps labels 0.3 dB as 0.3, not 0.30000000000000004.
+    # The context's precision makes every sum and product exact.
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC)):
+        first, gap = decimal.Decimal(repr(start)), decimal.Decimal(repr(step))
+        return tuple(float(first + i * gap) for i in range(points))
 
 
 def parse_run_spec(argv=None) -> RunSpec:

@@ -1,24 +1,23 @@
 """Dense complex linear-algebra kernels used by the receiver builders.
 
 All receiver formulas written with a matrix inverse are evaluated by
-factor-and-solve instead; matrices here are small (at most a few hundred
-rows) and Hermitian positive definite, except on a degenerate draw, where
-the solve raises. A complex stack of order above 8 is factored and solved
-slice by slice by LAPACK's Cholesky routine ``zposv``, which is faster per
-slice there. That routine is the one in the LAPACK numpy itself links (an
-OpenBLAS in numpy's wheels), bound through ctypes once at import. Every
-other stack, the K x K systems of a few users and any real input, is solved
-by numpy's stacked gufuncs in one call, as is every stack where no
-``zposv`` symbol is found. At these sizes BLAS threads cost more than they
-save, so sweeps run numpy's OpenBLAS at one thread
+factor-and-solve instead; the systems the receivers form are small (at most
+a few hundred rows), Hermitian by construction and positive definite,
+except on a degenerate draw, where the solve raises. A stack of order above
+8 is factored and solved slice by slice by LAPACK's Cholesky routine
+``zposv``, which is faster per slice there. That routine is the one in the
+LAPACK numpy itself links (an OpenBLAS in numpy's wheels), bound through
+ctypes once at import. Every other stack, the K x K systems of a few users,
+is solved by numpy's stacked gufuncs in one call, as is every stack where
+no ``zposv`` symbol is found. At these sizes BLAS threads cost more than
+they save, so sweeps run numpy's OpenBLAS at one thread
 (:func:`set_openblas_threads`); its thread-count calls are bound by the same
 lookup as ``zposv``.
 
-The steps over a whole ``(B, n, n)`` stack, the Hermitian check here and the
-arcsine of the Bussgang statistics, run in pieces of at most
-``PIECE_ENTRIES`` entries (:func:`pieces`), and ``zposv`` factors each slice
-in one reused ``n x n`` workspace, so the temporaries of a stack are one
-piece's, however many slices it has.
+The arcsine of the Bussgang statistics runs over a whole ``(B, n, n)``
+stack in pieces of at most ``PIECE_ENTRIES`` entries (:func:`pieces`), and
+``zposv`` factors each slice in one reused ``n x n`` workspace, so the
+temporaries of a stack are one piece's, however many slices it has.
 """
 
 import ctypes
@@ -30,17 +29,14 @@ from numpy.linalg import _umath_linalg
 
 from .errors import ArcsinDomainError, NotPositiveDefiniteError
 
-# Max allowed elementwise |M - M^H| before refusing to treat M as Hermitian.
-HERMITIAN_TOL = 1e-10
 # Band around [-1, 1] tolerated before clamping arcsine arguments.
 ARCSIN_BAND = 1e-9
 # Entries (512 KiB of complex128) of the largest piece of a stack that one
 # elementwise step works on, so that a piece and its temporaries stay inside
 # a core's 2 MiB L2 cache.
 PIECE_ENTRIES = 2**15
-# Largest matrix order solved by numpy's stacked gufuncs; larger complex
-# stacks are factored slice by slice through LAPACK, which is faster per
-# slice there.
+# Largest matrix order solved by numpy's stacked gufuncs; larger stacks are
+# factored slice by slice through LAPACK, which is faster per slice there.
 _GUFUNC_MAX_ORDER = 8
 # (symbol of LAPACK's zposv, its Fortran integer type, setter and getter of
 # OpenBLAS's thread count), as exported by numpy's ILP64 wheel build, a plain
@@ -133,7 +129,7 @@ _POSV, _THREADS = _bind()
 
 
 def large_order_kernel() -> str:
-    """What solves complex orders above 8: the LAPACK library file and
+    """What solves orders above 8: the LAPACK library file and
     ``zposv`` symbol, or ``"numpy gufuncs"`` when none was found."""
     return f"{_POSV.library} {_POSV.symbol}" if _POSV else "numpy gufuncs"
 
@@ -142,50 +138,42 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for a stack of Hermitian positive-definite
     ``(..., n, n)`` matrices and ``(..., n, m)`` or ``(..., n)`` right sides.
 
-    A complex stack of order above ``_GUFUNC_MAX_ORDER`` goes slice by slice
+    The receivers' kernel. Its input is Hermitian, a precondition that is
+    not checked: the receivers form each system Hermitian by construction,
+    and ``zposv`` reads only the lower triangle, so the upper one of a
+    matrix that is not Hermitian is silently ignored there.
+
+    A stack of order above ``_GUFUNC_MAX_ORDER`` goes slice by slice
     through one call each of LAPACK's ``zposv``, which factors by Cholesky
     and solves as ``scipy.linalg.cho_factor``/``cho_solve`` do; the routine
     is the one in the LAPACK numpy links (:func:`large_order_kernel` names
     it). Every other stack goes through numpy's gufuncs: one
     ``np.linalg.cholesky`` call is the positive-definite test and one
     ``np.linalg.solve`` call (LU) the solve. Those are small orders, where
-    per-call overhead outweighs the arithmetic, real input of any order,
-    which keeps its dtype, and every order where numpy's LAPACK exports no
-    ``zposv``. Either kernel solves every slice or raises
-    :class:`NotPositiveDefiniteError` where a slice does not factor
+    per-call overhead outweighs the arithmetic, and every order where
+    numpy's LAPACK exports no ``zposv``. Either kernel solves every slice or
+    raises :class:`NotPositiveDefiniteError` where a slice does not factor
     (numerically semi-definite or indefinite input), as does a solution
     with a non-finite entry. Nothing is retried, so the caller decides what
-    such a system means. The order and dtype alone pick the kernel, so a
-    slice solves to the same bytes in a stack of any size. A
-    matrix that is not Hermitian, one with a non-finite entry (which the
-    message names) and a right side with any other shape, such as an extra
-    leading axis, raise ``ValueError``.
+    such a system means. The order alone picks the kernel, so a slice
+    solves to the same bytes in a stack of any size. A matrix that is not a
+    stack of square matrices, and a right side with any other shape, such
+    as an extra leading axis, raise ``ValueError``.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError(f"matrix of shape {matrix.shape} is not a stack of square matrices")
-    n = matrix.shape[-1]
-    matrices = matrix.reshape(-1, n, n)
-    asymmetry = _asymmetry(matrices)
-    if not asymmetry <= HERMITIAN_TOL:
-        # Every non-finite entry fails the test above, so only a failed
-        # matrix pays for this scan.
-        if not np.isfinite(matrix).all():
-            raise ValueError("matrix has a non-finite entry, so it is not Hermitian")
-        raise ValueError(
-            f"matrix is not Hermitian: max |M - M^H| = {asymmetry!r} "
-            f"exceeds {HERMITIAN_TOL}"
-        )
     # The right side is one vector or one matrix per slice, nothing else.
     same_stack = rhs.shape[: matrix.ndim - 1] == matrix.shape[:-1]
     if rhs.ndim not in (matrix.ndim - 1, matrix.ndim) or not same_stack:
         raise ValueError(
             f"incompatible shapes {matrix.shape} and {rhs.shape} for a solve"
         )
+    n = matrix.shape[-1]
+    matrices = matrix.reshape(-1, n, n)
     rhss = rhs.reshape(len(matrices), n, -1)
-    large = n > _GUFUNC_MAX_ORDER and _POSV and np.result_type(matrices, rhss).kind == "c"
-    solve = _lapack_solve if large else _gufunc_solve
+    solve = _lapack_solve if n > _GUFUNC_MAX_ORDER and _POSV else _gufunc_solve
     solution = solve(matrices, rhss).reshape(rhs.shape)
     if not np.isfinite(solution).all():
         raise NotPositiveDefiniteError("solve produced non-finite entries")
@@ -198,21 +186,6 @@ def pieces(count: int, order: int) -> list[slice]:
     matrix where one alone has more."""
     step = max(1, PIECE_ENTRIES // max(1, order * order))
     return [slice(first, first + step) for first in range(0, count, step)]
-
-
-def _asymmetry(matrices):
-    """``max |M - M^H|`` over a ``(B, n, n)`` stack, one piece at a time:
-    the value ``np.abs(M - M.conj().mT).max()`` gives, NaN included."""
-    peaks = []
-    for part in pieces(*matrices.shape[:2]):
-        piece = matrices[part]
-        # A fresh array for real input too, where ndarray.conj() would be the
-        # caller's own array.
-        difference = np.conjugate(piece.mT, order="C")
-        difference -= piece
-        peaks.append(np.abs(difference).max())
-    # np.max, not max(): a NaN in any piece is the result.
-    return np.max(peaks)
 
 
 def _gufunc_solve(matrices, rhss):
@@ -228,7 +201,7 @@ def _gufunc_solve(matrices, rhss):
 
 
 def _lapack_solve(matrices, rhss):
-    """:func:`hermitian_solve`'s kernel for a complex ``(B, n, n)`` stack,
+    """:func:`hermitian_solve`'s kernel for a ``(B, n, n)`` stack,
     one LAPACK ``zposv`` (Cholesky factor and solve) per slice: the
     solutions, or :class:`NotPositiveDefiniteError` at the first slice that
     does not factor."""

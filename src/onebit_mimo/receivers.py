@@ -111,12 +111,17 @@ def build_combiner(
     quantization-aware kinds within a trial. A kind in :data:`SAME_COMBINER`
     gets the matrix and denominators of the kind it maps to. ``kind`` may be
     given by its name, such as ``"mmse"``; an unknown name raises
-    ``ValueError``. A draw whose combiner system does not factor raises
+    ``ValueError``, as does a channel with a non-finite entry, whatever
+    the kind. A draw whose combiner system does not factor raises
     :class:`RankDeficientError`, and one with a denominator under the floor
     :class:`DegenerateDenominatorError`.
     """
     kind = ReceiverKind(kind)
     channel = np.asarray(channel)
+    # Before any arithmetic, so that a NaN or inf entry raises one error for
+    # every kind, and no warning.
+    if not np.isfinite(channel).all():
+        raise ValueError("channel has a non-finite entry")
     if kind in COVARIANCE_KINDS and stats is None:
         stats = QuantizedStatistics(channel, noise_power)
     # The channel the combiner is built from and equalized against.
@@ -147,8 +152,7 @@ def build_combiner(
 
     denominators = np.einsum("...kn,...nk->...k", matrix, x)
     # |w_k x_k| <= |w_k| |x_k| (Cauchy-Schwarz), so the floor is relative and
-    # holds at any noise power; a zero channel column still trips it, and
-    # so does a NaN, which fails every comparison.
+    # holds at any noise power; a zero channel column still trips it.
     scale = np.sqrt(np.vecdot(matrix, matrix).real * np.vecdot(x, x, axis=-2).real)
     if not (np.abs(denominators) > DENOMINATOR_FLOOR * scale).all():
         raise DegenerateDenominatorError(

@@ -146,6 +146,14 @@ class TestParseRunSpec:
                  "--snr-start", "0", "--snr-stop", "10", "--snr-step", "0"]
             )
 
+    def test_decimal_step_gives_decimal_points(self):
+        # start + i * step in binary would give 0.30000000000000004,
+        # 0.6000000000000001 and 0.7000000000000001 here.
+        spec = parse_run_spec(["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "0",
+                               "--snr-stop", "1", "--snr-step", "0.1"])
+        grid = spec.plans[0].snr_db_grid
+        assert [repr(point) for point in grid] == [f"0.{i}" for i in range(10)] + ["1.0"]
+
     def test_grid_point_bound(self):
         assert len(cli._snr_grid(0.0, 999_999.0, 1.0)) == cli._MAX_GRID_POINTS
         with pytest.raises(UsageError, match="^--snr-step: .* 1000001 grid points"):

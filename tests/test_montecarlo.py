@@ -265,21 +265,29 @@ class TestBatchedEngine:
         assert ReceiverKind.WFQ not in built
         assert totals[ReceiverKind.WFQ] == totals[ReceiverKind.AQNM_MMSE] > 0
 
-    @pytest.mark.parametrize("users, antennas", [(2, 16), (16, 128)])
+    @pytest.mark.parametrize("users, antennas", [(2, 16), (9, 16), (16, 128)])
     def test_every_solve_is_complex(self, monkeypatch, users, antennas):
-        # Every receiver solves a complex system, so real input reaches the
-        # solver from no receiver.
+        # Every receiver solves a complex system, Hermitian by construction:
+        # the solver's precondition, which it does not check. The K x K
+        # systems at K=2 go through the gufuncs, the rest through zposv.
         matrices = []
 
         def spy(matrix, rhs):
-            matrices.append(matrix)
+            matrices.append(matrix.copy())
             return linalg.hermitian_solve(matrix, rhs)
+
+        def asymmetry(matrix):
+            return np.abs(matrix - matrix.conj().mT).max()
 
         monkeypatch.setattr(receivers, "hermitian_solve", spy)
         cfg = SystemConfig.from_snr_db(users, antennas, 10.0, "qpsk")
         point_counts(cfg, tuple(ReceiverKind), 31, 0, 2)
         assert len(matrices) == 5
         assert all(np.iscomplexobj(matrix) for matrix in matrices)
+        assert all(asymmetry(matrix) <= 1e-10 for matrix in matrices)
+        # Negative control: one off-diagonal entry moved by 1e-6 fails it.
+        matrices[-1][0, 0, 1] += 1e-6
+        assert not asymmetry(matrices[-1]) <= 1e-10
 
 
 class TestStackedDetection:
