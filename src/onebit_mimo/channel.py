@@ -2,9 +2,18 @@
 
 The SNR convention is rho = 1/N0 with unit transmit power per user, so a
 grid point at ``snr_db`` runs with noise power ``10**(-snr_db/10)``.
+
+The draws take one generator per trial and return the stack of their
+trials, a single draw being the stack of one. Each generator is called
+once per draw, for the real parts ``a`` and then the imaginary parts ``b``
+(``standard_normal((2, *shape))``, the values of two calls of
+``standard_normal(shape)``), and the complex arithmetic runs once over the
+stack with the floating-point operations of ``(a + 1j * b) * scale``, so
+each trial's entries are the bytes its own draw gave before the stacking.
 """
 
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,21 +70,38 @@ class SystemConfig:
         return cls(users, antennas, noise_power_from_snr_db(snr_db), modulation)
 
 
-def draw_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw an N x K channel with i.i.d. unit-variance complex Gaussian entries."""
-    shape = (config.antennas, config.users)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+def _complex_normals(rngs: Iterable[np.random.Generator], shape) -> np.ndarray:
+    """``a + 1j * b`` of each generator in ``rngs``, stacked into a
+    ``(B, *shape)`` array, with ``a`` and then ``b`` the generator's
+    ``standard_normal((2, *shape))``."""
+    pairs = np.stack([rng.standard_normal((2, *shape)) for rng in rngs])
+    # a + 1j * b operation for operation, with no stack beside the pairs and
+    # the result.
+    stack = 1j * pairs[:, 1]
+    stack += pairs[:, 0]
+    return stack
 
 
-def draw_noise_direction(antennas: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``a + 1j * b`` with ``a``, ``b`` length-N standard normal: the
-    noise of every noise power, before its scale ``sqrt(N0 / 2)``."""
-    return rng.standard_normal(antennas) + 1j * rng.standard_normal(antennas)
+def draw_channel(config: SystemConfig, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Draw a ``(B, N, K)`` stack of channels with i.i.d. unit-variance
+    complex Gaussian entries, ``(a + 1j * b) * sqrt(1/2)``, one from each of
+    the B generators in ``rngs``."""
+    channel = _complex_normals(rngs, (config.antennas, config.users))
+    channel *= np.sqrt(0.5)
+    return channel
 
 
-def draw_noise(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw a length-N complex AWGN vector of power ``config.noise_power``."""
-    return draw_noise_direction(config.antennas, rng) * np.sqrt(config.noise_power / 2.0)
+def draw_noise_direction(antennas: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Draw a ``(B, N)`` stack of ``a + 1j * b``, one from each generator in
+    ``rngs``: the noise of every noise power, before its scale
+    ``sqrt(N0 / 2)``."""
+    return _complex_normals(rngs, (antennas,))
+
+
+def draw_noise(config: SystemConfig, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Draw a ``(B, N)`` stack of complex AWGN vectors of power
+    ``config.noise_power``, one from each generator in ``rngs``."""
+    return draw_noise_direction(config.antennas, rngs) * np.sqrt(config.noise_power / 2.0)
 
 
 def transmit(

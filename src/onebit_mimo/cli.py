@@ -213,17 +213,19 @@ def _snr_grid(start, stop, step) -> tuple[float, ...]:
         raise UsageError(
             f"--snr-stop: the grid from {start} to {stop} dB in {step} dB steps overflows"
         )
-    points = int(steps + 1e-9) + 1
-    if points > _MAX_GRID_POINTS:
-        raise UsageError(
-            f"--snr-step: {step} dB steps from {start} to {stop} dB make {points} "
-            f"grid points, more than {_MAX_GRID_POINTS}"
-        )
-    # Point i is the float nearest the decimal start + i * step, so 0 to 1
-    # dB in 0.1 dB steps labels 0.3 dB as 0.3, not 0.30000000000000004.
-    # The context's precision makes every sum and product exact.
+    # The grid is counted and built on the decimals the floats print as, so
+    # 0 to 1 dB in 0.1 dB steps labels 0.3 dB as 0.3, not
+    # 0.30000000000000004, and keeps its stop point at any step. Point i is
+    # the float nearest the decimal start + i * step. The context's precision
+    # makes every difference, quotient and product exact.
     with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC)):
-        first, gap = decimal.Decimal(repr(start)), decimal.Decimal(repr(step))
+        first, last, gap = (decimal.Decimal(repr(db)) for db in (start, stop, step))
+        points = int((last - first) // gap) + 1
+        if points > _MAX_GRID_POINTS:
+            raise UsageError(
+                f"--snr-step: {step} dB steps from {start} to {stop} dB make {points} "
+                f"grid points, more than {_MAX_GRID_POINTS}"
+            )
         return tuple(float(first + i * gap) for i in range(points))
 
 

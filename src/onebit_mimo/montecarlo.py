@@ -15,7 +15,9 @@ still active. :func:`_batch_counts` walks a batch in stacked chunks of
 N=128). A batch takes the streams of all its trials from one
 :func:`~onebit_mimo.rng.trial_streams` call, which keys them in one pass,
 and each chunk draws its trials from them into ``(B, N, K)`` channel,
-``(B, K * bits per symbol)`` payload and ``(B, N)`` noise-direction arrays.
+``(B, K * bits per symbol)`` payload and ``(B, N)`` noise-direction arrays,
+with one generator call per trial and purpose and the arithmetic once per
+chunk.
 The draws, ``H @ x`` and the combiners that do not depend on the noise power
 (MRC, ZF) are computed once per chunk; the receive vector, quantizer,
 Bussgang statistics and the other combiners once per (chunk, grid point),
@@ -78,7 +80,7 @@ from .receivers import (
     build_combiner,
     detect_pipeline,
 )
-from .rng import trial_streams
+from .rng import random_bits, trial_streams
 
 logger = logging.getLogger(__name__)
 
@@ -204,11 +206,9 @@ class _ChunkDraws:
         self.constellation = make_constellation(config.modulation)
         payload_bits = config.users * self.constellation.bits_per_symbol
         channel_rngs, symbol_rngs, noise_rngs = streams
-        self.channel = np.stack([draw_channel(config, rng) for rng in channel_rngs])
-        self.bits = np.stack([rng.integers(0, 2, size=payload_bits) for rng in symbol_rngs])
-        self.noise = np.stack(
-            [draw_noise_direction(config.antennas, rng) for rng in noise_rngs]
-        )
+        self.channel = draw_channel(config, channel_rngs)
+        self.bits = random_bits(symbol_rngs, payload_bits)
+        self.noise = draw_noise_direction(config.antennas, noise_rngs)
         self.signal = transmit(self.channel, map_bits_to_symbols(self.bits, self.constellation))
         # Built at the first point that needs them, then shared by the rest.
         self._noise_independent = {}

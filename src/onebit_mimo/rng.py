@@ -13,10 +13,11 @@ in one vectorized pass of the SeedSequence hash, and :func:`trial_streams`
 hands out the streams: per purpose, one Philox generator re-keyed to each
 trial's key in turn, so each trial draws exactly what its own
 ``Generator(Philox(key))`` draws without building a SeedSequence or a
-generator per trial.
+generator per trial. :func:`random_bits` reads the payload bits of many
+streams as their ``integers(0, 2)`` would draw them, from raw Philox words.
 """
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -110,6 +111,30 @@ def trial_keys(seed: int, indices, redraw: int = 0) -> np.ndarray:
             entropy = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint32) for w in words))
             keys[:, part] = _seed_sequence_keys(entropy)
     return keys
+
+
+#: The bits of a raw Philox word that ``Generator.integers(0, 2)`` returns:
+#: the top bits of its low and then its high 32-bit half.
+_HALF_WORD_TOP_BITS = np.array([31, 63], dtype=np.uint64)
+
+
+def random_bits(rngs: Iterable[np.random.Generator], count: int) -> np.ndarray:
+    """``rng.integers(0, 2, size=count)`` of each Philox generator in
+    ``rngs``, stacked into a ``(B, count)`` int64 array, from ``ceil(count /
+    2)`` raw words per generator.
+
+    ``integers(0, 2)`` draws each bit from one ``next_uint32`` by Lemire's
+    method, whose rejection threshold for a range of 2 is 0: it never
+    rejects, and the bit is the top bit of the uint32. Philox serves its
+    uint32s as the low and then the high half of each raw 64-bit word, so
+    bits ``2 i`` and ``2 i + 1`` are bits 31 and 63 of word ``i``. An odd
+    count leaves the high half of the last word unread, and the generator is
+    not left where ``integers`` would leave it.
+    """
+    words = -(-count // 2)
+    raw = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
+    bits = (raw[..., None] >> _HALF_WORD_TOP_BITS) & np.uint64(1)
+    return bits.reshape(len(raw), 2 * words)[:, :count].astype(np.int64)
 
 
 def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:

@@ -216,9 +216,13 @@ def test_pool_workers_retain_the_heap(monkeypatch, method):
 
 # Minor page faults per trial of a K=16, N=128 run with all eight receivers,
 # measured over a second run after a first one has warmed the process up.
+# The process that never sweeps sets glibc's mmap and trim thresholds to
+# their static defaults, 128 KiB each: glibc's dynamic thresholds rise with
+# the blocks freed so far, so without that its reading would depend on the
+# order of the allocations before it.
 _FAULTS_PER_TRIAL = """
 import resource, sys
-from onebit_mimo import linalg
+from onebit_mimo import linalg, montecarlo
 from onebit_mimo.channel import SystemConfig
 from onebit_mimo.montecarlo import TrialPlan, _batch_counts, ber_sweep
 from onebit_mimo.receivers import ReceiverKind
@@ -233,6 +237,8 @@ if sys.argv[1] == "sweep":
     def run():
         ber_sweep([plan])
 else:
+    for param in (montecarlo._M_MMAP_THRESHOLD, montecarlo._M_TRIM_THRESHOLD):
+        assert montecarlo._MALLOPT(param, 128 * 1024)
     linalg.set_openblas_threads(1)
     def run():
         _batch_counts(plan, {0: plan.kinds}, 0, trials)
@@ -261,9 +267,9 @@ def faults_per_trial(how):
 def test_swept_process_faults_no_temporaries_in():
     if montecarlo._MALLOPT is None:
         pytest.skip("the C library is not glibc")
-    # glibc's default dynamic trim threshold hands the N x N temporaries
-    # back to the kernel after every chunk (negative control): at least the
-    # pages of one N x N complex array per trial ...
+    # glibc's default thresholds hand the N x N temporaries back to the
+    # kernel after every chunk (negative control): at least the pages of one
+    # N x N complex array per trial ...
     assert faults_per_trial("batch") >= 128 * 128 * 16 // resource.getpagesize()
     # ... and a sweep keeps them, so a trial faults no page in.
     assert faults_per_trial("sweep") < 2

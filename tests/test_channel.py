@@ -1,10 +1,13 @@
 """System-model tests: config validation, channel statistics, quantizer."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onebit_mimo import channel
 from onebit_mimo.channel import (
     SystemConfig,
     draw_channel,
@@ -15,6 +18,8 @@ from onebit_mimo.channel import (
     transmit,
 )
 from onebit_mimo.errors import UnsupportedModulationError
+from onebit_mimo.rng import CHANNEL, NOISE, trial_streams
+from shared import seed_sequence_stream, v1_channel, v1_noise
 
 
 class TestSystemConfig:
@@ -58,23 +63,68 @@ class TestSystemConfig:
 class TestDrawChannel:
     def test_deterministic_under_seed(self):
         cfg = SystemConfig(2, 4, 0.1)
-        a = draw_channel(cfg, np.random.default_rng(5))
-        b = draw_channel(cfg, np.random.default_rng(5))
+        a = draw_channel(cfg, [np.random.default_rng(5)])
+        b = draw_channel(cfg, [np.random.default_rng(5)])
         np.testing.assert_array_equal(a, b)
 
     def test_moments_over_many_draws(self):
         # Law of large numbers: per-entry mean -> 0 and E|h|^2 -> 1.
         cfg = SystemConfig(2, 4, 0.1)
-        rng = np.random.default_rng(11)
-        total = np.zeros((4, 2), dtype=complex)
-        power = np.zeros((4, 2))
-        draws = 100_000
-        for _ in range(draws):
-            h = draw_channel(cfg, rng)
-            total += h
-            power += np.abs(h) ** 2
-        assert np.abs(total / draws).max() <= 0.02
-        assert np.abs(power / draws - 1.0).max() <= 0.02
+        h = draw_channel(cfg, itertools.repeat(np.random.default_rng(11), 100_000))
+        assert h.shape == (100_000, 4, 2)
+        assert np.abs(h.mean(axis=0)).max() <= 0.02
+        assert np.abs((np.abs(h) ** 2).mean(axis=0) - 1.0).max() <= 0.02
+
+
+#: (seed, trial indices, redraw) of the stacked-draw oracles: indices on
+#: both sides of 2**32, where a key takes a second index word, and redraws.
+DRAW_CASES = [
+    (0, range(0, 5), 0),
+    (2**40 + 9, range(2**32 - 2, 2**32 + 2), 1),
+    (17, [7, 2**33, 5], 3),
+]
+
+
+class TestStackedDraws:
+    """One generator call per trial and the complex arithmetic over the
+    stack draw the bytes of stream v1's per-trial formulas, on streams built
+    from numpy's own SeedSequence."""
+
+    @pytest.mark.parametrize("users, antennas", [(1, 1), (2, 16), (3, 5), (16, 128)])
+    @pytest.mark.parametrize("seed, indices, redraw", DRAW_CASES)
+    def test_channel_is_v1(self, seed, indices, redraw, users, antennas):
+        cfg = SystemConfig(users, antennas, 1.0)
+        stack = draw_channel(cfg, trial_streams(seed, indices, redraw)[CHANNEL])
+        expected = np.stack([
+            v1_channel(seed_sequence_stream(seed, i, CHANNEL, redraw), antennas, users)
+            for i in indices
+        ])
+        assert stack.shape == (len(indices), antennas, users)
+        assert stack.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("antennas, noise_power", [(1, 1.0), (16, 1e-3), (5, 10.0)])
+    @pytest.mark.parametrize("seed, indices, redraw", DRAW_CASES)
+    def test_noise_is_v1(self, seed, indices, redraw, antennas, noise_power):
+        cfg = SystemConfig(1, antennas, noise_power)
+        stack = draw_noise(cfg, trial_streams(seed, indices, redraw)[NOISE])
+        expected = np.stack([
+            v1_noise(seed_sequence_stream(seed, i, NOISE, redraw), antennas, noise_power)
+            for i in indices
+        ])
+        assert stack.shape == (len(indices), antennas)
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_interleaved_parts_fail_the_oracle(self, monkeypatch):
+        # Negative control: one call per trial as well, but with each entry's
+        # a and b drawn next to each other and read as one complex number.
+        def interleaved(rngs, shape):
+            return np.stack([rng.standard_normal((*shape, 2)) for rng in rngs]).view(complex)[..., 0]
+
+        monkeypatch.setattr(channel, "_complex_normals", interleaved)
+        stack = draw_channel(SystemConfig(2, 16, 1.0), trial_streams(3, [4])[CHANNEL])
+        assert stack.shape == (1, 16, 2)
+        expected = v1_channel(seed_sequence_stream(3, 4, CHANNEL), 16, 2)
+        assert not np.array_equal(stack[0], expected)
 
 
 class TestTransmit:
@@ -82,22 +132,22 @@ class TestTransmit:
         rng = np.random.default_rng(0)
         h = np.eye(2, dtype=complex)
         x = np.array([1.0, 1j])
-        r = transmit(h, x, draw_noise(SystemConfig(2, 2, 1e-30), rng))
+        r = transmit(h, x, draw_noise(SystemConfig(2, 2, 1e-30), [rng])[0])
         np.testing.assert_allclose(r, x, atol=1e-12)
 
     def test_noiseless_limit_general_channel(self):
         rng = np.random.default_rng(1)
         h = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
         x = np.array([1.0, -1j])
-        r = transmit(h, x, draw_noise(SystemConfig(2, 4, 1e-30), rng))
+        r = transmit(h, x, draw_noise(SystemConfig(2, 4, 1e-30), [rng])[0])
         np.testing.assert_allclose(r, h @ x, atol=1e-12)
 
     def test_reproducible_from_seed(self):
         h = np.eye(3, dtype=complex)
         x = np.ones(3, dtype=complex)
         cfg = SystemConfig(3, 3, 0.3)
-        a = transmit(h, x, draw_noise(cfg, np.random.default_rng(9)))
-        b = transmit(h, x, draw_noise(cfg, np.random.default_rng(9)))
+        a = transmit(h, x, draw_noise(cfg, [np.random.default_rng(9)])[0])
+        b = transmit(h, x, draw_noise(cfg, [np.random.default_rng(9)])[0])
         np.testing.assert_array_equal(a, b)
 
     def test_stack_matches_single_trials(self):
@@ -115,21 +165,21 @@ class TestTransmit:
         rng = np.random.default_rng(3)
         h = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
         x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        direction = np.stack([draw_noise_direction(6, rng) for _ in range(5)])
+        direction = draw_noise_direction(6, itertools.repeat(rng, 5))
         for n0 in (1e-3, 0.3, 10.0):
             z = direction * np.sqrt(n0 / 2.0)
             assert (transmit(h, x) + z).tobytes() == transmit(h, x, z).tobytes()
 
     def test_noise_is_its_direction_scaled(self):
         cfg = SystemConfig(2, 6, 0.3)
-        z = draw_noise(cfg, np.random.default_rng(5))
-        direction = draw_noise_direction(6, np.random.default_rng(5))
+        z = draw_noise(cfg, [np.random.default_rng(5)])
+        direction = draw_noise_direction(6, [np.random.default_rng(5)])
         assert z.tobytes() == (direction * np.sqrt(0.3 / 2.0)).tobytes()
 
     def test_noise_power(self):
         rng = np.random.default_rng(12)
         cfg = SystemConfig(1, 4, 0.25)
-        z = np.array([draw_noise(cfg, rng) for _ in range(50_000)])
+        z = draw_noise(cfg, itertools.repeat(rng, 50_000))
         assert z.shape == (50_000, 4)
         assert np.abs((np.abs(z) ** 2).mean(axis=0) - 0.25).max() <= 0.01
 

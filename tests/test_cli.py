@@ -154,6 +154,16 @@ class TestParseRunSpec:
         grid = spec.plans[0].snr_db_grid
         assert [repr(point) for point in grid] == [f"0.{i}" for i in range(10)] + ["1.0"]
 
+    def test_decimal_count_keeps_the_stop_point(self):
+        # In binary, (50.0000005 - 50.0) / 1e-7 is 4.9999999874, which
+        # dropped the stop point.
+        assert cli._snr_grid(50.0, 50.0000005, 1e-7) == tuple(
+            float(f"50.000000{i}") for i in range(6)
+        )
+        assert cli._snr_grid(30.0, 30.0000003, 1e-7)[-1] == 30.0000003
+        # A stop between two points ends the grid at the point below it.
+        assert cli._snr_grid(0.0, 1.0, 0.3) == (0.0, 0.3, 0.6, 0.9)
+
     def test_grid_point_bound(self):
         assert len(cli._snr_grid(0.0, 999_999.0, 1.0)) == cli._MAX_GRID_POINTS
         with pytest.raises(UsageError, match="^--snr-step: .* 1000001 grid points"):

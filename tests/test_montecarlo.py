@@ -8,10 +8,12 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onebit_mimo import linalg, montecarlo, receivers
 from onebit_mimo.bussgang import QuantizedStatistics, received_covariance
-from onebit_mimo.channel import SystemConfig, draw_channel, draw_noise, one_bit_quantize, transmit
+from onebit_mimo.channel import SystemConfig, draw_channel, one_bit_quantize, transmit
 from onebit_mimo.errors import (
     DegenerateDenominatorError,
     NotPositiveDefiniteError,
@@ -27,7 +29,12 @@ from onebit_mimo.montecarlo import (
     sample_output_covariance,
     wilson_interval,
 )
-from onebit_mimo.modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
+from onebit_mimo.modulation import (
+    make_constellation,
+    map_bits_to_symbols,
+    supported_modulations,
+    symbols_to_bits,
+)
 from onebit_mimo.receivers import (
     NOISE_INDEPENDENT_KINDS,
     SAME_COMBINER,
@@ -37,7 +44,7 @@ from onebit_mimo.receivers import (
 )
 from onebit_mimo.results import emit_results
 from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, trial_keys, trial_streams
-from shared import rayleigh_channel, seed_sequence_stream
+from shared import rayleigh_channel, seed_sequence_stream, v1_bits, v1_channel, v1_noise
 
 
 def grid_plan(config, kinds, seed, grid, quantized=True):
@@ -211,14 +218,15 @@ class TestBatchedEngine:
         point_counts(cfg, (ReceiverKind.ZF,), 23, start, stop)
 
         assert [len(channel) for channel in stacks] == [chunk, chunk, 1]
-        # The oracle: each trial's streams built from their own SeedSequence.
+        # The oracle: each trial's streams built from their own SeedSequence,
+        # drawn by stream v1's per-trial formulas.
         channel_rngs, symbol_rngs, noise_rngs = (
             [seed_sequence_stream(23, i, purpose) for i in range(start, stop)]
             for purpose in (CHANNEL, SYMBOLS, NOISE)
         )
-        channel = np.stack([draw_channel(cfg, rng) for rng in channel_rngs])
-        bits = np.stack([rng.integers(0, 2, size=3 * 4) for rng in symbol_rngs])
-        noise = np.stack([draw_noise(cfg, rng) for rng in noise_rngs])
+        channel = np.stack([v1_channel(rng, cfg.antennas, cfg.users) for rng in channel_rngs])
+        bits = np.stack([v1_bits(rng, 3 * 4) for rng in symbol_rngs])
+        noise = np.stack([v1_noise(rng, cfg.antennas, cfg.noise_power) for rng in noise_rngs])
         received = transmit(channel, map_bits_to_symbols(bits, make_constellation("16qam")), noise)
         assert np.concatenate(stacks).tobytes() == channel.tobytes()
         assert np.concatenate(bit_stacks).tobytes() == bits.tobytes()
@@ -288,6 +296,51 @@ class TestBatchedEngine:
         # Negative control: one off-diagonal entry moved by 1e-6 fails it.
         matrices[-1][0, 0, 1] += 1e-6
         assert not asymmetry(matrices[-1]) <= 1e-10
+
+
+@st.composite
+def split_ranges(draw):
+    """A plan over K <= N <= 40 and any modulation, and trial indices
+    a < b < c, possibly past 2**32, that split [a, c) into two parts."""
+    users = draw(st.integers(1, 40))
+    config = SystemConfig(users, draw(st.integers(users, 40)), 1.0,
+                          draw(st.sampled_from(supported_modulations())))
+    grid = draw(st.lists(st.sampled_from([-5.0, 10.0, 30.0]), min_size=1, max_size=2,
+                         unique=True))
+    plan = grid_plan(config, tuple(ReceiverKind), draw(st.integers(0, 2**64 - 1)),
+                     tuple(grid), draw(st.booleans()))
+    a = draw(st.integers(0, 2**33))
+    b = a + draw(st.integers(1, 9))
+    return plan, a, b, b + draw(st.integers(1, 9))
+
+
+class TestRangeSplit:
+    """A trial range draws and counts what its parts draw and count, at any
+    chunk size: trial i's draws depend on the seed and i alone."""
+
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(case=split_ranges(), chunk=st.integers(1, 8))
+    def test_range_is_its_parts(self, case, chunk):
+        plan, a, b, c = case
+
+        def draws(start, stop):
+            streams = trial_streams(plan.seed, range(start, stop))
+            drawn = montecarlo._ChunkDraws(plan.config, streams)
+            return [getattr(drawn, name).tobytes() for name in ("channel", "bits", "noise", "signal")]
+
+        assert draws(a, c) == [x + y for x, y in zip(draws(a, b), draws(b, c))]
+
+        points = every_point(plan)
+        whole = montecarlo._batch_counts(plan, points, a, c)
+        first, second = (montecarlo._batch_counts(plan, points, *part)
+                         for part in ((a, b), (b, c)))
+        assert whole == {
+            point: {kind: first[point][kind] + second[point][kind] for kind in kinds}
+            for point, kinds in points.items()
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk * plan.config.antennas**2)
+            assert montecarlo._batch_counts(plan, points, a, c) == whole
 
 
 class TestStackedDetection:
@@ -444,7 +497,8 @@ def faulty_channels(monkeypatch, fault):
     added to the returned set.
 
     A draw is marked by the key of its channel stream, which a batch and a
-    redrawn trial both take from ``trial_streams``."""
+    redrawn trial both take from ``trial_streams``; each row of a stacked
+    draw is checked against the key of the generator that drew it."""
     targets = set()
     marked = set()
 
@@ -454,10 +508,18 @@ def faulty_channels(monkeypatch, fault):
                 marked.add(tuple(key.tolist()))
         return trial_streams(seed, indices, redraw)
 
-    def channel(config, rng):
-        h = draw_channel(config, rng)
-        if _key(rng) in marked:
-            fault(h)
+    def channel(config, rngs):
+        keys = []
+
+        def recorded():
+            for rng in rngs:
+                keys.append(_key(rng))
+                yield rng
+
+        h = draw_channel(config, recorded())
+        for row, key in zip(h, keys, strict=True):
+            if key in marked:
+                fault(row)
         return h
 
     monkeypatch.setattr(montecarlo, "trial_streams", streams)
@@ -529,7 +591,7 @@ class TestCopiedColumnRedraw:
     KINDS = (ReceiverKind.ZF,)
 
     def test_gram_that_does_not_factor_is_redrawn(self, monkeypatch, caplog):
-        h = draw_channel(self.CONFIG, next(trial_streams(21, [37])[CHANNEL]))
+        [h] = draw_channel(self.CONFIG, trial_streams(21, [37])[CHANNEL])
         copy_first_column(h)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(h.conj().T @ h)

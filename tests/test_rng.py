@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit_mimo import rng
-from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, trial_keys, trial_streams
-from shared import seed_sequence_stream
+from onebit_mimo.modulation import make_constellation, supported_modulations
+from onebit_mimo.rng import CHANNEL, NOISE, SYMBOLS, random_bits, trial_keys, trial_streams
+from shared import seed_sequence_stream, v1_bits
 
 U64_MAX = 2**64 - 1
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, U64_MAX)
@@ -117,6 +118,39 @@ class TestTrialStreams:
         assert next(symbols).random() == seed_sequence_stream(3, 10, SYMBOLS, 0).random()
         assert first_noise.random() == seed_sequence_stream(3, 10, NOISE, 0).random()
         assert next(channel).random() == seed_sequence_stream(3, 11, CHANNEL, 0).random()
+
+
+#: Payload bit counts K * bits per symbol for K = 1, 2, 3 and every
+#: modulation, 2 to 12 bits: 8-PSK at odd K (3 and 9 bits) reads half of its
+#: last raw word.
+PAYLOAD_BITS = sorted(
+    {users * make_constellation(name).bits_per_symbol
+     for users in (1, 2, 3) for name in supported_modulations()}
+)
+
+
+def bits_match(seed, indices, redraw, count):
+    """``random_bits`` of bulk-keyed streams against ``integers(0, 2)`` of
+    streams built from their own SeedSequence."""
+    bits = random_bits(trial_streams(seed, indices, redraw)[SYMBOLS], count)
+    expected = np.stack(
+        [v1_bits(seed_sequence_stream(seed, i, SYMBOLS, redraw), count) for i in indices]
+    )
+    return bits.dtype == expected.dtype == np.int64 and bits.tobytes() == expected.tobytes()
+
+
+class TestRandomBits:
+    CASES = [(0, range(0, 6), 0), (2**40 + 9, range(2**32 - 3, 2**32 + 3), 2), (U64_MAX, [5], 7)]
+
+    @pytest.mark.parametrize("count", PAYLOAD_BITS)
+    @pytest.mark.parametrize("seed, indices, redraw", CASES)
+    def test_equal_integers(self, seed, indices, redraw, count):
+        assert bits_match(seed, indices, redraw, count)
+
+    @pytest.mark.parametrize("positions", [[0, 32], [63, 31]], ids=["low-bit", "high-half-first"])
+    def test_negative_control_wrong_bits(self, monkeypatch, positions):
+        monkeypatch.setattr(rng, "_HALF_WORD_TOP_BITS", np.array(positions, dtype=np.uint64))
+        assert not bits_match(0, range(0, 6), 0, 12)
 
 
 class TestInputCheck:
