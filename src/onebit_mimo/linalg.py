@@ -136,7 +136,7 @@ def large_order_kernel() -> str:
 
 def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` for a stack of Hermitian positive-definite
-    ``(..., n, n)`` matrices and ``(..., n, m)`` or ``(..., n)`` right sides.
+    ``(..., n, n)`` matrices and ``(..., n, m)`` right sides.
 
     The receivers' kernel. Its input is Hermitian, a precondition that is
     not checked: the receivers form each system Hermitian by construction,
@@ -157,16 +157,14 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     with a non-finite entry. Nothing is retried, so the caller decides what
     such a system means. The order alone picks the kernel, so a slice
     solves to the same bytes in a stack of any size. A matrix that is not a
-    stack of square matrices, and a right side with any other shape, such
-    as an extra leading axis, raise ``ValueError``.
+    stack of square matrices, and a right side of any other shape, such as
+    a vector or an extra leading axis, raise ``ValueError``.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError(f"matrix of shape {matrix.shape} is not a stack of square matrices")
-    # The right side is one vector or one matrix per slice, nothing else.
-    same_stack = rhs.shape[: matrix.ndim - 1] == matrix.shape[:-1]
-    if rhs.ndim not in (matrix.ndim - 1, matrix.ndim) or not same_stack:
+    if rhs.shape[:-1] != matrix.shape[:-1]:
         raise ValueError(
             f"incompatible shapes {matrix.shape} and {rhs.shape} for a solve"
         )

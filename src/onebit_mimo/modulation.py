@@ -2,7 +2,8 @@
 
 All constellations are normalized to unit average power and carry a
 Gray bit labeling: nearest neighbors (ring neighbors for PSK, grid
-neighbors for QAM) differ in exactly one bit.
+neighbors for QAM) differ in exactly one bit. Points are stored in
+label-code order, so a label code indexes its point directly.
 """
 
 from dataclasses import dataclass
@@ -14,59 +15,45 @@ from .errors import LengthMismatchError, UnknownSymbolError, UnsupportedModulati
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Symbol alphabet with Gray-coded bit labels.
+    """Symbol alphabet with Gray-coded bit labels, in label-code order.
 
-    ``labels[i]`` is the bit row (MSB first) of ``points[i]``;
-    ``point_by_code[c]`` is the index of the point whose label reads as
-    the integer ``c``. Instances are immutable and safe to share across
-    worker processes.
+    ``points[c]`` is the point whose label reads as the integer ``c``, and
+    ``labels[c]`` is that label's bit row (MSB first). Instances are
+    immutable and safe to share across worker processes.
     """
 
     name: str
     points: np.ndarray
     labels: np.ndarray
     bits_per_symbol: int
-    point_by_code: np.ndarray
-
-
-def _bit_rows(codes, width):
-    codes = np.asarray(codes)
-    shifts = np.arange(width - 1, -1, -1)
-    return ((codes[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 def _build_qpsk():
-    # Bit 0 selects the real sign, bit 1 the imaginary sign; sign-adjacent
-    # points then differ in exactly one bit around the ring.
+    # The high bit selects the real sign, the low bit the imaginary sign;
+    # sign-adjacent points then differ in exactly one bit around the ring.
     codes = np.arange(4)
-    bits = _bit_rows(codes, 2)
-    re = 1.0 - 2.0 * bits[:, 0]
-    im = 1.0 - 2.0 * bits[:, 1]
-    points = (re + 1j * im) / np.sqrt(2.0)
-    return points, bits, codes
+    re = 1.0 - 2.0 * (codes >> 1)
+    im = 1.0 - 2.0 * (codes & 1)
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def _build_8psk():
     # Unit ring at angles 2*pi*m/8 with the standard Gray sequence
     # 000,001,011,010,110,111,101,100 assigned around the ring.
     m = np.arange(8)
-    points = np.exp(2j * np.pi * m / 8.0)
-    gray = m ^ (m >> 1)
-    labels = _bit_rows(gray, 3)
-    point_by_code = np.empty(8, dtype=np.intp)
-    point_by_code[gray] = m
-    return points, labels, point_by_code
+    points = np.empty(8, dtype=complex)
+    points[m ^ (m >> 1)] = np.exp(2j * np.pi * m / 8.0)
+    return points
 
 
 def _build_16qam():
-    # Per-axis Gray mapping 00,01,11,10 -> -3,-1,+1,+3; average power 1.
+    # Per-axis Gray mapping 00,01,11,10 -> -3,-1,+1,+3 (high bit pair on the
+    # real axis); average power 1.
     axis_level = np.array([-3.0, -1.0, 3.0, 1.0])
     codes = np.arange(16)
-    bits = _bit_rows(codes, 4)
-    re = axis_level[(bits[:, 0] << 1) | bits[:, 1]]
-    im = axis_level[(bits[:, 2] << 1) | bits[:, 3]]
-    points = (re + 1j * im) / np.sqrt(10.0)
-    return points, bits, codes
+    re = axis_level[codes >> 2]
+    im = axis_level[codes & 3]
+    return (re + 1j * im) / np.sqrt(10.0)
 
 
 _BUILDERS = {"qpsk": _build_qpsk, "8psk": _build_8psk, "16qam": _build_16qam}
@@ -85,14 +72,11 @@ def make_constellation(name: str) -> Constellation:
             f"unsupported modulation {name!r}; choose from {sorted(_BUILDERS)}"
         )
     if key not in _CACHE:
-        points, labels, code_map = _BUILDERS[key]()
-        _CACHE[key] = Constellation(
-            name=key,
-            points=points,
-            labels=labels,
-            bits_per_symbol=labels.shape[1],
-            point_by_code=np.asarray(code_map, dtype=np.intp),
-        )
+        points = _BUILDERS[key]()
+        width = len(points).bit_length() - 1
+        shifts = np.arange(width - 1, -1, -1)
+        labels = ((np.arange(len(points))[:, None] >> shifts) & 1).astype(np.uint8)
+        _CACHE[key] = Constellation(key, points, labels, width)
     return _CACHE[key]
 
 
@@ -110,7 +94,7 @@ def map_bits_to_symbols(bits, constellation: Constellation) -> np.ndarray:
         raise ValueError("bits must be 0 or 1")
     weights = 1 << np.arange(width - 1, -1, -1)
     codes = bits.reshape(*bits.shape[:-1], -1, width) @ weights
-    return constellation.points[constellation.point_by_code[codes]]
+    return constellation.points[codes]
 
 
 def symbols_to_bits(symbols, constellation: Constellation) -> np.ndarray:

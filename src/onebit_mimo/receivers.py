@@ -194,7 +194,8 @@ def rescale(equalized: np.ndarray, users: int) -> np.ndarray:
 
 
 def detect(signal: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Symbol-by-symbol nearest-point decision; ties pick the lowest index."""
+    """Symbol-by-symbol nearest-point decision; ties pick the lowest label
+    code."""
     distance = np.abs(signal[..., None] - constellation.points)
     return constellation.points[distance.argmin(axis=-1)]
 

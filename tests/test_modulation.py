@@ -9,6 +9,7 @@ from onebit_mimo.errors import (
     UnsupportedModulationError,
 )
 from onebit_mimo.modulation import (
+    Constellation,
     make_constellation,
     map_bits_to_symbols,
     supported_modulations,
@@ -59,9 +60,36 @@ def test_qpsk_spec_neighbor_labels_differ_in_one_bit():
 
 
 def test_8psk_is_the_unit_ring():
+    # Ring point m carries the Gray label m ^ (m >> 1), so it is stored there.
     c = make_constellation("8psk")
-    np.testing.assert_allclose(c.points, np.exp(2j * np.pi * np.arange(8) / 8), atol=1e-15)
+    m = np.arange(8)
+    np.testing.assert_allclose(c.points[m ^ (m >> 1)], np.exp(2j * np.pi * m / 8), atol=1e-15)
     assert c.bits_per_symbol == 3
+
+
+def maps_labels_to_points(c):
+    """Whether each label row maps to the point stored at its position."""
+    return np.array_equal(map_bits_to_symbols(c.labels, c)[:, 0], c.points)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_points_are_stored_in_label_code_order(name):
+    c = make_constellation(name)
+    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
+    np.testing.assert_array_equal(c.labels @ weights, np.arange(len(c.points)))
+    assert maps_labels_to_points(c)
+    np.testing.assert_array_equal(symbols_to_bits(c.points[:, None], c), c.labels)
+
+
+def test_ring_ordered_8psk_is_not_in_label_code_order():
+    # Negative control: the unit ring in ring order, each point with its
+    # Gray label, maps label code c to ring point c, not to the point
+    # labeled c.
+    m = np.arange(8)
+    shifts = np.arange(2, -1, -1)
+    labels = (((m ^ (m >> 1))[:, None] >> shifts) & 1).astype(np.uint8)
+    ring = Constellation("8psk", np.exp(2j * np.pi * m / 8.0), labels, 3)
+    assert not maps_labels_to_points(ring)
 
 
 def test_16qam_levels():
