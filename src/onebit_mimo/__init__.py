@@ -15,7 +15,6 @@ from .bussgang import (
 from .channel import (
     SystemConfig,
     draw_channel,
-    draw_noise,
     noise_power_from_snr_db,
     one_bit_quantize,
     transmit,

@@ -22,21 +22,33 @@ from .modulation import supported_modulations
 from .errors import UnsupportedModulationError
 
 
+def check_noise_power(noise_power: float) -> float:
+    """``noise_power``, or a ``ValueError`` unless it is finite and positive."""
+    if not noise_power > 0:
+        raise ValueError(f"noise_power must be > 0, got {noise_power}")
+    if not np.isfinite(noise_power):
+        raise ValueError(f"noise_power must be finite, got {noise_power}")
+    return noise_power
+
+
 def noise_power_from_snr_db(snr_db: float) -> float:
-    """``10**(-snr_db/10)``; ``inf`` where that overflows a float."""
+    """The noise power ``10**(-snr_db/10)`` of a grid point at ``snr_db``;
+    ``ValueError`` where that underflows to 0, overflows or is NaN."""
     try:
-        return 10.0 ** (-snr_db / 10.0)
+        noise_power = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
-        return float("inf")
+        noise_power = float("inf")
+    return check_noise_power(noise_power)
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """One operating point: K single-antenna users, N base-station antennas."""
+    """The system a sweep runs: K single-antenna users, N base-station
+    antennas and the modulation. The noise power is not part of it: each
+    grid point gives its own, from :func:`noise_power_from_snr_db`."""
 
     users: int
     antennas: int
-    noise_power: float
     modulation: str = "qpsk"
 
     def __post_init__(self):
@@ -52,22 +64,10 @@ class SystemConfig:
             raise ValueError(
                 f"antennas must be >= users, got N={self.antennas} K={self.users}"
             )
-        if not self.noise_power > 0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
-        if not np.isfinite(self.noise_power):
-            raise ValueError(f"noise_power must be finite, got {self.noise_power}")
         if self.modulation not in supported_modulations():
             raise UnsupportedModulationError(
                 f"unsupported modulation {self.modulation!r}"
             )
-
-    @property
-    def snr_db(self) -> float:
-        return -10.0 * np.log10(self.noise_power)
-
-    @classmethod
-    def from_snr_db(cls, users, antennas, snr_db, modulation="qpsk"):
-        return cls(users, antennas, noise_power_from_snr_db(snr_db), modulation)
 
 
 def _complex_normals(rngs: Iterable[np.random.Generator], shape) -> np.ndarray:
@@ -98,20 +98,11 @@ def draw_noise_direction(antennas: int, rngs: Iterable[np.random.Generator]) -> 
     return _complex_normals(rngs, (antennas,))
 
 
-def draw_noise(config: SystemConfig, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Draw a ``(B, N)`` stack of complex AWGN vectors of power
-    ``config.noise_power``, one from each generator in ``rngs``."""
-    return draw_noise_direction(config.antennas, rngs) * np.sqrt(config.noise_power / 2.0)
-
-
-def transmit(
-    channel: np.ndarray, symbols: np.ndarray, noise: np.ndarray | None = None
-) -> np.ndarray:
-    """Analog receive vector channel @ symbols + noise, for one trial
-    (``(N, K)``, ``(K,)``, ``(N,)``) or a stack of them; without ``noise``,
-    the noiseless channel @ symbols, to which any noise adds the same way."""
-    signal = (channel @ symbols[..., None])[..., 0]
-    return signal if noise is None else signal + noise
+def transmit(channel: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Noiseless receive vector channel @ symbols, for one trial (``(N, K)``
+    and ``(K,)``) or a stack of them. Noise is added to it afterwards: the
+    direction of :func:`draw_noise_direction` scaled by ``sqrt(N0 / 2)``."""
+    return (channel @ symbols[..., None])[..., 0]
 
 
 def one_bit_quantize(signal: np.ndarray) -> np.ndarray:

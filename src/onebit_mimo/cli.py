@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
-from .channel import SystemConfig
+from .channel import SystemConfig, noise_power_from_snr_db
 from .errors import OneBitMimoError, UsageError
 from .modulation import supported_modulations
 from .montecarlo import TrialPlan, ber_sweep
@@ -284,16 +284,13 @@ def parse_run_spec(argv=None) -> RunSpec:
         raise UsageError(f"--out: the parent of {out_path} is not an existing directory")
 
     try:
-        configs = [
-            SystemConfig.from_snr_db(k, n, snr_db_grid[0], settings["mod"])
-            for k, n in geometry
-        ]
+        noise_power_from_snr_db(snr_db_grid[0])
     except ValueError as exc:
         raise UsageError(f"--snr-start: {exc}") from exc
     try:
         plans = tuple(
             TrialPlan(
-                config=config,
+                config=SystemConfig(k, n, settings["mod"]),
                 kinds=kinds,
                 snr_db_grid=snr_db_grid,
                 max_trials=settings["max_trials"],
@@ -301,7 +298,7 @@ def parse_run_spec(argv=None) -> RunSpec:
                 seed=settings["seed"],
                 quantized=not settings["unquantized"],
             )
-            for config in configs
+            for k, n in geometry
         )
     except ValueError as exc:
         # Past a valid first point: the noise power falls as the SNR rises,

@@ -56,13 +56,14 @@ import math
 import numbers
 from collections.abc import Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bussgang import QuantizedStatistics
 from .channel import (
     SystemConfig,
+    check_noise_power,
     draw_channel,
     draw_noise_direction,
     noise_power_from_snr_db,
@@ -120,7 +121,8 @@ _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 class TrialPlan:
     """A BER-versus-SNR sweep specification.
 
-    ``config.noise_power`` is replaced per grid point from the SNR value, and
+    ``config`` is the system; each grid point's noise power comes from its
+    SNR through :func:`~onebit_mimo.channel.noise_power_from_snr_db`, and
     must come out finite and positive at every point;
     ``min_bit_errors = 0`` disables the early-stop target so every point
     runs exactly ``max_trials`` trials. ``kinds`` may give receivers by name
@@ -154,7 +156,7 @@ class TrialPlan:
             raise ValueError("snr_db_grid must be nonempty")
         for snr_db in self.snr_db_grid:
             try:
-                self.config_at(snr_db)
+                noise_power_from_snr_db(snr_db)
             except ValueError as exc:
                 raise ValueError(f"grid point {snr_db} dB: {exc}") from None
         if len(set(self.snr_db_grid)) != len(self.snr_db_grid):
@@ -166,10 +168,6 @@ class TrialPlan:
             raise ValueError("kinds must be unique")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-
-    def config_at(self, snr_db: float) -> SystemConfig:
-        """``config`` with the noise power of the grid point ``snr_db``."""
-        return replace(self.config, noise_power=noise_power_from_snr_db(snr_db))
 
 
 @dataclass(frozen=True)
@@ -214,8 +212,9 @@ class _ChunkDraws:
         self._noise_independent = {}
 
     def errors(self, noise_power, kinds, quantized):
-        """Per-kind bit-error counts, one per trial, at ``noise_power``; the
-        noise is ``draw_noise``'s, added as ``transmit`` adds it."""
+        """Per-kind bit-error counts, one per trial, at ``noise_power``: the
+        noise is the noise direction scaled by ``sqrt(noise_power / 2)``,
+        added to the noiseless ``H @ x``."""
         received = self.signal + self.noise * np.sqrt(noise_power / 2.0)
         observed = one_bit_quantize(received) if quantized else received
 
@@ -252,28 +251,32 @@ def run_trial(
     config: SystemConfig,
     kinds: tuple[ReceiverKind, ...],
     streams,
+    noise_power: float,
     quantized: bool = True,
 ) -> dict[ReceiverKind, int]:
     """One trial: per-kind bit-error counts on a shared (H, x, z) draw from
-    ``streams``, what ``trial_streams(seed, [index], redraw)`` returns.
+    ``streams``, what ``trial_streams(seed, [index], redraw)`` returns, at
+    ``noise_power``. A noise power that is not finite and positive raises
+    ``ValueError`` before anything is drawn.
 
     Channel statistics are computed once and shared across the
     quantization-aware kinds. With ``quantized=False`` the pipeline runs on
     the analog receive vector (no-floor baseline).
     """
+    check_noise_power(noise_power)
     draws = _ChunkDraws(config, streams)
-    errors = draws.errors(config.noise_power, kinds, quantized)
+    errors = draws.errors(noise_power, kinds, quantized)
     return {kind: int(count[0]) for kind, count in errors.items()}
 
 
 def _redrawn_trial(plan, snr_db, kinds, index):
     """Trial ``index`` alone at the grid point ``snr_db``, redrawn while its
     draw is degenerate."""
-    config = plan.config_at(snr_db)
+    noise_power = noise_power_from_snr_db(snr_db)
     for redraw in range(_MAX_REDRAWS):
         try:
             streams = trial_streams(plan.seed, [index], redraw)
-            return run_trial(config, kinds, streams, plan.quantized)
+            return run_trial(plan.config, kinds, streams, noise_power, plan.quantized)
         except tuple(_DEGENERATE_DRAWS) as exc:
             fault = type(exc)
             logger.warning(
@@ -298,7 +301,7 @@ def _batch_counts(plan: TrialPlan, points, start: int, stop: int):
     Each chunk is drawn from them once and evaluated at the points in turn; a
     (chunk, point) with a degenerate draw is rerun trial by trial, each such
     trial redrawn at that point."""
-    configs = {point: plan.config_at(plan.snr_db_grid[point]) for point in points}
+    noise_powers = {point: noise_power_from_snr_db(plan.snr_db_grid[point]) for point in points}
     totals = {point: dict.fromkeys(kinds, 0) for point, kinds in points.items()}
     chunk = max(1, _CHUNK_ELEMENTS // plan.config.antennas**2)
     streams = trial_streams(plan.seed, range(start, stop))
@@ -307,7 +310,7 @@ def _batch_counts(plan: TrialPlan, points, start: int, stop: int):
         draws = _ChunkDraws(plan.config, [itertools.islice(s, len(indices)) for s in streams])
         for point, kinds in points.items():
             try:
-                errors = draws.errors(configs[point].noise_power, kinds, plan.quantized)
+                errors = draws.errors(noise_powers[point], kinds, plan.quantized)
             except tuple(_DEGENERATE_DRAWS):
                 snr_db = plan.snr_db_grid[point]
                 singles = [_redrawn_trial(plan, snr_db, kinds, i) for i in indices]

@@ -47,7 +47,7 @@ def fig1a_records():
     """Fig. 1a operating point (K=2, N=16, QPSK) at the floor-dominated SNRs
     25/30/35 dB; every point gets >= 2e5 trials or 200 bit errors."""
     plan = TrialPlan(
-        config=SystemConfig.from_snr_db(2, 16, 30.0, "qpsk"),
+        config=SystemConfig(2, 16, "qpsk"),
         kinds=tuple(ReceiverKind),
         snr_db_grid=(25.0, 30.0, 35.0),
         max_trials=300_000,
@@ -63,7 +63,7 @@ def floor_records():
     """Fig. 2 operating points (QPSK at 30 dB, N = 8K) for K = 2, 8, 16."""
     plans = [
         TrialPlan(
-            config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
+            config=SystemConfig(k, 8 * k, "qpsk"),
             kinds=(ReceiverKind.MRC, ReceiverKind.BMRC),
             snr_db_grid=(30.0,),
             max_trials=150_000,
@@ -269,7 +269,7 @@ def test_criterion_7_exact_invariants():
 
     # Unquantized noiseless zero-forcing is exact over 1e4 trials.
     plan = TrialPlan(
-        config=SystemConfig.from_snr_db(2, 16, 300.0, "qpsk"),
+        config=SystemConfig(2, 16, "qpsk"),
         kinds=(ReceiverKind.ZF,),
         snr_db_grid=(300.0,),
         max_trials=10_000,

@@ -27,7 +27,7 @@ from test_cli import BrokenPool
 
 def small_plan(**overrides):
     base = dict(
-        config=SystemConfig(2, 8, 1.0),
+        config=SystemConfig(2, 8),
         kinds=(ReceiverKind.MRC, ReceiverKind.BMMSE),
         snr_db_grid=(0.0, 10.0),
         max_trials=1_500,
@@ -65,7 +65,7 @@ def test_sweep_runs_one_blas_thread(two_blas_threads, monkeypatch):
     monkeypatch.setattr(montecarlo, "_batch_counts", recording_batch)
     ber_sweep([small_plan()])
     floor_plans = [
-        small_plan(config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
+        small_plan(config=SystemConfig(k, 8 * k, "qpsk"),
                    kinds=(ReceiverKind.MRC,), snr_db_grid=(30.0,), max_trials=10)
         for k in (1, 2)
     ]
@@ -229,7 +229,7 @@ from onebit_mimo.receivers import ReceiverKind
 
 trials = 8
 plan = TrialPlan(
-    config=SystemConfig.from_snr_db(16, 128, 30.0, "qpsk"),
+    config=SystemConfig(16, 128, "qpsk"),
     kinds=tuple(ReceiverKind), snr_db_grid=(30.0,), max_trials=trials,
     min_bit_errors=0, seed=5,
 )
@@ -302,7 +302,7 @@ def test_only_numpys_openblas_is_reported():
 def test_pinned_counts_equal_multithreaded_counts(two_blas_threads):
     # Oracle: the per-kind error counts of the hardest fig2 point under
     # several BLAS threads equal those of the pinned sweep.
-    config = SystemConfig.from_snr_db(16, 128, 30.0, "qpsk")
+    config = SystemConfig(16, 128, "qpsk")
     kinds = tuple(ReceiverKind)
     plan = TrialPlan(
         config=config,

@@ -1,6 +1,8 @@
 """System-model tests: config validation, channel statistics, quantizer."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from onebit_mimo import channel
 from onebit_mimo.channel import (
     SystemConfig,
     draw_channel,
-    draw_noise,
     draw_noise_direction,
     noise_power_from_snr_db,
     one_bit_quantize,
@@ -23,53 +24,75 @@ from shared import seed_sequence_stream, v1_channel, v1_noise
 
 
 class TestSystemConfig:
+    """What a sweep's system is built from: K, N and the modulation in a
+    ``SystemConfig``, and each grid point's noise power from its SNR, which
+    ``noise_power_from_snr_db`` alone turns into one and checks."""
+
     def test_rejects_more_users_than_antennas(self):
         with pytest.raises(ValueError, match="antennas"):
-            SystemConfig(users=4, antennas=2, noise_power=1.0)
+            SystemConfig(users=4, antennas=2)
 
     @pytest.mark.parametrize(
         "args, error, message",
-        [((0, 2, 1.0), ValueError, "users must be >= 1"),
-         ((1, 2, 1.0, "bpsk"), UnsupportedModulationError, "'bpsk'"),
-         ((2.5, 4, 1.0), ValueError, "users must be an integer, got 2.5"),
-         ((2, 4.0, 1.0), ValueError, "antennas must be an integer, got 4.0")],
+        [((0, 2), ValueError, "users must be >= 1"),
+         ((1, 2, "bpsk"), UnsupportedModulationError, "'bpsk'"),
+         ((2.5, 4), ValueError, "users must be an integer, got 2.5"),
+         ((2, 4.0), ValueError, "antennas must be an integer, got 4.0")],
         ids=["no-users", "bpsk", "float-users", "float-antennas"],
     )
     def test_rejects_users_or_modulation(self, args, error, message):
         with pytest.raises(error, match=message):
             SystemConfig(*args)
 
+    def test_fields_are_the_system_alone(self):
+        assert [field.name for field in dataclasses.fields(SystemConfig)] == [
+            "users", "antennas", "modulation"]
+
+    def test_stale_noise_power_argument_fails_loudly(self):
+        # A call site written for the noise power in the config does not
+        # build a config: the third positional is read as the modulation,
+        # and a fourth argument or the keyword has no field to go to.
+        with pytest.raises(UnsupportedModulationError, match="1.0"):
+            SystemConfig(2, 4, 1.0)
+        with pytest.raises(TypeError):
+            SystemConfig(2, 4, 1.0, "qpsk")
+        with pytest.raises(TypeError, match="noise_power"):
+            SystemConfig(2, 4, noise_power=1.0)
+
     def test_rejects_nonpositive_noise(self):
-        with pytest.raises(ValueError, match="noise_power"):
-            SystemConfig(users=1, antennas=1, noise_power=0.0)
+        with pytest.raises(ValueError, match=r"noise_power must be > 0, got 0\.0"):
+            noise_power_from_snr_db(4000.0)
 
-    @pytest.mark.parametrize("noise_power", [float("inf"), float("nan")])
-    def test_rejects_non_finite_noise(self, noise_power):
-        with pytest.raises(ValueError, match="noise_power"):
-            SystemConfig(2, 4, noise_power)
+    @pytest.mark.parametrize(
+        "snr_db, message",
+        [(-math.inf, "must be finite, got inf"), (math.nan, "must be > 0, got nan")],
+        ids=["inf", "nan"],
+    )
+    def test_rejects_non_finite_noise(self, snr_db, message):
+        with pytest.raises(ValueError, match=f"noise_power {message}"):
+            noise_power_from_snr_db(snr_db)
 
-    def test_overflowing_noise_power_is_inf(self):
-        assert noise_power_from_snr_db(-4000.0) == float("inf")
-        with pytest.raises(ValueError, match="finite"):
-            SystemConfig.from_snr_db(2, 4, -4000.0)
+    def test_overflowing_noise_power_raises(self):
+        # 10**400 overflows a float, which raises instead of returning inf.
+        with pytest.raises(ValueError, match="noise_power must be finite, got inf"):
+            noise_power_from_snr_db(-4000.0)
 
     def test_snr_round_trip(self):
-        cfg = SystemConfig.from_snr_db(2, 8, 17.5)
-        assert cfg.snr_db == pytest.approx(17.5)
+        assert -10.0 * np.log10(noise_power_from_snr_db(17.5)) == pytest.approx(17.5)
         assert noise_power_from_snr_db(0.0) == 1.0
         assert noise_power_from_snr_db(30.0) == pytest.approx(1e-3)
 
 
 class TestDrawChannel:
     def test_deterministic_under_seed(self):
-        cfg = SystemConfig(2, 4, 0.1)
+        cfg = SystemConfig(2, 4)
         a = draw_channel(cfg, [np.random.default_rng(5)])
         b = draw_channel(cfg, [np.random.default_rng(5)])
         np.testing.assert_array_equal(a, b)
 
     def test_moments_over_many_draws(self):
         # Law of large numbers: per-entry mean -> 0 and E|h|^2 -> 1.
-        cfg = SystemConfig(2, 4, 0.1)
+        cfg = SystemConfig(2, 4)
         h = draw_channel(cfg, itertools.repeat(np.random.default_rng(11), 100_000))
         assert h.shape == (100_000, 4, 2)
         assert np.abs(h.mean(axis=0)).max() <= 0.02
@@ -93,7 +116,7 @@ class TestStackedDraws:
     @pytest.mark.parametrize("users, antennas", [(1, 1), (2, 16), (3, 5), (16, 128)])
     @pytest.mark.parametrize("seed, indices, redraw", DRAW_CASES)
     def test_channel_is_v1(self, seed, indices, redraw, users, antennas):
-        cfg = SystemConfig(users, antennas, 1.0)
+        cfg = SystemConfig(users, antennas)
         stack = draw_channel(cfg, trial_streams(seed, indices, redraw)[CHANNEL])
         expected = np.stack([
             v1_channel(seed_sequence_stream(seed, i, CHANNEL, redraw), antennas, users)
@@ -105,8 +128,9 @@ class TestStackedDraws:
     @pytest.mark.parametrize("antennas, noise_power", [(1, 1.0), (16, 1e-3), (5, 10.0)])
     @pytest.mark.parametrize("seed, indices, redraw", DRAW_CASES)
     def test_noise_is_v1(self, seed, indices, redraw, antennas, noise_power):
-        cfg = SystemConfig(1, antennas, noise_power)
-        stack = draw_noise(cfg, trial_streams(seed, indices, redraw)[NOISE])
+        # The noise of a noise power is its direction scaled by sqrt(N0 / 2).
+        direction = draw_noise_direction(antennas, trial_streams(seed, indices, redraw)[NOISE])
+        stack = direction * np.sqrt(noise_power / 2.0)
         expected = np.stack([
             v1_noise(seed_sequence_stream(seed, i, NOISE, redraw), antennas, noise_power)
             for i in indices
@@ -121,10 +145,16 @@ class TestStackedDraws:
             return np.stack([rng.standard_normal((*shape, 2)) for rng in rngs]).view(complex)[..., 0]
 
         monkeypatch.setattr(channel, "_complex_normals", interleaved)
-        stack = draw_channel(SystemConfig(2, 16, 1.0), trial_streams(3, [4])[CHANNEL])
+        stack = draw_channel(SystemConfig(2, 16), trial_streams(3, [4])[CHANNEL])
         assert stack.shape == (1, 16, 2)
         expected = v1_channel(seed_sequence_stream(3, 4, CHANNEL), 16, 2)
         assert not np.array_equal(stack[0], expected)
+
+
+def awgn(antennas, noise_power, rng):
+    """One trial's noise as the engine forms it: the noise direction scaled
+    by ``sqrt(N0 / 2)``."""
+    return draw_noise_direction(antennas, [rng])[0] * np.sqrt(noise_power / 2.0)
 
 
 class TestTransmit:
@@ -132,54 +162,34 @@ class TestTransmit:
         rng = np.random.default_rng(0)
         h = np.eye(2, dtype=complex)
         x = np.array([1.0, 1j])
-        r = transmit(h, x, draw_noise(SystemConfig(2, 2, 1e-30), [rng])[0])
+        r = transmit(h, x) + awgn(2, 1e-30, rng)
         np.testing.assert_allclose(r, x, atol=1e-12)
 
     def test_noiseless_limit_general_channel(self):
         rng = np.random.default_rng(1)
         h = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
         x = np.array([1.0, -1j])
-        r = transmit(h, x, draw_noise(SystemConfig(2, 4, 1e-30), [rng])[0])
+        r = transmit(h, x) + awgn(4, 1e-30, rng)
         np.testing.assert_allclose(r, h @ x, atol=1e-12)
 
     def test_reproducible_from_seed(self):
         h = np.eye(3, dtype=complex)
         x = np.ones(3, dtype=complex)
-        cfg = SystemConfig(3, 3, 0.3)
-        a = transmit(h, x, draw_noise(cfg, [np.random.default_rng(9)])[0])
-        b = transmit(h, x, draw_noise(cfg, [np.random.default_rng(9)])[0])
+        a = transmit(h, x) + awgn(3, 0.3, np.random.default_rng(9))
+        b = transmit(h, x) + awgn(3, 0.3, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_stack_matches_single_trials(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
         x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        z = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-        stacked = transmit(h, x, z)
+        stacked = transmit(h, x)
         for i in range(5):
-            assert stacked[i].tobytes() == transmit(h[i], x[i], z[i]).tobytes()
-
-    def test_noise_adds_to_the_noiseless_signal(self):
-        # The noiseless signal is formed once and every noise power's noise
-        # added to it: the same bytes as transmitting with that noise.
-        rng = np.random.default_rng(3)
-        h = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
-        x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        direction = draw_noise_direction(6, itertools.repeat(rng, 5))
-        for n0 in (1e-3, 0.3, 10.0):
-            z = direction * np.sqrt(n0 / 2.0)
-            assert (transmit(h, x) + z).tobytes() == transmit(h, x, z).tobytes()
-
-    def test_noise_is_its_direction_scaled(self):
-        cfg = SystemConfig(2, 6, 0.3)
-        z = draw_noise(cfg, [np.random.default_rng(5)])
-        direction = draw_noise_direction(6, [np.random.default_rng(5)])
-        assert z.tobytes() == (direction * np.sqrt(0.3 / 2.0)).tobytes()
+            assert stacked[i].tobytes() == transmit(h[i], x[i]).tobytes()
 
     def test_noise_power(self):
         rng = np.random.default_rng(12)
-        cfg = SystemConfig(1, 4, 0.25)
-        z = draw_noise(cfg, itertools.repeat(rng, 50_000))
+        z = draw_noise_direction(4, itertools.repeat(rng, 50_000)) * np.sqrt(0.25 / 2.0)
         assert z.shape == (50_000, 4)
         assert np.abs((np.abs(z) ** 2).mean(axis=0) - 0.25).max() <= 0.01
 

@@ -1,6 +1,7 @@
 """Trial execution, sweeps, stopping rule, determinism, and the
 statistical diagnostics."""
 
+import inspect
 import json
 import math
 import tracemalloc
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 
 from onebit_mimo import linalg, montecarlo, receivers
 from onebit_mimo.bussgang import QuantizedStatistics, received_covariance
-from onebit_mimo.channel import SystemConfig, draw_channel, one_bit_quantize, transmit
+from onebit_mimo.channel import (
+    SystemConfig,
+    draw_channel,
+    noise_power_from_snr_db,
+    one_bit_quantize,
+    transmit,
+)
 from onebit_mimo.errors import (
     DegenerateDenominatorError,
     NotPositiveDefiniteError,
@@ -54,11 +61,9 @@ def grid_plan(config, kinds, seed, grid, quantized=True):
                      min_bit_errors=0, seed=seed, quantized=quantized)
 
 
-def point_counts(config, kinds, seed, start, stop, quantized=True):
-    """``_batch_counts`` over [start, stop) at the one grid point of
-    ``config``'s SNR."""
-    plan = grid_plan(config, kinds, seed, (config.snr_db,), quantized)
-    assert plan.config_at(config.snr_db) == config  # the SNR names this N0 exactly
+def point_counts(config, snr_db, kinds, seed, start, stop):
+    """``_batch_counts`` over [start, stop) at the one grid point ``snr_db``."""
+    plan = grid_plan(config, kinds, seed, (snr_db,))
     return montecarlo._batch_counts(plan, {0: kinds}, start, stop)[0]
 
 
@@ -67,18 +72,19 @@ def oracle_counts(plan, start, stop, redrawn=frozenset()):
     stop), the trials in ``redrawn`` from their first redraw."""
     totals = {}
     for point, snr_db in enumerate(plan.snr_db_grid):
+        noise_power = noise_power_from_snr_db(snr_db)
         singles = [
-            run_trial(plan.config_at(snr_db), plan.kinds,
-                      trial_streams(plan.seed, [i], int(i in redrawn)), plan.quantized)
+            run_trial(plan.config, plan.kinds, trial_streams(plan.seed, [i], int(i in redrawn)),
+                      noise_power, plan.quantized)
             for i in range(start, stop)
         ]
         totals[point] = {kind: sum(t[kind] for t in singles) for kind in plan.kinds}
     return totals
 
 
-def point_oracle(config, kinds, seed, start, stop, redrawn=frozenset()):
-    """``oracle_counts`` at the one grid point of ``config``'s SNR."""
-    plan = grid_plan(config, kinds, seed, (config.snr_db,))
+def point_oracle(config, snr_db, kinds, seed, start, stop, redrawn=frozenset()):
+    """``oracle_counts`` at the one grid point ``snr_db``."""
+    plan = grid_plan(config, kinds, seed, (snr_db,))
     return oracle_counts(plan, start, stop, redrawn)[0]
 
 
@@ -109,45 +115,81 @@ def two_chunk_range(start, antennas):
 
 class TestRunTrial:
     def test_unquantized_noiseless_zf_has_no_errors(self):
-        cfg = SystemConfig(2, 8, 1e-30)
+        cfg = SystemConfig(2, 8)
         for index in range(50):
             errors = run_trial(
-                cfg, (ReceiverKind.ZF,), trial_streams(3, [index]), quantized=False
+                cfg, (ReceiverKind.ZF,), trial_streams(3, [index]), 1e-30, quantized=False
             )
             assert errors[ReceiverKind.ZF] == 0
 
     def test_single_user_single_antenna_qpsk_survives_quantization(self):
         # The quadrant of h*x is recovered after dividing out h, so one-bit
         # sampling is lossless here as noise vanishes.
-        cfg = SystemConfig(1, 1, 1e-20)
+        cfg = SystemConfig(1, 1)
         for index in range(200):
-            errors = run_trial(cfg, (ReceiverKind.MRC,), trial_streams(9, [index]))
+            errors = run_trial(cfg, (ReceiverKind.MRC,), trial_streams(9, [index]), 1e-20)
             assert errors[ReceiverKind.MRC] == 0
 
     def test_deterministic_given_streams(self):
-        cfg = SystemConfig(2, 8, 0.5)
+        cfg = SystemConfig(2, 8)
         kinds = tuple(ReceiverKind)
-        a = run_trial(cfg, kinds, trial_streams(11, [4]))
-        b = run_trial(cfg, kinds, trial_streams(11, [4]))
+        a = run_trial(cfg, kinds, trial_streams(11, [4]), 0.5)
+        b = run_trial(cfg, kinds, trial_streams(11, [4]), 0.5)
         assert a == b
 
     def test_counts_do_not_depend_on_requested_kinds(self):
         # A kind's error count is a function of (seed, trial) only, which is
         # what makes speculative parallel batches exact.
-        cfg = SystemConfig(2, 8, 0.1)
-        all_counts = run_trial(cfg, tuple(ReceiverKind), trial_streams(13, [7]))
-        solo = run_trial(cfg, (ReceiverKind.BMMSE,), trial_streams(13, [7]))
+        cfg = SystemConfig(2, 8)
+        all_counts = run_trial(cfg, tuple(ReceiverKind), trial_streams(13, [7]), 0.1)
+        solo = run_trial(cfg, (ReceiverKind.BMMSE,), trial_streams(13, [7]), 0.1)
         assert solo[ReceiverKind.BMMSE] == all_counts[ReceiverKind.BMMSE]
 
     def test_wfq_alone_counts_as_aqnm_mmse(self):
-        cfg = SystemConfig.from_snr_db(4, 8, 10.0, "16qam")
+        cfg = SystemConfig(4, 8, "16qam")
         total = 0
         for index in range(20):
-            wfq = run_trial(cfg, (ReceiverKind.WFQ,), trial_streams(15, [index]))
-            aqnm = run_trial(cfg, (ReceiverKind.AQNM_MMSE,), trial_streams(15, [index]))
+            wfq = run_trial(cfg, (ReceiverKind.WFQ,), trial_streams(15, [index]), 0.1)
+            aqnm = run_trial(cfg, (ReceiverKind.AQNM_MMSE,), trial_streams(15, [index]), 0.1)
             assert wfq == {ReceiverKind.WFQ: aqnm[ReceiverKind.AQNM_MMSE]}
             total += wfq[ReceiverKind.WFQ]
         assert total > 0
+
+    @pytest.mark.parametrize("noise_power", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_noise_power_before_drawing(self, monkeypatch, noise_power):
+        # MRC alone builds no QuantizedStatistics, whose own check would
+        # stop the trial: run_trial's check is the one that raises.
+        def no_draw(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(montecarlo, "draw_channel", no_draw)
+        with pytest.raises(ValueError, match="noise_power must be"):
+            run_trial(SystemConfig(2, 8), (ReceiverKind.MRC,), trial_streams(3, [0]), noise_power)
+
+    def test_mrc_runs_at_a_finite_positive_noise_power(self, monkeypatch):
+        errors = run_trial(SystemConfig(2, 8), (ReceiverKind.MRC,), trial_streams(3, [0]), 1e-3)
+        assert list(errors) == [ReceiverKind.MRC]
+        # Negative control: without the check, MRC runs at a noise power of 0.
+        monkeypatch.setattr(montecarlo, "check_noise_power", lambda noise_power: noise_power)
+        run_trial(SystemConfig(2, 8), (ReceiverKind.MRC,), trial_streams(3, [0]), 0.0)
+
+
+def leads_with_config_kinds_streams(fn):
+    return list(inspect.signature(fn).parameters)[:3] == ["config", "kinds", "streams"]
+
+
+class TestBenchmarkHooks:
+    def test_run_trial_takes_config_kinds_streams_first(self):
+        # The benchmark's Tracer._count_trial (perfbench/tracing.py) reads a
+        # run_trial call's kinds from args[1].
+        assert leads_with_config_kinds_streams(run_trial)
+
+    def test_noise_power_second_fails_the_check(self):
+        # Negative control: a run_trial with the noise power moved second.
+        def stand_in(config, noise_power, kinds, streams, quantized=True):
+            return run_trial(config, kinds, streams, noise_power, quantized)
+
+        assert not leads_with_config_kinds_streams(stand_in)
 
 
 class TestBatchedEngine:
@@ -163,12 +205,12 @@ class TestBatchedEngine:
     @staticmethod
     def check_chunks_equal_single_trials(monkeypatch, users):
         # One full chunk at N=16 and a partial one.
-        cfg = SystemConfig.from_snr_db(users, 16, 5.0, "16qam")
+        cfg = SystemConfig(users, 16, "16qam")
         kinds = tuple(ReceiverKind)
         trials, chunk = two_chunk_range(50, cfg.antennas)
-        oracle = point_oracle(cfg, kinds, 17, trials.start, trials.stop)
+        oracle = point_oracle(cfg, 5.0, kinds, 17, trials.start, trials.stop)
         chunks = recorded_chunks(monkeypatch)
-        totals = point_counts(cfg, kinds, 17, trials.start, trials.stop)
+        totals = point_counts(cfg, 5.0, kinds, 17, trials.start, trials.stop)
         assert chunks == [chunk, len(trials) - chunk]
         assert totals == oracle
         assert all(totals.values())
@@ -176,28 +218,28 @@ class TestBatchedEngine:
     def test_chunks_equal_single_trials_at_n128(self, monkeypatch):
         # A chunk boundary at the index where a trial's key takes a second
         # entropy word, and a partial chunk after it.
-        cfg = SystemConfig.from_snr_db(2, 128, 0.0, "qpsk")
+        cfg = SystemConfig(2, 128, "qpsk")
         kinds = tuple(ReceiverKind)
         chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
         start, stop = 2**32 - chunk, 2**32 + chunk // 2
-        oracle = point_oracle(cfg, kinds, 17, start, stop)
+        oracle = point_oracle(cfg, 0.0, kinds, 17, start, stop)
         chunks = recorded_chunks(monkeypatch)
-        assert point_counts(cfg, kinds, 17, start, stop) == oracle
+        assert point_counts(cfg, 0.0, kinds, 17, start, stop) == oracle
         assert chunks == [chunk, chunk // 2]
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_bulk_keyed_draws_equal_trial_streams(self, monkeypatch, chunk):
         # A batch that starts off 0 and ends in a partial chunk; the chunk
         # size is _CHUNK_ELEMENTS // N**2.
-        cfg = SystemConfig.from_snr_db(3, 4, 10.0, "16qam")
+        cfg = SystemConfig(3, 4, "16qam")
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk * cfg.antennas**2)
         # The noise reaches no stage alone, so the receive vectors the
-        # quantizer sees are compared with transmit(channel, symbols, noise).
+        # quantizer sees are compared with transmit(channel, symbols) + noise.
         stacks = []
 
-        def recording_transmit(channel, symbols, noise=None):
+        def recording_transmit(channel, symbols):
             stacks.append(channel)
-            return transmit(channel, symbols, noise)
+            return transmit(channel, symbols)
 
         bit_stacks = []
 
@@ -215,7 +257,7 @@ class TestBatchedEngine:
         monkeypatch.setattr(montecarlo, "map_bits_to_symbols", recording_map)
         monkeypatch.setattr(montecarlo, "one_bit_quantize", recording_quantize)
         start, stop = 1003, 1003 + 2 * chunk + 1
-        point_counts(cfg, (ReceiverKind.ZF,), 23, start, stop)
+        point_counts(cfg, 10.0, (ReceiverKind.ZF,), 23, start, stop)
 
         assert [len(channel) for channel in stacks] == [chunk, chunk, 1]
         # The oracle: each trial's streams built from their own SeedSequence,
@@ -226,8 +268,8 @@ class TestBatchedEngine:
         )
         channel = np.stack([v1_channel(rng, cfg.antennas, cfg.users) for rng in channel_rngs])
         bits = np.stack([v1_bits(rng, 3 * 4) for rng in symbol_rngs])
-        noise = np.stack([v1_noise(rng, cfg.antennas, cfg.noise_power) for rng in noise_rngs])
-        received = transmit(channel, map_bits_to_symbols(bits, make_constellation("16qam")), noise)
+        noise = np.stack([v1_noise(rng, cfg.antennas, 0.1) for rng in noise_rngs])
+        received = transmit(channel, map_bits_to_symbols(bits, make_constellation("16qam"))) + noise
         assert np.concatenate(stacks).tobytes() == channel.tobytes()
         assert np.concatenate(bit_stacks).tobytes() == bits.tobytes()
         assert np.concatenate(received_stacks).tobytes() == received.tobytes()
@@ -235,10 +277,10 @@ class TestBatchedEngine:
     def test_clean_range_builds_no_per_trial_streams(self, monkeypatch):
         # Two chunks at N=16, keyed in one trial_streams call for the whole
         # batch, not one per chunk or trial.
-        cfg = SystemConfig.from_snr_db(2, 16, 10.0, "qpsk")
+        cfg = SystemConfig(2, 16, "qpsk")
         kinds = tuple(ReceiverKind)
         trials, chunk = two_chunk_range(60, cfg.antennas)
-        oracle = point_oracle(cfg, kinds, 29, trials.start, trials.stop)
+        oracle = point_oracle(cfg, 10.0, kinds, 29, trials.start, trials.stop)
         chunks = recorded_chunks(monkeypatch)
         calls = []
 
@@ -251,7 +293,7 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(montecarlo, "trial_streams", counting_streams)
         monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-        totals = point_counts(cfg, kinds, 29, trials.start, trials.stop)
+        totals = point_counts(cfg, 10.0, kinds, 29, trials.start, trials.stop)
         assert chunks == [chunk, len(trials) - chunk]
         assert totals == oracle
         assert calls == [(29, trials)]
@@ -266,9 +308,9 @@ class TestBatchedEngine:
             return build_combiner(kind, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "build_combiner", counting_build)
-        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        cfg = SystemConfig(2, 16, "qpsk")
         chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
-        totals = point_counts(cfg, tuple(ReceiverKind), 19, 0, chunk)
+        totals = point_counts(cfg, 0.0, tuple(ReceiverKind), 19, 0, chunk)
         assert len(built) == 7
         assert ReceiverKind.WFQ not in built
         assert totals[ReceiverKind.WFQ] == totals[ReceiverKind.AQNM_MMSE] > 0
@@ -288,8 +330,8 @@ class TestBatchedEngine:
             return np.abs(matrix - matrix.conj().mT).max()
 
         monkeypatch.setattr(receivers, "hermitian_solve", spy)
-        cfg = SystemConfig.from_snr_db(users, antennas, 10.0, "qpsk")
-        point_counts(cfg, tuple(ReceiverKind), 31, 0, 2)
+        cfg = SystemConfig(users, antennas, "qpsk")
+        point_counts(cfg, 10.0, tuple(ReceiverKind), 31, 0, 2)
         assert len(matrices) == 5
         assert all(np.iscomplexobj(matrix) for matrix in matrices)
         assert all(asymmetry(matrix) <= 1e-10 for matrix in matrices)
@@ -303,7 +345,7 @@ def split_ranges(draw):
     """A plan over K <= N <= 40 and any modulation, and trial indices
     a < b < c, possibly past 2**32, that split [a, c) into two parts."""
     users = draw(st.integers(1, 40))
-    config = SystemConfig(users, draw(st.integers(users, 40)), 1.0,
+    config = SystemConfig(users, draw(st.integers(users, 40)),
                           draw(st.sampled_from(supported_modulations())))
     grid = draw(st.lists(st.sampled_from([-5.0, 10.0, 30.0]), min_size=1, max_size=2,
                          unique=True))
@@ -353,7 +395,8 @@ class TestStackedDetection:
     def test_detects_what_each_combiner_detects_alone(
         self, monkeypatch, users, antennas, modulation, quantized
     ):
-        cfg = SystemConfig.from_snr_db(users, antennas, 5.0, modulation)
+        cfg = SystemConfig(users, antennas, modulation)
+        noise_power = noise_power_from_snr_db(5.0)
         trials = 3 if antennas == 128 else 40
         draws = montecarlo._ChunkDraws(cfg, trial_streams(37, range(trials)))
         passes = []
@@ -364,18 +407,18 @@ class TestStackedDetection:
 
         monkeypatch.setattr(montecarlo, "detect_pipeline", recording)
         kinds = tuple(ReceiverKind)
-        errors = draws.errors(cfg.noise_power, kinds, quantized)
+        errors = draws.errors(noise_power, kinds, quantized)
         [((observed, _, _, constellation), stacked)] = passes
 
         # The oracle: each distinct combiner built and detected on its own.
-        received = transmit(draws.channel, map_bits_to_symbols(draws.bits, constellation),
-                            draws.noise * np.sqrt(cfg.noise_power / 2.0))
+        received = (transmit(draws.channel, map_bits_to_symbols(draws.bits, constellation))
+                    + draws.noise * np.sqrt(noise_power / 2.0))
         assert observed.tobytes() == (one_bit_quantize(received) if quantized else received).tobytes()
-        stats = QuantizedStatistics(draws.channel, cfg.noise_power)
+        stats = QuantizedStatistics(draws.channel, noise_power)
         formulas = list(dict.fromkeys(SAME_COMBINER.get(kind, kind) for kind in kinds))
         assert len(formulas) == len(stacked) == 7
         for formula, row in zip(formulas, stacked):
-            combiner = build_combiner(formula, draws.channel, cfg.noise_power, stats=stats)
+            combiner = build_combiner(formula, draws.channel, noise_power, stats=stats)
             alone = detect_pipeline(observed, combiner.matrix, combiner.eq_denominators, constellation)
             assert row.tobytes() == alone.tobytes(), formula
             bit_errors = np.count_nonzero(symbols_to_bits(alone, constellation) != draws.bits, axis=-1)
@@ -391,7 +434,7 @@ class TestStackedDetection:
             return detect_pipeline(*args)
 
         monkeypatch.setattr(montecarlo, "detect_pipeline", counting)
-        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        cfg = SystemConfig(2, 16, "qpsk")
         chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
         plan = grid_plan(cfg, tuple(ReceiverKind), 19, (-10.0, 0.0, 10.0))
         montecarlo._batch_counts(plan, every_point(plan), 0, 2 * chunk + 1)
@@ -407,7 +450,7 @@ class TestFoldedGrid:
     @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "analog"])
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_folded_counts_equal_single_trials_per_point(self, monkeypatch, chunk, quantized):
-        cfg = SystemConfig(2, 8, 1.0, "16qam")
+        cfg = SystemConfig(2, 8, "16qam")
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk * cfg.antennas**2)
         plan = grid_plan(cfg, tuple(ReceiverKind), 31, self.GRID, quantized)
         start, stop = 1003, 1003 + 2 * chunk + 1
@@ -418,9 +461,9 @@ class TestFoldedGrid:
     def test_noise_of_another_point_fails_the_oracle(self, monkeypatch):
         # Negative control: a fold that scales every point's noise with the
         # first point's N0 is told apart by the per-point oracle.
-        cfg = SystemConfig(2, 8, 1.0, "16qam")
+        cfg = SystemConfig(2, 8, "16qam")
         plan = grid_plan(cfg, tuple(ReceiverKind), 31, self.GRID)
-        first = plan.config_at(self.GRID[0]).noise_power
+        first = noise_power_from_snr_db(self.GRID[0])
         errors = montecarlo._ChunkDraws.errors
 
         def stale_noise(draws, noise_power, kinds, quantized):
@@ -439,7 +482,7 @@ class TestFoldedGrid:
         assert stale[1] != oracle[1] and stale[2] != oracle[2]
 
     def test_points_and_kinds_are_counted_as_given(self):
-        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        cfg = SystemConfig(2, 16, "qpsk")
         plan = grid_plan(cfg, (ReceiverKind.MRC, ReceiverKind.BMMSE), 5, self.GRID)
         oracle = oracle_counts(plan, 0, 70)
         points = {2: (ReceiverKind.BMMSE,), 0: plan.kinds}
@@ -467,7 +510,7 @@ class TestFoldedGrid:
             return build_combiner(kind, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "build_combiner", counting_build)
-        cfg = SystemConfig.from_snr_db(2, 16, 0.0, "qpsk")
+        cfg = SystemConfig(2, 16, "qpsk")
         chunk = montecarlo._CHUNK_ELEMENTS // cfg.antennas**2
         plan = grid_plan(cfg, tuple(ReceiverKind), 19, grid)
         montecarlo._batch_counts(plan, every_point(plan), 0, 2 * chunk + 1)
@@ -537,22 +580,24 @@ def zero_channels(monkeypatch):
 class RedrawChecks:
     """The checks every degenerate draw gets, for the fault a subclass names:
     the draws of its ``CONFIG`` with a zero last channel column raise
-    ``ERROR`` and are logged as ``WORD`` draws on the ``GRID``."""
+    ``ERROR`` and are logged as ``WORD`` draws at ``SNR_DB`` and on the
+    ``GRID``."""
 
     def test_redraw_in_the_middle_of_a_chunk(self, zero_channels, caplog):
         zero_channels.add((37, 0))
         assert montecarlo._CHUNK_ELEMENTS // self.CONFIG.antennas**2 >= 100  # one chunk
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
-        assert totals == point_oracle(self.CONFIG, self.KINDS, 21, 0, 100, redrawn={37})
+            totals = point_counts(self.CONFIG, self.SNR_DB, self.KINDS, 21, 0, 100)
+        assert totals == point_oracle(self.CONFIG, self.SNR_DB, self.KINDS, 21, 0, 100,
+                                      redrawn={37})
         assert [r.getMessage() for r in caplog.records] == [
-            f"discarding {self.WORD} draw at trial 37 (redraw 1) at {self.CONFIG.snr_db:g} dB"
+            f"discarding {self.WORD} draw at trial 37 (redraw 1) at {self.SNR_DB:g} dB"
         ]
 
     def test_consecutive_draws_raise(self, zero_channels):
         zero_channels.update((37, redraw) for redraw in range(montecarlo._MAX_REDRAWS))
         with pytest.raises(self.ERROR, match="consecutive"):
-            point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
+            point_counts(self.CONFIG, self.SNR_DB, self.KINDS, 21, 0, 100)
 
     def test_each_grid_point_redraws_the_trial(self, zero_channels, caplog):
         zero_channels.add((37, 0))
@@ -575,7 +620,8 @@ class RedrawChecks:
 class TestRankDeficientRedraw(RedrawChecks):
     # One user, so a zero column is a zero channel: ZF's Gram matrix is 0,
     # which does not factor, and ZF runs first.
-    CONFIG = SystemConfig.from_snr_db(1, 4, 7.0)
+    CONFIG = SystemConfig(1, 4)
+    SNR_DB = 7.0
     KINDS = (ReceiverKind.ZF, ReceiverKind.MMSE, ReceiverKind.BMMSE)
     GRID = (7.0, 20.0)
     ERROR = RankDeficientError
@@ -587,7 +633,8 @@ class TestCopiedColumnRedraw:
     Cholesky fails on it, the draw is redrawn as rank-deficient rather than
     regularised into a combiner."""
 
-    CONFIG = SystemConfig.from_snr_db(2, 16, 7.0)
+    CONFIG = SystemConfig(2, 16)
+    SNR_DB = 7.0
     KINDS = (ReceiverKind.ZF,)
 
     def test_gram_that_does_not_factor_is_redrawn(self, monkeypatch, caplog):
@@ -597,8 +644,9 @@ class TestCopiedColumnRedraw:
             np.linalg.cholesky(h.conj().T @ h)
         faulty_channels(monkeypatch, copy_first_column).add((37, 0))
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = point_counts(self.CONFIG, self.KINDS, 21, 0, 100)
-        assert totals == point_oracle(self.CONFIG, self.KINDS, 21, 0, 100, redrawn={37})
+            totals = point_counts(self.CONFIG, self.SNR_DB, self.KINDS, 21, 0, 100)
+        assert totals == point_oracle(self.CONFIG, self.SNR_DB, self.KINDS, 21, 0, 100,
+                                      redrawn={37})
         assert [r.getMessage() for r in caplog.records] == [
             "discarding rank-deficient draw at trial 37 (redraw 1) at 7 dB"
         ]
@@ -607,7 +655,8 @@ class TestCopiedColumnRedraw:
 class TestZeroColumnRedraw(RedrawChecks):
     # Two users, one of them with a zero channel column: every kind's
     # equalization denominator for that user is zero.
-    CONFIG = SystemConfig.from_snr_db(2, 16, 7.0)
+    CONFIG = SystemConfig(2, 16)
+    SNR_DB = 7.0
     KINDS = tuple(ReceiverKind)
     GRID = (-3.0, 7.0)
     ERROR = DegenerateDenominatorError
@@ -617,9 +666,8 @@ class TestZeroColumnRedraw(RedrawChecks):
         # The denominators scale with 1/N0; healthy draws are no redraws at
         # any noise power, while a zero column still is one.
         zero_channels.add((37, 0))
-        config = SystemConfig.from_snr_db(2, 16, -150.0)
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = point_counts(config, self.KINDS, 21, 0, 100)
+            totals = point_counts(self.CONFIG, -150.0, self.KINDS, 21, 0, 100)
         assert [r.getMessage() for r in caplog.records] == [
             "discarding zero-denominator draw at trial 37 (redraw 1) at -150 dB"
         ]
@@ -634,7 +682,7 @@ class TestZeroColumnRedraw(RedrawChecks):
         # redrawn as rank-deficient.
         chunk = montecarlo._CHUNK_ELEMENTS // 128**2
         assert chunk >= 2
-        config = SystemConfig.from_snr_db(16, 128, 30.0)
+        config = SystemConfig(16, 128)
         kinds = (ReceiverKind.ZF, *(k for k in ReceiverKind if k is not ReceiverKind.ZF))
         stacks = []
         lapack_solve = linalg._lapack_solve
@@ -655,8 +703,8 @@ class TestZeroColumnRedraw(RedrawChecks):
         monkeypatch.setattr(linalg, "_lapack_solve", recording_solve)
         zero_channels.add((1, 0))
         with caplog.at_level("WARNING", logger="onebit_mimo.montecarlo"):
-            totals = point_counts(config, kinds, 21, 0, chunk)
-        assert totals == point_oracle(config, kinds, 21, 0, chunk, redrawn={1})
+            totals = point_counts(config, 30.0, kinds, 21, 0, chunk)
+        assert totals == point_oracle(config, 30.0, kinds, 21, 0, chunk, redrawn={1})
         assert [r.getMessage() for r in caplog.records] == [
             "discarding rank-deficient draw at trial 1 (redraw 1) at 30 dB"
         ]
@@ -667,12 +715,12 @@ def chunk_errors_peak():
     """Traced peak bytes of one ``_ChunkDraws.errors`` call on a chunk of
     K=16, N=128 trials, as many as ``_batch_counts`` stacks, with all eight
     receivers."""
-    config = SystemConfig.from_snr_db(16, 128, 30.0)
+    config = SystemConfig(16, 128)
     chunk = max(1, montecarlo._CHUNK_ELEMENTS // config.antennas**2)
     draws = montecarlo._ChunkDraws(config, trial_streams(3, range(chunk)))
     tracemalloc.start()
     try:
-        draws.errors(config.noise_power, tuple(ReceiverKind), True)
+        draws.errors(noise_power_from_snr_db(30.0), tuple(ReceiverKind), True)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -699,7 +747,7 @@ class TestChunkMemory:
 
 class TestTrialPlan:
     def test_rejects_zero_max_trials(self):
-        cfg = SystemConfig(2, 4, 0.1)
+        cfg = SystemConfig(2, 4)
         with pytest.raises(ValueError):
             TrialPlan(
                 config=cfg,
@@ -711,7 +759,7 @@ class TestTrialPlan:
             )
 
     def test_rejects_empty_grid(self):
-        cfg = SystemConfig(2, 4, 0.1)
+        cfg = SystemConfig(2, 4)
         with pytest.raises(ValueError):
             TrialPlan(
                 config=cfg,
@@ -740,7 +788,7 @@ class TestTrialPlan:
              "repeated-grid-point"],
     )
     def test_rejects_invalid_field(self, field, message):
-        plan = {"config": SystemConfig(2, 4, 0.1), "kinds": (ReceiverKind.ZF,),
+        plan = {"config": SystemConfig(2, 4), "kinds": (ReceiverKind.ZF,),
                 "snr_db_grid": (0.0,), "max_trials": 10, "min_bit_errors": 10, "seed": 1}
         with pytest.raises(ValueError, match=message):
             TrialPlan(**{**plan, **field})
@@ -749,7 +797,7 @@ class TestTrialPlan:
         # Integer fields are tested as numbers.Integral, not as int, and
         # stored as int, so that the JSON output can write the records.
         plans = [
-            TrialPlan(config=SystemConfig(integer(2), integer(4), 0.1), kinds=("zf",),
+            TrialPlan(config=SystemConfig(integer(2), integer(4)), kinds=("zf",),
                       snr_db_grid=(0.0,), max_trials=integer(300),
                       min_bit_errors=integer(0), seed=integer(9))
             for integer in (int, np.int64)
@@ -767,8 +815,8 @@ class TestTrialPlan:
         ids=["underflow", "overflow", "nan"],
     )
     def test_rejects_grid_point_without_noise_power(self, grid):
-        # Every point is checked, not only the one the config was built from.
-        cfg = SystemConfig.from_snr_db(2, 4, 0.0)
+        # Every grid point's noise power is checked when the plan is built.
+        cfg = SystemConfig(2, 4)
         with pytest.raises(ValueError, match="noise_power"):
             TrialPlan(
                 config=cfg,
@@ -785,7 +833,7 @@ class TestTrialPlan:
         members = (ReceiverKind.ZF, ReceiverKind.MMSE)
         written = []
         for kinds in [("zf", "mmse"), members]:
-            plan = TrialPlan(config=SystemConfig(2, 4, 0.1), kinds=kinds,
+            plan = TrialPlan(config=SystemConfig(2, 4), kinds=kinds,
                              snr_db_grid=(0.0, 10.0), max_trials=200, min_bit_errors=0,
                              seed=9)
             assert all(isinstance(kind, ReceiverKind) for kind in plan.kinds)
@@ -805,7 +853,7 @@ class TestBerRecord:
 
 class TestBerSweep:
     def test_stops_at_batch_boundary_or_cap(self):
-        cfg = SystemConfig(2, 4, 1.0)
+        cfg = SystemConfig(2, 4)
         plan = TrialPlan(
             config=cfg,
             kinds=(ReceiverKind.MRC, ReceiverKind.ZF),
@@ -821,7 +869,7 @@ class TestBerSweep:
                 assert record.bit_errors >= 50
 
     def test_zero_error_target_runs_every_trial(self):
-        cfg = SystemConfig(2, 4, 1.0)
+        cfg = SystemConfig(2, 4)
         plan = TrialPlan(
             config=cfg,
             kinds=(ReceiverKind.MRC,),
@@ -834,7 +882,7 @@ class TestBerSweep:
         assert record.trials == 1_500
 
     def test_worker_count_does_not_change_counts(self):
-        cfg = SystemConfig(2, 8, 1.0)
+        cfg = SystemConfig(2, 8)
         plan = TrialPlan(
             config=cfg,
             kinds=(ReceiverKind.MRC, ReceiverKind.BMMSE),
@@ -846,7 +894,7 @@ class TestBerSweep:
         assert ber_sweep([plan], workers=1) == ber_sweep([plan], workers=2)
 
     def test_unquantized_zf_ber_decreases_with_snr(self):
-        cfg = SystemConfig(2, 4, 1.0)
+        cfg = SystemConfig(2, 4)
         plan = TrialPlan(
             config=cfg,
             kinds=(ReceiverKind.ZF,),
@@ -869,7 +917,7 @@ class TestBerSweep:
         monkeypatch.setattr(montecarlo, "_batch_counts", lambda *args: calls.append(args))
         monkeypatch.setattr(montecarlo, "_prepare_process", lambda: calls.append("prepare"))
         plan = TrialPlan(
-            config=SystemConfig(2, 4, 1.0),
+            config=SystemConfig(2, 4),
             kinds=(ReceiverKind.ZF,),
             snr_db_grid=(0.0,),
             max_trials=1_000,
@@ -897,7 +945,7 @@ class TestBerSweep:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InterruptedPool)
         plan = TrialPlan(
-            config=SystemConfig(2, 4, 1.0),
+            config=SystemConfig(2, 4),
             kinds=(ReceiverKind.ZF,),
             snr_db_grid=(0.0,),
             max_trials=5_000,
@@ -924,7 +972,7 @@ class TestPlanRecords:
         monkeypatch.setattr(montecarlo, "_batch_counts", counts)
         kinds = (ReceiverKind.MRC, ReceiverKind.ZF)
         plan = TrialPlan(
-            config=SystemConfig(2, 4, 1.0),
+            config=SystemConfig(2, 4),
             kinds=kinds,
             snr_db_grid=(0.0,),
             max_trials=5 * BATCH_SIZE,
@@ -962,7 +1010,7 @@ class TestPlanRecords:
         monkeypatch.setattr(montecarlo, "_batch_counts", counts)
         kinds = (ReceiverKind.MRC, ReceiverKind.ZF)
         plan = TrialPlan(
-            config=SystemConfig(2, 4, 1.0),
+            config=SystemConfig(2, 4),
             kinds=kinds,
             snr_db_grid=(-10.0, 0.0, 10.0),
             max_trials=4_500,
@@ -992,7 +1040,7 @@ class TestPlanRecords:
         # the in-process ones. The plan is the k2n16-early-stop-grid golden's,
         # whose grid points stop at different batches.
         plan = TrialPlan(
-            config=SystemConfig(2, 16, 1.0),
+            config=SystemConfig(2, 16),
             kinds=tuple(ReceiverKind),
             snr_db_grid=(-10.0, 10.0, 30.0),
             max_trials=2_500,
@@ -1033,7 +1081,7 @@ def floor_plans(user_counts, kinds, seed, max_trials, min_bit_errors):
     """The fig2 preset's plans: QPSK at 30 dB with N = 8K, one per user count."""
     return [
         TrialPlan(
-            config=SystemConfig.from_snr_db(k, 8 * k, 30.0, "qpsk"),
+            config=SystemConfig(k, 8 * k, "qpsk"),
             kinds=kinds,
             snr_db_grid=(30.0,),
             max_trials=max_trials,
@@ -1167,7 +1215,7 @@ def zf_records():
     """Unquantized ZF over 8 (K, N, SNR) cells, 20000 trials each."""
     grids = {(2, 4): (-5.0, 0.0, 5.0, 10.0), (2, 16): (-10.0, -5.0), (4, 8): (0.0, 5.0)}
     plans = [
-        TrialPlan(config=SystemConfig.from_snr_db(k, n, grid[0]), kinds=(ReceiverKind.ZF,),
+        TrialPlan(config=SystemConfig(k, n), kinds=(ReceiverKind.ZF,),
                   snr_db_grid=grid, max_trials=20_000, min_bit_errors=0, seed=11,
                   quantized=False)
         for (k, n), grid in grids.items()

@@ -64,7 +64,7 @@ def test_every_trace_target_is_reached(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     plan = montecarlo.TrialPlan(
-        config=SystemConfig(2, 4, 1.0), kinds=tuple(ReceiverKind), snr_db_grid=(0.0, 10.0),
+        config=SystemConfig(2, 4), kinds=tuple(ReceiverKind), snr_db_grid=(0.0, 10.0),
         max_trials=3, min_bit_errors=0, seed=1,
     )
     montecarlo._batch_counts(plan, dict.fromkeys(range(2), plan.kinds), 0, 3)
