@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import check_noise_power
 from .errors import DegenerateCovarianceError
 from .linalg import diagonal, elementwise_arcsin, pieces
 
@@ -105,16 +106,15 @@ class QuantizedStatistics:
     AQNM-MMSE and WFQ combiners read only the power diagonal (the
     distortion powers); they take HH^H from the channel itself, so a
     substitution reaches them only through ``diag(received_cov)``. A noise
-    power that is not finite and positive raises ``ValueError``; a received
+    power that is not finite and positive raises
+    :func:`~onebit_mimo.channel.check_noise_power`'s ``ValueError``; a received
     covariance with a diagonal entry that is not (from a NaN channel entry,
     say) raises :class:`~onebit_mimo.errors.DegenerateCovarianceError`.
     """
 
     def __init__(self, channel, noise_power, received_cov=None):
         self._channel = np.asarray(channel)
-        self.noise_power = float(noise_power)
-        if not 0 < self.noise_power < np.inf:
-            raise ValueError(f"noise_power must be finite and > 0, got {noise_power}")
+        self.noise_power = check_noise_power(float(noise_power))
         if received_cov is None:
             # Formed once to read the power diagonal off, then overwritten by
             # output_cov; received_cov forms its own.

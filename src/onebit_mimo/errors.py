@@ -7,7 +7,8 @@ class OneBitMimoError(Exception):
 
 class NotPositiveDefiniteError(OneBitMimoError):
     """A Hermitian system did not factor by Cholesky, or its solve was not
-    finite."""
+    finite. For a combiner's system it marks a rank-deficient draw, which
+    the sweep redraws."""
 
 
 class ArcsinDomainError(OneBitMimoError):
@@ -29,10 +30,6 @@ class UnknownSymbolError(OneBitMimoError):
 
 class DegenerateCovarianceError(OneBitMimoError):
     """Received covariance has a non-finite or non-positive diagonal entry."""
-
-
-class RankDeficientError(OneBitMimoError):
-    """A combiner's Hermitian system did not factor (rank-deficient draw)."""
 
 
 class DegenerateDenominatorError(OneBitMimoError):

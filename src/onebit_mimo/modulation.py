@@ -22,7 +22,6 @@ class Constellation:
     immutable and safe to share across worker processes.
     """
 
-    name: str
     points: np.ndarray
     labels: np.ndarray
     bits_per_symbol: int
@@ -76,7 +75,7 @@ def make_constellation(name: str) -> Constellation:
         width = len(points).bit_length() - 1
         shifts = np.arange(width - 1, -1, -1)
         labels = ((np.arange(len(points))[:, None] >> shifts) & 1).astype(np.uint8)
-        _CACHE[key] = Constellation(key, points, labels, width)
+        _CACHE[key] = Constellation(points, labels, width)
     return _CACHE[key]
 
 

@@ -70,7 +70,7 @@ from .channel import (
     one_bit_quantize,
     transmit,
 )
-from .errors import DegenerateDenominatorError, RankDeficientError
+from .errors import DegenerateDenominatorError, NotPositiveDefiniteError
 from .linalg import set_openblas_threads
 from .modulation import make_constellation, map_bits_to_symbols, symbols_to_bits
 from .receivers import (
@@ -90,10 +90,11 @@ BATCH_SIZE = 1000
 #: Redraw attempts for (probability-zero) degenerate channel draws.
 _MAX_REDRAWS = 8
 #: Errors that mark a channel draw on which some receiver is undefined (a
-#: combiner system that does not factor, or a user with a zero channel
-#: column), each with the word the redraw warning uses for it.
+#: combiner system that does not factor, so the draw is rank-deficient, or
+#: a user with a zero channel column), each with the word the redraw
+#: warning uses for it.
 _DEGENERATE_DRAWS = {
-    RankDeficientError: "rank-deficient",
+    NotPositiveDefiniteError: "rank-deficient",
     DegenerateDenominatorError: "zero-denominator",
 }
 #: Entries (2 MiB of complex128) of one stacked N x N array of a chunk: 8

@@ -26,12 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .bussgang import QuantizedStatistics, aqnm_covariance
-from .errors import (
-    DegenerateDenominatorError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-    ZeroVectorError,
-)
+from .errors import DegenerateDenominatorError, ZeroVectorError
 from .linalg import diagonal, hermitian_solve
 from .modulation import Constellation
 
@@ -89,15 +84,6 @@ def _identity(matrix):
     return np.broadcast_to(np.eye(matrix.shape[-1]), matrix.shape)
 
 
-def _solve_or_rank_error(system, rhs):
-    """``hermitian_solve(system, rhs)``, with a system that does not factor
-    raised as the rank-deficient draw it is."""
-    try:
-        return hermitian_solve(system, rhs)
-    except NotPositiveDefiniteError as exc:
-        raise RankDeficientError("combiner system does not factor (rank-deficient draw)") from exc
-
-
 def build_combiner(
     kind: ReceiverKind | str,
     channel: np.ndarray,
@@ -112,9 +98,9 @@ def build_combiner(
     gets the matrix and denominators of the kind it maps to. ``kind`` may be
     given by its name, such as ``"mmse"``; an unknown name raises
     ``ValueError``, as does a channel with a non-finite entry, whatever
-    the kind. A draw whose combiner system does not factor raises
-    :class:`RankDeficientError`, and one with a denominator under the floor
-    :class:`DegenerateDenominatorError`.
+    the kind. A draw whose combiner system does not factor raises the
+    solve's :class:`~onebit_mimo.errors.NotPositiveDefiniteError`, and one
+    with a denominator under the floor :class:`DegenerateDenominatorError`.
     """
     kind = ReceiverKind(kind)
     channel = np.asarray(channel)
@@ -133,11 +119,11 @@ def build_combiner(
         matrix = xh
     elif formula in (ReceiverKind.ZF, ReceiverKind.BZF):
         gram = xh @ x
-        matrix = _solve_or_rank_error(gram, _identity(gram)) @ xh
+        matrix = hermitian_solve(gram, _identity(gram)) @ xh
     elif formula is ReceiverKind.MMSE:
         m = xh @ x
         diagonal(m)[...] += noise_power
-        matrix = _solve_or_rank_error(m, _identity(m)) @ xh
+        matrix = hermitian_solve(m, _identity(m)) @ xh
     elif formula is ReceiverKind.AQNM_MMSE:
         # H^H (HH^H + D)^-1 with D = diag(N0 + sigma_q/kappa^2), as the K x K
         # solve (I + H^H D^-1 H)^-1 H^H D^-1 (the push-through identity).
@@ -146,9 +132,9 @@ def build_combiner(
         weighted = xh / loading[..., None, :]
         m = weighted @ x
         diagonal(m)[...] += 1.0
-        matrix = _solve_or_rank_error(m, _identity(m)) @ weighted
+        matrix = hermitian_solve(m, _identity(m)) @ weighted
     else:  # ReceiverKind.BMMSE: A^H (A A^H + noise_cov)^-1
-        matrix = _solve_or_rank_error(stats.output_cov, x).conj().mT
+        matrix = hermitian_solve(stats.output_cov, x).conj().mT
 
     denominators = np.einsum("...kn,...nk->...k", matrix, x)
     # |w_k x_k| <= |w_k| |x_k| (Cauchy-Schwarz), so the floor is relative and

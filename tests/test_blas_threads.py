@@ -19,7 +19,7 @@ import pytest
 
 from onebit_mimo import linalg, montecarlo
 from onebit_mimo.channel import SystemConfig
-from onebit_mimo.errors import RankDeficientError
+from onebit_mimo.errors import NotPositiveDefiniteError
 from onebit_mimo.montecarlo import TrialPlan, _batch_counts, ber_sweep
 from onebit_mimo.receivers import ReceiverKind
 from test_cli import BrokenPool
@@ -77,10 +77,10 @@ def test_sweep_runs_one_blas_thread(two_blas_threads, monkeypatch):
 def test_previous_counts_back_when_the_sweep_raises(two_blas_threads, monkeypatch):
     def failing_plan(*args):
         assert set(linalg.openblas_threads().values()) == {1}
-        raise RankDeficientError("every draw rank-deficient")
+        raise NotPositiveDefiniteError("every draw rank-deficient")
 
     monkeypatch.setattr(montecarlo, "_plan_records", failing_plan)
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(NotPositiveDefiniteError):
         ber_sweep([small_plan()])
     assert linalg.openblas_threads() == two_blas_threads
 
@@ -215,7 +215,10 @@ def test_pool_workers_retain_the_heap(monkeypatch, method):
 
 
 # Minor page faults per trial of a K=16, N=128 run with all eight receivers,
-# measured over a second run after a first one has warmed the process up.
+# measured over a third run after two have warmed the process up. One
+# warm-up is not always a steady heap: with the package loaded from its
+# compiled .pyc files, the second sweep still faulted about 5 pages in per
+# trial, and the third a fraction of one.
 # The process that never sweeps sets glibc's mmap and trim thresholds to
 # their static defaults, 128 KiB each: glibc's dynamic thresholds rise with
 # the blocks freed so far, so without that its reading would depend on the
@@ -243,6 +246,7 @@ else:
     def run():
         _batch_counts(plan, {0: plan.kinds}, 0, trials)
 run()
+run()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run()
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / trials)
@@ -251,7 +255,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / trials)
 
 def faults_per_trial(how):
     """Steady-state minor page faults per trial in a fresh interpreter that
-    runs the same trials twice, through ``ber_sweep`` (``"sweep"``) or, in a
+    runs the same trials three times, through ``ber_sweep`` (``"sweep"``) or, in a
     process that never sweeps, through ``_batch_counts`` at one BLAS thread
     (``"batch"``)."""
     src = str(Path(__file__).resolve().parents[1] / "src")

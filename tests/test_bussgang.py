@@ -190,7 +190,7 @@ class TestQuantizedStatistics:
     )
     def test_rejects_noise_power_not_finite_and_positive(self, noise_power):
         h = rayleigh_channel(np.random.default_rng(9), 4, 2)
-        with pytest.raises(ValueError, match="noise_power must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"^noise_power must be (> 0|finite), got "):
             QuantizedStatistics(h, noise_power)
 
     def test_nan_channel_entry_is_degenerate(self):

@@ -88,7 +88,7 @@ def test_ring_ordered_8psk_is_not_in_label_code_order():
     m = np.arange(8)
     shifts = np.arange(2, -1, -1)
     labels = (((m ^ (m >> 1))[:, None] >> shifts) & 1).astype(np.uint8)
-    ring = Constellation("8psk", np.exp(2j * np.pi * m / 8.0), labels, 3)
+    ring = Constellation(np.exp(2j * np.pi * m / 8.0), labels, 3)
     assert not maps_labels_to_points(ring)
 
 

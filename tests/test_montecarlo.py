@@ -16,16 +16,13 @@ from onebit_mimo import linalg, montecarlo, receivers
 from onebit_mimo.bussgang import QuantizedStatistics, received_covariance
 from onebit_mimo.channel import (
     SystemConfig,
+    check_noise_power,
     draw_channel,
     noise_power_from_snr_db,
     one_bit_quantize,
     transmit,
 )
-from onebit_mimo.errors import (
-    DegenerateDenominatorError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
+from onebit_mimo.errors import DegenerateDenominatorError, NotPositiveDefiniteError
 from onebit_mimo.montecarlo import (
     BATCH_SIZE,
     BerRecord,
@@ -165,6 +162,17 @@ class TestRunTrial:
         monkeypatch.setattr(montecarlo, "draw_channel", no_draw)
         with pytest.raises(ValueError, match="noise_power must be"):
             run_trial(SystemConfig(2, 8), (ReceiverKind.MRC,), trial_streams(3, [0]), noise_power)
+
+    @pytest.mark.parametrize("noise_power", [math.nan, math.inf, 0.0, -1.0])
+    def test_noise_power_errors_share_one_wording(self, noise_power):
+        with pytest.raises(ValueError) as checked:
+            check_noise_power(noise_power)
+        h = rayleigh_channel(np.random.default_rng(9), 8, 2)
+        with pytest.raises(ValueError) as stats:
+            QuantizedStatistics(h, noise_power)
+        with pytest.raises(ValueError) as trial:
+            run_trial(SystemConfig(2, 8), tuple(ReceiverKind), trial_streams(3, [0]), noise_power)
+        assert str(stats.value) == str(trial.value) == str(checked.value)
 
     def test_mrc_runs_at_a_finite_positive_noise_power(self, monkeypatch):
         errors = run_trial(SystemConfig(2, 8), (ReceiverKind.MRC,), trial_streams(3, [0]), 1e-3)
@@ -624,7 +632,7 @@ class TestRankDeficientRedraw(RedrawChecks):
     SNR_DB = 7.0
     KINDS = (ReceiverKind.ZF, ReceiverKind.MMSE, ReceiverKind.BMMSE)
     GRID = (7.0, 20.0)
-    ERROR = RankDeficientError
+    ERROR = NotPositiveDefiniteError
     WORD = "rank-deficient"
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from onebit_mimo import linalg
+from onebit_mimo import linalg, receivers
 from onebit_mimo.bussgang import QuantizedStatistics, aqnm_covariance
 from onebit_mimo.channel import noise_power_from_snr_db, one_bit_quantize
 from onebit_mimo.errors import (
     DegenerateDenominatorError,
-    RankDeficientError,
+    NotPositiveDefiniteError,
     ZeroVectorError,
 )
 from onebit_mimo.linalg import diagonal, hermitian_solve
@@ -17,7 +17,6 @@ from onebit_mimo.receivers import (
     BUSSGANG_KINDS,
     SAME_COMBINER,
     ReceiverKind,
-    _solve_or_rank_error,
     build_combiner,
     demultiplex,
     detect,
@@ -190,7 +189,7 @@ class TestBuildCombiner:
         assert (build_combiner(kind, h, n0).eq_denominators != 0).all()
         h[:, 1] = 0
         zero_forcing = kind in (ReceiverKind.ZF, ReceiverKind.BZF)
-        with pytest.raises(RankDeficientError if zero_forcing else DegenerateDenominatorError):
+        with pytest.raises(NotPositiveDefiniteError if zero_forcing else DegenerateDenominatorError):
             build_combiner(kind, h, n0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -223,9 +222,27 @@ class TestBuildCombiner:
         with pytest.raises(ValueError, match="^channel has a non-finite entry$"):
             build_combiner(kind, h, 0.5)
 
-    def test_rank_error_translation(self):
-        with pytest.raises(RankDeficientError):
-            _solve_or_rank_error(np.diag([1.0, -1.0]), np.eye(2))
+    def test_solve_error_leaves_build_combiner_unchanged(self, monkeypatch):
+        # Every kind that solves raises the solve's own error, which the
+        # sweep redraws as a rank-deficient draw.
+        failure = NotPositiveDefiniteError("a slice does not factor")
+
+        def failing_solve(matrix, rhs):
+            raise failure
+
+        monkeypatch.setattr(receivers, "hermitian_solve", failing_solve)
+        h = rayleigh_channel(np.random.default_rng(18), 8, 2)
+        solving = [kind for kind in ALL_KINDS if kind not in (ReceiverKind.MRC, ReceiverKind.BMRC)]
+        for kind in solving:
+            with pytest.raises(NotPositiveDefiniteError) as raised:
+                build_combiner(kind, h, 0.5)
+            assert raised.value is failure
+
+    def test_copied_column_does_not_factor(self):
+        # Two equal all-ones columns: ZF's Gram matrix is 4 in every entry,
+        # and Cholesky's second pivot is 4 - 2 * 2 = 0 without rounding.
+        with pytest.raises(NotPositiveDefiniteError):
+            build_combiner(ReceiverKind.ZF, np.ones((4, 2), dtype=complex), 1.0)
 
 
 class TestPipelineStages:
