@@ -39,10 +39,8 @@ from .receivers import (
     Combiner,
     ReceiverKind,
     build_combiner,
-    demultiplex,
     detect,
     detect_pipeline,
-    equalize,
     rescale,
 )
 from .results import emit_results, read_records

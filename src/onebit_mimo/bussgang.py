@@ -77,20 +77,14 @@ class AqnmParameters(NamedTuple):
     sigma_q: np.ndarray
 
 
-def aqnm_covariance(received_cov) -> AqnmParameters:
-    """AQNM parameters: alpha, kappa = 1 - alpha, and the diagonal of the
-    distortion covariance, alpha * kappa * diag(received_cov).
-
-    Given the :class:`QuantizedStatistics` of a draw in place of its
-    covariance, it reads their power diagonal, so that the N x N covariance
-    need not be formed."""
-    if isinstance(received_cov, QuantizedStatistics):
-        power = received_cov.power
-    else:
-        power = _diag_or_raise(received_cov)
+def aqnm_covariance(stats: "QuantizedStatistics") -> AqnmParameters:
+    """AQNM parameters of a draw: alpha, kappa = 1 - alpha, and the diagonal
+    of the distortion covariance, alpha * kappa * diag(received_cov), read
+    off the power diagonal of its :class:`QuantizedStatistics`, so that the
+    N x N covariance need not be formed."""
     alpha = ALPHA_ONE_BIT
     kappa = 1.0 - alpha
-    return AqnmParameters(alpha, kappa, alpha * kappa * power)
+    return AqnmParameters(alpha, kappa, alpha * kappa * stats.power)
 
 
 class QuantizedStatistics:

@@ -331,7 +331,3 @@ def main(argv=None) -> int:
         return 130
     print(f"wrote {len(records)} records to {spec.out_path}", file=sys.stderr)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -64,19 +64,19 @@ def supported_modulations():
 
 
 def make_constellation(name: str) -> Constellation:
-    """Return the (cached) unit-power Gray-labeled constellation for ``name``."""
-    key = name.lower()
-    if key not in _BUILDERS:
+    """Return the (cached) unit-power Gray-labeled constellation for
+    ``name``, spelled as :func:`supported_modulations` gives it."""
+    if name not in _BUILDERS:
         raise UnsupportedModulationError(
             f"unsupported modulation {name!r}; choose from {sorted(_BUILDERS)}"
         )
-    if key not in _CACHE:
-        points = _BUILDERS[key]()
+    if name not in _CACHE:
+        points = _BUILDERS[name]()
         width = len(points).bit_length() - 1
         shifts = np.arange(width - 1, -1, -1)
         labels = ((np.arange(len(points))[:, None] >> shifts) & 1).astype(np.uint8)
-        _CACHE[key] = Constellation(points, labels, width)
-    return _CACHE[key]
+        _CACHE[name] = Constellation(points, labels, width)
+    return _CACHE[name]
 
 
 def map_bits_to_symbols(bits, constellation: Constellation) -> np.ndarray:

@@ -127,9 +127,12 @@ class TrialPlan:
     must come out finite and positive at every point;
     ``min_bit_errors = 0`` disables the early-stop target so every point
     runs exactly ``max_trials`` trials. ``kinds`` may give receivers by name
-    (``"zf"``); each becomes its :class:`ReceiverKind`. An unknown name, a
-    ``max_trials``, ``min_bit_errors`` or ``seed`` that is not an integer, and
-    a repeated grid point raise ``ValueError`` here, not during the sweep.
+    (``"zf"``); each becomes its :class:`ReceiverKind`. ``snr_db_grid`` may
+    be any sequence of real numbers, a numpy array included; it is stored
+    as a tuple of floats, so a plan hashes. An unknown name, a
+    ``max_trials``, ``min_bit_errors`` or ``seed`` that is not an integer, a
+    grid point that is not a real number (a bool included), and a repeated
+    grid point raise ``ValueError`` here, not during the sweep.
     """
 
     config: SystemConfig
@@ -153,6 +156,11 @@ class TrialPlan:
             raise ValueError(
                 f"min_bit_errors must be >= 0, got {self.min_bit_errors}"
             )
+        grid = tuple(self.snr_db_grid)
+        for snr_db in grid:
+            if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
+                raise ValueError(f"grid point {snr_db!r} is not a real number")
+        object.__setattr__(self, "snr_db_grid", tuple(map(float, grid)))
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid must be nonempty")
         for snr_db in self.snr_db_grid:

@@ -1,4 +1,4 @@
-"""The eight linear combiners and the equalize/rescale/detect pipeline.
+"""The eight linear combiners and the combine/equalize/rescale/detect pipeline.
 
 Combining matrices are K x N (one row per user). Equalization divides each
 user's combined sample by the matching diagonal of W @ H (conventional
@@ -148,24 +148,9 @@ def build_combiner(
     return Combiner(kind=kind, matrix=matrix, eq_denominators=denominators)
 
 
-def demultiplex(matrix: np.ndarray, received: np.ndarray) -> np.ndarray:
-    """Separate the user streams: combined = matrix @ received, per trial."""
-    return (matrix @ received[..., None])[..., 0]
-
-
-def equalize(combined: np.ndarray, eq_denominators: np.ndarray) -> np.ndarray:
-    """Per-user division by a combiner's ``(..., K)`` equalization
-    denominators.
-
-    For the zero-forcing kinds the denominators are 1 up to rounding, so
-    this is a no-op there; applying it uniformly keeps one code path.
-    """
-    return combined / eq_denominators
-
-
-def rescale(equalized: np.ndarray, users: int) -> np.ndarray:
-    """Scale each trailing-axis vector to squared norm ``users`` preserving
-    direction.
+def rescale(equalized: np.ndarray) -> np.ndarray:
+    """Scale each trailing-axis vector to squared norm equal to its length,
+    the user count K, preserving direction.
 
     Detection-invariant for PSK constellations; required for QAM, where
     decision regions are not scale-free.
@@ -176,7 +161,7 @@ def rescale(equalized: np.ndarray, users: int) -> np.ndarray:
     norm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
     if not (norm > 0).all():
         raise ZeroVectorError("cannot rescale a zero (or non-finite) vector")
-    return np.sqrt(users) * (equalized / norm)
+    return np.sqrt(equalized.shape[-1]) * (equalized / norm)
 
 
 def detect(signal: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -192,14 +177,14 @@ def detect_pipeline(
     eq_denominators: np.ndarray,
     constellation: Constellation,
 ) -> np.ndarray:
-    """demultiplex -> equalize -> rescale -> detect for each receive vector.
+    """Combine -> equalize -> rescale -> detect for each receive vector.
 
     ``matrix`` and ``eq_denominators`` are a :class:`Combiner`'s, or a stack
     of several combiners' along a leading axis, ``(C, ..., K, N)`` and
     ``(C, ..., K)``, which detects the ``(..., N)`` receive vectors once per
     combiner in one pass. Detection does not depend on the receiver kind.
     """
-    combined = demultiplex(matrix, received)
-    equalized = equalize(combined, eq_denominators)
-    rescaled = rescale(equalized, equalized.shape[-1])
-    return detect(rescaled, constellation)
+    # For the zero-forcing kinds the denominators are 1 up to rounding, so
+    # the division is a no-op there; dividing uniformly keeps one path.
+    equalized = (matrix @ received[..., None])[..., 0] / eq_denominators
+    return detect(rescale(equalized), constellation)

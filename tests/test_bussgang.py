@@ -119,13 +119,13 @@ class TestEffectiveNoiseCovariance:
 
 class TestAqnm:
     def test_scalar_example(self):
-        params = aqnm_covariance(received_covariance(np.array([[1.0 + 0j]]), 1.0))
+        params = aqnm_covariance(QuantizedStatistics(np.array([[1.0 + 0j]]), 1.0))
         assert params.alpha == 0.3634
         assert params.kappa == pytest.approx(0.6366)
         assert params.sigma_q[0] == pytest.approx(0.3634 * 0.6366 * 2.0, abs=1e-12)
 
     def test_noise_only(self):
-        params = aqnm_covariance(received_covariance(np.zeros((3, 1)), 1.0))
+        params = aqnm_covariance(QuantizedStatistics(np.zeros((3, 1)), 1.0))
         np.testing.assert_allclose(
             np.diag(params.sigma_q),
             ALPHA_ONE_BIT * (1 - ALPHA_ONE_BIT) * np.eye(3),
@@ -135,29 +135,27 @@ class TestAqnm:
     def test_sigma_q_diagonal_real_nonnegative(self):
         rng = np.random.default_rng(6)
         h = rayleigh_channel(rng, 6, 3)
-        params = aqnm_covariance(received_covariance(h, 0.1))
+        params = aqnm_covariance(QuantizedStatistics(h, 0.1))
         assert params.sigma_q.shape == (6,)
         assert np.isrealobj(params.sigma_q)
         assert (params.sigma_q >= 0).all()
-
-    def test_degenerate_covariance(self):
-        with pytest.raises(DegenerateCovarianceError):
-            aqnm_covariance(np.diag([1.0, 0.0]))
 
     def test_statistics_give_the_covariance_parameters(self):
         # The power diagonal of the statistics, without the covariance.
         h = rayleigh_channel(np.random.default_rng(12), 6, 3)
         stats = QuantizedStatistics(h, 0.2)
         params = aqnm_covariance(stats)
-        expected = aqnm_covariance(received_covariance(h, 0.2))
-        assert params[:2] == expected[:2]
-        assert params.sigma_q.tobytes() == expected.sigma_q.tobytes()
+        power = np.diag(received_covariance(h, 0.2)).real
+        kappa = 1.0 - ALPHA_ONE_BIT
+        assert params[:2] == (ALPHA_ONE_BIT, kappa)
+        assert params.sigma_q.tobytes() == (ALPHA_ONE_BIT * kappa * power).tobytes()
         assert "received_cov" not in vars(stats)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_diagonal_is_degenerate(self, entry):
+        # The statistics, the only input of aqnm_covariance, refuse the diagonal.
         with pytest.raises(DegenerateCovarianceError):
-            aqnm_covariance(np.diag([1.0, entry]))
+            QuantizedStatistics(np.zeros((2, 1)), 1.0, received_cov=np.diag([1.0, entry]))
 
 
 class TestQuantizedStatistics:

@@ -416,6 +416,30 @@ class TestMain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            ([], "preset=fig1a\nseed 3\n", "--config: {cfg}:2: expected key=value"),
+            (["--k", "2", "--n", "4", "--mod", "qpsk", "--snr-start", "10", "--snr-stop", "0"],
+             "", "--snr-stop 0.0 is below --snr-start 10.0"),
+            (["--preset", "fig2", "--unquantized"], "",
+             "--unquantized: error floors require the quantizer"),
+        ],
+        ids=["config-line-without-equals", "stop-below-start", "fig2-unquantized"],
+    )
+    def test_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch, flags, config,
+                                      message):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_batch_counts", no_trials)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code = main([*flags, "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"simulate: error: {message.format(cfg=cfg)}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_end_to_end_small_run(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(

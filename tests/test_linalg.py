@@ -75,6 +75,19 @@ class TestHermitianSolve:
             hermitian_solve(m, np.eye(2))
 
 
+    @pytest.mark.parametrize("n", [1, GUFUNC_MAX_ORDER + 1], ids=["gufunc", "posv"])
+    def test_non_finite_solution_raises(self, n):
+        # 1e-300 I factors, but 1e10 / 1e-300 overflows to inf in the solution.
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^solve produced non-finite entries$"):
+            hermitian_solve(1e-300 * np.eye(n), np.full((n, 1), 1e10))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=["rectangular", "vector"])
+    def test_rejects_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match="is not a stack of square matrices"):
+            hermitian_solve(np.ones(shape), np.ones((shape[0], 1)))
+
+
 def hpd_stack(rng, batch, n):
     return np.stack([random_hpd(rng, n) for _ in range(batch)])
 

@@ -104,6 +104,12 @@ def test_unsupported_name():
         make_constellation("64qam")
 
 
+def test_name_has_one_spelling():
+    # As SystemConfig and --mod refuse it.
+    with pytest.raises(UnsupportedModulationError, match="'QPSK'"):
+        make_constellation("QPSK")
+
+
 def test_qpsk_bits_00_map_to_their_labeled_point():
     c = make_constellation("qpsk")
     sym = map_bits_to_symbols([0, 0], c)

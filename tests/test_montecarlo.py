@@ -790,10 +790,15 @@ class TestTrialPlan:
             ({"max_trials": 2.5}, "max_trials must be an integer, got 2.5"),
             ({"min_bit_errors": 0.5}, "min_bit_errors must be an integer, got 0.5"),
             ({"snr_db_grid": (0.0, 10.0, 0.0)}, "snr_db_grid points must be unique"),
+            ({"snr_db_grid": (0.0, True)}, "grid point True is not a real number"),
+            ({"snr_db_grid": (np.True_,)}, "grid point np.True_ is not a real number"),
+            ({"snr_db_grid": ("10",)}, "grid point '10' is not a real number"),
+            ({"snr_db_grid": (1j,)}, r"grid point 1j is not a real number"),
         ],
         ids=["negative-error-target", "no-kinds", "duplicate-kinds", "unknown-name",
              "negative-seed", "float-seed", "float-trial-cap", "float-error-target",
-             "repeated-grid-point"],
+             "repeated-grid-point", "bool-grid-point", "numpy-bool-grid-point",
+             "string-grid-point", "complex-grid-point"],
     )
     def test_rejects_invalid_field(self, field, message):
         plan = {"config": SystemConfig(2, 4), "kinds": (ReceiverKind.ZF,),
@@ -834,6 +839,23 @@ class TestTrialPlan:
                 min_bit_errors=10,
                 seed=1,
             )
+
+    @pytest.mark.parametrize(
+        "grid", [np.array([0.0]), np.array([0.0, 10.0]), np.array([10.0]), [0.0, 10.0]],
+        ids=["array-one-point", "array-two-points", "array-ten-db", "list"],
+    )
+    def test_grid_is_stored_as_a_tuple_of_floats(self, grid):
+        # An array grid used to be refused as empty, or to raise numpy's
+        # ambiguous truth value; a list or array that ran left a plan that
+        # could not be hashed.
+        fields = {"config": SystemConfig(2, 4), "kinds": (ReceiverKind.ZF,),
+                  "max_trials": 50, "min_bit_errors": 0, "seed": 3}
+        plan = TrialPlan(snr_db_grid=grid, **fields)
+        expected = TrialPlan(snr_db_grid=tuple(float(snr_db) for snr_db in grid), **fields)
+        assert plan.snr_db_grid == expected.snr_db_grid
+        assert all(type(snr_db) is float for snr_db in plan.snr_db_grid)
+        assert hash(plan) == hash(expected)
+        assert ber_sweep([plan]) == ber_sweep([expected])
 
     def test_names_sweep_to_the_bytes_of_members(self, tmp_path):
         # emit_results sorts records by kind.value, so a name left as a

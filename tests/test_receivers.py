@@ -1,4 +1,4 @@
-"""Combiner construction and the equalize/rescale/detect pipeline."""
+"""Combiner construction and the combine/equalize/rescale/detect pipeline."""
 
 import numpy as np
 import pytest
@@ -18,10 +18,8 @@ from onebit_mimo.receivers import (
     SAME_COMBINER,
     ReceiverKind,
     build_combiner,
-    demultiplex,
     detect,
     detect_pipeline,
-    equalize,
     rescale,
 )
 from shared import rayleigh_channel
@@ -37,7 +35,7 @@ def n_column_solve(kind, channel, noise_power, stats, loaded=True):
     x = stats.effective_channel if kind in BUSSGANG_KINDS else channel
     rhs = x.conj().mT
     if formula is ReceiverKind.AQNM_MMSE:
-        aqnm = aqnm_covariance(stats.received_cov)
+        aqnm = aqnm_covariance(stats)
         rhs = rhs / (noise_power + aqnm.sigma_q / aqnm.kappa**2)[..., None, :]
     system = rhs @ x
     if formula is ReceiverKind.AQNM_MMSE:
@@ -246,69 +244,57 @@ class TestBuildCombiner:
 
 
 class TestPipelineStages:
-    def test_demultiplex_identity_and_linearity(self):
-        rng = np.random.default_rng(6)
-        w = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        y1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        y2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        np.testing.assert_array_equal(demultiplex(np.eye(4), y1), y1)
-        np.testing.assert_allclose(
-            demultiplex(w, y1 + y2),
-            demultiplex(w, y1) + demultiplex(w, y2),
-            atol=1e-12,
-        )
-
-    def test_demultiplex_hand_product(self):
-        w = np.array([[0.5, 0.5]])
-        y = np.array([1 + 1j, 1 - 1j])
-        np.testing.assert_allclose(demultiplex(w, y), [1.0], atol=1e-15)
-
     def test_equalize_is_noop_for_zf(self):
-        rng = np.random.default_rng(7)
-        h = rayleigh_channel(rng, 8, 3)
-        combiner = build_combiner(ReceiverKind.ZF, h, 0.2)
-        x_tilde = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        np.testing.assert_allclose(
-            equalize(x_tilde, combiner.eq_denominators), x_tilde, atol=1e-10
-        )
+        # The zero-forcing denominators are 1 up to rounding, so the
+        # pipeline's division leaves their combined samples as they are.
+        h = rayleigh_channel(np.random.default_rng(7), 8, 3)
+        for kind in (ReceiverKind.ZF, ReceiverKind.BZF):
+            combiner = build_combiner(kind, h, 0.2)
+            np.testing.assert_allclose(combiner.eq_denominators, 1.0, atol=1e-10)
 
     def test_equalize_scalar_chain(self):
         # Scalar quantization-aware MMSE has denominator (W A) = 1/pi.
         h = np.array([[1.0 + 0j]])
         combiner = build_combiner(ReceiverKind.BMMSE, h, 1.0)
         assert abs(combiner.eq_denominators[0] - 1 / np.pi) <= 1e-12
-        out = equalize(np.array([0.3 + 0j]), combiner.eq_denominators)
-        assert abs(out[0] - 0.3 * np.pi) <= 1e-10
 
     def test_equalize_invariant_to_combiner_scaling(self):
+        # Each user's row scaled by its own factor, with the denominators
+        # recomputed, detects the same 16-QAM points; with the old
+        # denominators the users' relative amplitudes, and so the decisions,
+        # change.
         rng = np.random.default_rng(8)
+        qam = make_constellation("16qam")
         h = rayleigh_channel(rng, 6, 2)
         combiner = build_combiner(ReceiverKind.MMSE, h, 0.4)
-        scaled = 3.7 * combiner.matrix
-        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        a = equalize(demultiplex(combiner.matrix, y), combiner.eq_denominators)
-        b = equalize(demultiplex(scaled, y), np.einsum("kn,nk->k", scaled, h))
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        scaled = np.array([[3.7], [0.2]]) * combiner.matrix
+        y = rng.standard_normal((200, 6)) + 1j * rng.standard_normal((200, 6))
+        base = detect_pipeline(y, combiner.matrix, combiner.eq_denominators, qam)
+        np.testing.assert_array_equal(
+            detect_pipeline(y, scaled, np.einsum("kn,nk->k", scaled, h), qam), base
+        )
+        stale = detect_pipeline(y, scaled, combiner.eq_denominators, qam)
+        assert (stale != base).any()
 
     def test_rescale_examples(self):
         np.testing.assert_allclose(
-            rescale(np.array([1.0, 1j]), 2), np.array([1.0, 1j]), atol=1e-12
+            rescale(np.array([1.0, 1j])), np.array([1.0, 1j]), atol=1e-12
         )
         np.testing.assert_allclose(
-            rescale(np.array([2.0, 0.0]), 2), np.array([np.sqrt(2), 0.0]), atol=1e-12
+            rescale(np.array([2.0, 0.0])), np.array([np.sqrt(2), 0.0]), atol=1e-12
         )
 
     def test_rescale_norm_and_direction(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        out = rescale(x, 5)
+        out = rescale(x)
         assert np.linalg.norm(out) ** 2 == pytest.approx(5.0, abs=1e-10)
         cos = abs(np.vdot(out, x)) / (np.linalg.norm(out) * np.linalg.norm(x))
         assert cos == pytest.approx(1.0, abs=1e-12)
 
     def test_rescale_zero_vector(self):
         with pytest.raises(ZeroVectorError):
-            rescale(np.zeros(3, dtype=complex), 3)
+            rescale(np.zeros(3, dtype=complex))
 
     def test_rescale_does_not_change_psk_decisions(self):
         qpsk = make_constellation("qpsk")
@@ -322,7 +308,7 @@ class TestPipelineStages:
                 if np.linalg.norm(row) == 0:
                     continue
                 np.testing.assert_array_equal(
-                    detect(rescale(row, k), qpsk), detect(row, qpsk)
+                    detect(rescale(row), qpsk), detect(row, qpsk)
                 )
 
     def test_detect_first_quadrant(self):
@@ -403,3 +389,64 @@ class TestDetectPipeline:
             diff = (np.abs(x - (w + delta) @ y) ** 2).sum(axis=0) - base
             stderr = diff.std(ddof=1) / np.sqrt(samples)
             assert diff.mean() >= -3 * stderr
+
+
+def model_sinr(matrix, a, c):
+    """Each user's SINR for the rows of a ``(..., K, N)`` combiner under the
+    Bussgang model r = A x + eta with Cov(r) = C:
+    |w_k a_k|^2 / (w_k C w_k^H - |w_k a_k|^2)."""
+    gain = np.abs(np.einsum("...kn,...nk->...k", matrix, a)) ** 2
+    power = np.einsum("...kn,...nm,...km->...k", matrix, c, matrix.conj()).real
+    return gain / (power - gain)
+
+
+def max_model_sinr(a, c):
+    """Each user's largest SINR over all combiner rows,
+    a_k^H (C - a_k a_k^H)^-1 a_k."""
+    best = np.empty(a.shape[:-2] + a.shape[-1:])
+    for k in range(a.shape[-1]):
+        ak = a[..., :, k, None]
+        interference = c - ak @ ak.conj().mT
+        best[..., k] = (ak.conj().mT @ np.linalg.solve(interference, ak))[..., 0, 0].real
+    return best
+
+
+class TestBussgangModelSinr:
+    """BMMSE reaches the largest Bussgang-model SINR on every draw, and no
+    kind exceeds it: an oracle of the whole build, arcsine law included,
+    with no sampling."""
+
+    BOUND = 1e-10
+
+    @staticmethod
+    def draws(k, n, n0):
+        h = rayleigh_channel(np.random.default_rng(41), 20 * n, k).reshape(20, n, k)
+        stats = QuantizedStatistics(h, n0)
+        return h, stats
+
+    @pytest.mark.parametrize("n0", [10.0, 1.0, 1e-3])
+    @pytest.mark.parametrize("k, n", [(2, 16), (4, 64), (16, 128)])
+    def test_bmmse_reaches_the_maximum_and_no_kind_exceeds_it(self, k, n, n0):
+        h, stats = self.draws(k, n, n0)
+        a, c = stats.effective_channel, stats.output_cov
+        best = max_model_sinr(a, c)
+        for kind in ALL_KINDS:
+            matrix = build_combiner(kind, h, n0, stats=stats).matrix
+            excess = (model_sinr(matrix, a, c) - best) / best
+            if kind is ReceiverKind.BMMSE:
+                assert np.abs(excess).max() <= self.BOUND
+            else:
+                assert excess.max() <= self.BOUND, kind
+
+    @pytest.mark.parametrize("n0", [10.0, 1.0, 1e-3])
+    @pytest.mark.parametrize("k, n", [(2, 16), (4, 64), (16, 128)])
+    def test_covariance_without_the_arcsine_misses_the_maximum(self, k, n, n0):
+        # Negative control: a BMMSE built from (2/pi) times the normalized
+        # received covariance, the arcsine law without its arcsine.
+        h, stats = self.draws(k, n, n0)
+        a, c = stats.effective_channel, stats.output_cov
+        scale = 1.0 / np.sqrt(stats.power)
+        wrong = (2 / np.pi) * stats.received_cov * (scale[..., :, None] * scale[..., None, :])
+        matrix = np.linalg.solve(wrong, a).conj().mT
+        best = max_model_sinr(a, c)
+        assert ((best - model_sinr(matrix, a, c)) / best).max() > 1e-3
